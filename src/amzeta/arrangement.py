@@ -516,13 +516,9 @@ def char_poly_of(arrangement: Arrangement, ambient_m=None,
     if arrangement.n == 0:
         m = ambient_m if ambient_m is not None else 0
         return LaurentPoly.monomial("q", m)
-    lat = build_lattice(arrangement, max_flats)
     m = ambient_m if ambient_m is not None else arrangement.m
-    coeffs = {}
-    for h in range(len(lat.flats)):
-        e = m - lat.ranks[h]
-        coeffs[e] = coeffs.get(e, 0) + lat._mobius_idx(lat.bottom, h)
-    return LaurentPoly("q", coeffs)
+    return build_lattice(arrangement, max_flats).char_poly().shift(
+        m - arrangement.m)
 
 
 # ---------------------------------------------------------------------------

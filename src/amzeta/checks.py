@@ -1,0 +1,270 @@
+"""Verification suites: each invariant checked a second way, in one table.
+
+``amz verify --suite NAME`` runs ``SUITES[NAME]``, and the acceptance gate
+runs the same entries.  A suite takes the parsed options (``p``, ``alpha``,
+``seed``) and returns ``(checks, conjectures)``, two lists of
+``(name, fn)``: a check raises on failure, a conjecture returns
+``(cases seen, violations)`` and never fails the run.
+"""
+
+from __future__ import annotations
+
+import math
+import random
+
+from .arrangement import (
+    Arrangement,
+    build_lattice,
+    char_poly_of,
+    count_complement_Fq,
+    deletion,
+    graphic_arrangement,
+    restriction,
+    structural_flags,
+)
+from .exact_algebra import LaurentPoly, RationalUni, exact_div
+from .hypertoric import hypertoric_class
+from .igusa import (
+    functional_equation_check,
+    igusa_chain,
+    igusa_recursion,
+    pole_report,
+)
+from .open_derham import OdrInput, odr_class
+from .padic_oracle import count_solutions_mod, limit_probe, poincare_check
+from .quiver_reps import (
+    a_gamma_alpha,
+    a_gamma_limit,
+    check_lastone,
+    is_two_edge_connected,
+)
+from .quiver_varieties import nakajima_gf
+from . import reference
+from .residues import b_mu, b_prime
+
+DEFAULT_SEED = 20260808
+
+
+def random_arrangement(rng, require_essential=False):
+    """Rank 1-3, at most 5 normals, entries in [-2, 2]; zero rows dropped."""
+    while True:
+        m = rng.randint(1, 3)
+        n = rng.randint(1, 5)
+        rows = [tuple(rng.randint(-2, 2) for _ in range(m))
+                for _ in range(n)]
+        rows = [r for r in rows if any(r)]
+        if not rows:
+            continue
+        arr = Arrangement(rows)
+        if require_essential and arr.rank() != m:
+            continue
+        return arr
+
+
+def is_prime(p):
+    return p > 1 and all(p % d for d in range(2, math.isqrt(p) + 1))
+
+
+def next_prime_above(bound):
+    p = max(bound, 1) + 1
+    while not is_prime(p):
+        p += 1
+    return p
+
+
+def lattice_invariants(arr, lat):
+    """chi monic of degree m and divisible by q - 1; Mobius sign and
+    recursion == chain count on every comparable pair; deletion-restriction
+    for each hyperplane; chi(p) == the F_p complement count."""
+    chi = lat.char_poly()
+    assert chi.degree() == arr.m and chi.leading_coeff() == 1
+    exact_div(chi, LaurentPoly("q", {1: 1, 0: -1}))
+    for fi in range(len(lat.flats)):
+        for gi in range(len(lat.flats)):
+            if lat.leq(fi, gi):
+                assert lat.mobius(fi, gi) == lat.mobius_via_chains(fi, gi)
+                r = lat.ranks[gi] - lat.ranks[fi]
+                assert (-1) ** r * lat.mobius(fi, gi) > 0
+    for i in range(arr.n):
+        # the flat of hyperplane i is the closure of {i}
+        fi = min((f for f in lat.flats if i in f), key=len)
+        deleted, _ = deletion(arr, fi)
+        restricted, _ = restriction(arr, fi)
+        assert chi == (char_poly_of(deleted, ambient_m=arr.m)
+                       - char_poly_of(restricted,
+                                      ambient_m=arr.m - lat.rank_of(fi)))
+    p = next_prime_above(structural_flags(arr)["max_abs_minor"])
+    assert count_complement_Fq(arr, p) == chi.evaluate(p)
+
+
+def _suite_paper(args):
+    checks = []
+
+    def zeta_of(arr):
+        lat = build_lattice(arr)
+        return igusa_chain(arr, lat), lat
+
+    def origin_zetas():
+        for n in range(1, 6):
+            z, _ = zeta_of(reference.n_origins(n))
+            assert z.value == reference.zeta_n_origins(n)
+    checks.append(("igusa rank-1 origin family n=1..5", origin_zetas))
+
+    def triangle_zeta():
+        z, _ = zeta_of(reference.triangle())
+        assert z.value == reference.zeta_triangle()
+    checks.append(("igusa triangle", triangle_zeta))
+
+    def six_zeta():
+        z, _ = zeta_of(reference.six_normals_rank3())
+        assert z.value == reference.zeta_six_normals()
+        assert z.value.pole_orders() == {3: 1, 5: 1, 6: 3}
+    checks.append(("igusa six-normal rank-3", six_zeta))
+
+    def toric_classes():
+        for n in range(1, 5):
+            arr = reference.n_origins(n)
+            cls = hypertoric_class(arr, build_lattice(arr))
+            expected = (LaurentPoly.monomial("L", n - 1)
+                        * LaurentPoly("L", {e: 1 for e in range(n)}))
+            assert cls.value == expected
+    checks.append(("hypertoric origin family classes", toric_classes))
+
+    def odr_values():
+        assert odr_class(OdrInput(1, (2, 5))).value == LaurentPoly.one("L")
+        for d in (2, 3, 4):
+            for k in range(2 * d, 9):
+                orders = (k - 2 * (d - 1),) + (2,) * (d - 1)
+                got = odr_class(OdrInput(2, orders)).value
+                assert got == reference.odr_rank2_expected(d, k)
+    checks.append(("open de Rham rank-2 family", odr_values))
+
+    def one_loop_series():
+        gf = nakajima_gf(reference.jordan_quiver(), (1,), 5)
+        expected = reference.hilbert_series_coefficients(5)
+        for n in range(6):
+            assert gf.series.coeff((n,)) == RationalUni.from_laurent(
+                expected[n])
+        assert gf.classes[(1,)] == LaurentPoly("L", {2: 1})
+        assert gf.classes[(2,)] == LaurentPoly("L", {4: 1, 3: 1})
+    checks.append(("one-loop quiver series vs product expansion",
+                   one_loop_series))
+
+    def residue_values():
+        arr = reference.triangle()
+        lat = build_lattice(arr)
+        assert b_mu(arr, lat) == reference.bmu_triangle()
+        assert b_prime(arr, lat).b_prime == reference.EULERIAN[3]
+        arr4 = graphic_arrangement(reference.cycle_quiver(4))
+        assert b_prime(arr4, build_lattice(arr4)).b_prime == \
+            reference.EULERIAN[4]
+        arrd = reference.triangle_doubled()
+        latd = build_lattice(arrd)
+        assert b_mu(arrd, latd) == reference.bmu_triangle_doubled()
+        arr6 = reference.six_normals_rank3()
+        assert b_prime(arr6, build_lattice(arr6)).b_prime == \
+            reference.SIX_NORMALS_BPRIME
+        for n in (2, 3):
+            arrn = reference.n_origins(n)
+            assert b_mu(arrn, build_lattice(arrn)) == \
+                reference.bmu_n_origins(n)
+    checks.append(("residues and numerators", residue_values))
+
+    def divisor_counts():
+        arr = reference.n_origins(1)
+        for alpha in (1, 2, 3):
+            got = count_solutions_mod(arr, 5, alpha).count
+            assert got == (alpha + 1) * 5 ** alpha - alpha * 5 ** (alpha - 1)
+    checks.append(("single-origin depth counts", divisor_counts))
+
+    def rep_limits():
+        assert a_gamma_limit(reference.cycle_quiver(3)) == \
+            reference.a_limit_cycle(3)
+        assert a_gamma_limit(reference.cycle_quiver(4)) == \
+            reference.a_limit_cycle(4)
+        assert a_gamma_limit(reference.cycle3_doubled_quiver()) == \
+            reference.a_limit_cycle3_doubled()
+        assert a_gamma_alpha(reference.cycle_quiver(3), 1) == \
+            LaurentPoly("q", {1: 1, 0: 2})
+    checks.append(("indecomposable count limits", rep_limits))
+
+    return checks, []
+
+
+def _suite_oracle(args):
+    p = args.p or 5
+    alpha = args.alpha or 2
+    checks = []
+
+    def origin1():
+        arr = reference.n_origins(1)
+        poincare_check(arr, build_lattice(arr), p, max(alpha, 3))
+    checks.append((f"series vs counts, single origin, p={p}", origin1))
+
+    def origin2():
+        arr = reference.n_origins(2)
+        poincare_check(arr, build_lattice(arr), p, alpha)
+    checks.append((f"series vs counts, two origins, p={p}", origin2))
+
+    def tri():
+        arr = reference.triangle()
+        poincare_check(arr, build_lattice(arr), p, alpha)
+    checks.append((f"series vs counts, triangle, p={p}", tri))
+
+    def probes():
+        arr = reference.triangle()
+        probe = limit_probe(arr, build_lattice(arr), p, alpha)
+        assert probe.converges and probe.distances[-1] < probe.distances[0]
+    checks.append((f"normalized limit probe, triangle, p={p}", probes))
+
+    return checks, []
+
+
+def _suite_properties(args):
+    rng = random.Random(args.seed)
+    arrangements = [random_arrangement(rng, require_essential=True)
+                    for _ in range(20)]
+    checks = []
+    conjectures = []
+
+    def core(arr):
+        def run():
+            lat = build_lattice(arr)
+            lattice_invariants(arr, lat)
+            zeta = igusa_chain(arr, lat)
+            assert zeta.value == igusa_recursion(arr, lat).value
+            assert functional_equation_check(zeta)
+            pole_report(zeta, arr, lat)
+        return run
+
+    for k, arr in enumerate(arrangements):
+        checks.append((f"random arrangement #{k + 1} invariants", core(arr)))
+
+    def positivity():
+        seen = violated = 0
+        for arr in arrangements:
+            flags = structural_flags(arr)
+            if not (flags["essential"] and flags["coloop_free"]):
+                continue
+            seen += 1
+            if not b_prime(arr, build_lattice(arr)).positive_coeffs:
+                violated += 1
+        return seen, violated
+    conjectures.append(("positivity of the cleared numerator", positivity))
+
+    def bridge():
+        seen = violated = 0
+        for quiver in [reference.cycle_quiver(3), reference.cycle_quiver(4),
+                       reference.cycle3_doubled_quiver()]:
+            if is_two_edge_connected(quiver):
+                seen += 1
+                if not check_lastone(quiver).equal:
+                    violated += 1
+        return seen, violated
+    conjectures.append(("graph-count vs numerator bridge", bridge))
+
+    return checks, conjectures
+
+
+SUITES = {"paper": _suite_paper, "oracle": _suite_oracle,
+          "properties": _suite_properties}

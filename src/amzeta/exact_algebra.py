@@ -228,17 +228,6 @@ class LaurentPoly:
             raise ParseError(f"bad LaurentPoly JSON: {exc}") from exc
 
 
-def poly_arith(a: LaurentPoly, b: LaurentPoly, op: str) -> LaurentPoly:
-    """Dispatch add/sub/mul; kept as an explicit surface for the CLI."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    raise ParseError(f"unknown op {op!r}")
-
-
 def exact_div(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     """Exact quotient a/b in the Laurent ring; NotDivisibleError otherwise."""
     a._check(b)
@@ -253,13 +242,6 @@ def exact_div(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     if quot is None:
         raise NotDivisibleError(f"{b.to_str()} does not divide {a.to_str()}")
     return LaurentPoly(a.var, {e + la - lb: c for e, c in quot.items()})
-
-
-def try_exact_div(a: LaurentPoly, b: LaurentPoly):
-    try:
-        return exact_div(a, b)
-    except NotDivisibleError:
-        return None
 
 
 def palindromic_check(p: LaurentPoly):
@@ -926,10 +908,6 @@ class BiRational:
             raise ParseError(f"bad BiRational JSON: {exc}") from exc
 
 
-def birational_add(a: BiRational, b: BiRational) -> BiRational:
-    return a + b
-
-
 # ---------------------------------------------------------------------------
 # Truncated multivariate power series
 # ---------------------------------------------------------------------------
@@ -985,20 +963,6 @@ class MultiSeries:
                                                   other.var):
             raise PreconditionError("series shape mismatch")
 
-    def __add__(self, other):
-        self._check(other)
-        c = dict(self.coeffs)
-        for v, x in other.coeffs.items():
-            c[v] = c.get(v, RationalUni.zero(self.var)) + x
-        return MultiSeries(self.nvars, self.bound, c, self.var)
-
-    def __sub__(self, other):
-        self._check(other)
-        c = dict(self.coeffs)
-        for v, x in other.coeffs.items():
-            c[v] = c.get(v, RationalUni.zero(self.var)) - x
-        return MultiSeries(self.nvars, self.bound, c, self.var)
-
     def __mul__(self, other):
         self._check(other)
         c = {}
@@ -1020,10 +984,6 @@ class MultiSeries:
         inner = ", ".join(f"{v}: {c.to_str()}"
                           for v, c in sorted(self.coeffs.items()))
         return f"MultiSeries({{{inner}}})"
-
-
-def series_mul(a: MultiSeries, b: MultiSeries) -> MultiSeries:
-    return a * b
 
 
 def series_div(num: MultiSeries, den: MultiSeries) -> MultiSeries:

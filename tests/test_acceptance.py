@@ -1,58 +1,32 @@
 """Acceptance gate: one test per criterion, each printing a pass line.
 
-Every comparison is exact (big-integer / rational arithmetic); there are
-no numeric tolerances anywhere.  Run with -s to see the pass lines.
+Where ``amz verify`` already makes a criterion's assertions, the test runs
+that entry of the check table (``amzeta.checks.SUITES``, default options);
+only what the table does not check is written out here.  Every comparison
+is exact (big-integer / rational arithmetic); there are no numeric
+tolerances anywhere.  Run with -s to see the pass lines.
 """
 
+import functools
 import random
-from fractions import Fraction
+from types import SimpleNamespace
 
-import pytest
-
-from amzeta.arrangement import (
-    Arrangement,
-    build_lattice,
-    char_poly_of,
-    count_complement_Fq,
-    deletion,
-    graphic_arrangement,
-    restriction,
-    structural_flags,
-)
-from amzeta.exact_algebra import LaurentPoly, RationalUni, exact_div
+from amzeta.arrangement import build_lattice, graphic_arrangement, \
+    structural_flags
+from amzeta.checks import DEFAULT_SEED, SUITES, lattice_invariants, \
+    random_arrangement
+from amzeta.exact_algebra import LaurentPoly
 from amzeta.hypertoric import count_moment_fiber, find_generic_xi, \
     hypertoric_class
-from amzeta.igusa import (
-    functional_equation_check,
-    igusa_chain,
-    igusa_recursion,
-    pole_report,
-)
+from amzeta.igusa import functional_equation_check, igusa_chain, \
+    igusa_recursion
 from amzeta.open_derham import OdrInput, odr_class
-from amzeta.padic_oracle import count_solutions_mod, poincare_check
-from amzeta.quiver_reps import (
-    a_gamma_alpha,
-    a_gamma_limit,
-    brute_force_indec,
-    check_lastone,
-)
-from amzeta.quiver_varieties import nakajima_gf
-from amzeta import reference
+from amzeta.quiver_reps import a_gamma_alpha, brute_force_indec
 from amzeta.residues import b_mu, b_prime
 from amzeta.reference import (
-    EULERIAN,
-    SIX_NORMALS_BPRIME,
-    a_limit_cycle,
-    a_limit_cycle3_doubled,
     bmu_n_origins,
-    bmu_triangle,
-    bmu_triangle_doubled,
-    cycle3_doubled_quiver,
     cycle_quiver,
-    hilbert_series_coefficients,
-    jordan_quiver,
     n_origins,
-    odr_rank2_expected,
     six_normals_rank3,
     triangle,
     triangle_doubled,
@@ -63,93 +37,66 @@ def _passed(num, text):
     print(f"ACCEPTANCE {num:>2}: {text} ... PASS")
 
 
-def _random_essential(rng):
-    while True:
-        m = rng.randint(1, 3)
-        n = rng.randint(1, 5)
-        rows = [tuple(rng.randint(-2, 2) for _ in range(m))
-                for _ in range(n)]
-        rows = [r for r in rows if any(r)]
-        if not rows:
-            continue
-        arr = Arrangement(rows)
-        if arr.rank() == m:
-            return arr
+@functools.cache
+def _table(suite):
+    checks, conjectures = SUITES[suite](
+        SimpleNamespace(p=None, alpha=None, seed=DEFAULT_SEED))
+    return dict(checks + conjectures)
 
 
-@pytest.fixture(scope="module")
-def random_arrangements():
-    rng = random.Random(20260808)
-    return [_random_essential(rng) for _ in range(20)]
+@functools.cache
+def _run(suite, name):
+    """Run one table entry (once per session); return what it returns."""
+    return _table(suite)[name]()
 
 
-@pytest.fixture(scope="module")
-def six_normal_data():
-    arr = six_normals_rank3()
-    lat = build_lattice(arr)
-    return arr, lat, igusa_chain(arr, lat)
+def _random_invariants():
+    """The 20 seeded essential arrangements of the properties suite: lattice
+    invariants, chain == recursion, functional equation, pole report."""
+    for name in _table("properties"):
+        if name.startswith("random arrangement #"):
+            _run("properties", name)
 
 
 def test_criterion_01_origin_family_zeta():
-    for n in range(1, 6):
-        arr = n_origins(n)
-        zeta = igusa_chain(arr, build_lattice(arr))
-        assert zeta.value == reference.zeta_n_origins(n)
+    _run("paper", "igusa rank-1 origin family n=1..5")
     _passed(1, "rank-1 origin family zeta, n = 1..5, exact")
 
 
 def test_criterion_02_triangle_zeta():
+    _run("paper", "igusa triangle")
     arr = triangle()
     zeta = igusa_chain(arr, build_lattice(arr))
-    assert zeta.value == reference.zeta_triangle()
     assert zeta.value.pole_orders() == {2: 1, 3: 2}
     _passed(2, "triangle zeta matches the printed rational function")
 
 
-def test_criterion_03_six_normal_zeta(six_normal_data):
-    _, _, zeta = six_normal_data
-    assert zeta.value.pole_orders() == {3: 1, 5: 1, 6: 3}
-    assert zeta.value == reference.zeta_six_normals()
+def test_criterion_03_six_normal_zeta():
+    _run("paper", "igusa six-normal rank-3")
     _passed(3, "six-normal rank-3 zeta: denominator and degree-24 numerator")
 
 
-def test_criterion_04_chain_equals_recursion(random_arrangements,
-                                             six_normal_data):
-    fixtures = [n_origins(n) for n in range(1, 6)] + [triangle()]
-    for arr in fixtures + random_arrangements:
+def test_criterion_04_chain_equals_recursion():
+    _random_invariants()
+    for arr in [n_origins(n) for n in range(1, 6)] + [triangle(),
+                                                      six_normals_rank3()]:
         lat = build_lattice(arr)
         assert igusa_chain(arr, lat).value == igusa_recursion(arr, lat).value
-    arr, lat, zeta = six_normal_data
-    assert igusa_recursion(arr, lat).value == zeta.value
     _passed(4, "chain formula == recursion on fixtures + 20 random")
 
 
 def test_criterion_05_poincare_oracle():
-    arr1 = n_origins(1)
-    lat1 = build_lattice(arr1)
-    report = poincare_check(arr1, lat1, 5, 3)
-    assert report.match
-    for alpha, count in enumerate(report.counts, start=1):
-        assert count.count == (alpha + 1) * 5 ** alpha - alpha * 5 ** (alpha - 1)
-    for arr in [n_origins(2), triangle()]:
-        lat = build_lattice(arr)
-        assert poincare_check(arr, lat, 5, 2).match
+    for name in _table("oracle"):
+        if name.startswith("series vs counts"):
+            _run("oracle", name)
+    _run("paper", "single-origin depth counts")
     _passed(5, "series expansion == depth counts at p=5 (alpha <= 3)")
 
 
 def test_criterion_06_residue_values():
-    for n in (2, 3, 4):
-        arr = n_origins(n)
-        assert b_mu(arr, build_lattice(arr)) == bmu_n_origins(n)
-    arr = triangle()
-    assert b_prime(arr, build_lattice(arr)).b_prime == EULERIAN[3]
-    arr4 = graphic_arrangement(cycle_quiver(4))
-    assert b_prime(arr4, build_lattice(arr4)).b_prime == EULERIAN[4]
-    arrd = triangle_doubled()
-    assert b_mu(arrd, build_lattice(arrd)) == bmu_triangle_doubled()
-    arr6 = six_normals_rank3()
-    data6 = b_prime(arr6, build_lattice(arr6))
-    assert data6.b_prime == SIX_NORMALS_BPRIME
+    _run("paper", "residues and numerators")
+    arr = n_origins(4)
+    assert b_mu(arr, build_lattice(arr)) == bmu_n_origins(4)
     _passed(6, "residues: origin family, Eulerian values, doubled edge, "
                "degree-10 numerator")
 
@@ -160,7 +107,7 @@ def test_criterion_07_palindromicity():
     rng = random.Random(414243)
     randoms = []
     while len(randoms) < 20:
-        arr = _random_essential(rng)
+        arr = random_arrangement(rng, require_essential=True)
         flags = structural_flags(arr)
         if flags["coloop_free"]:
             randoms.append(arr)
@@ -175,24 +122,18 @@ def test_criterion_07_palindromicity():
                f" ({len(fixtures) + len(randoms)} cases)")
 
 
-def test_criterion_08_functional_equation(random_arrangements,
-                                          six_normal_data):
-    fixtures = [n_origins(n) for n in range(1, 6)] + [triangle(),
-                                                      triangle_doubled()]
-    for arr in fixtures + random_arrangements:
+def test_criterion_08_functional_equation():
+    _random_invariants()
+    fixtures = [n_origins(n) for n in range(1, 6)] + [
+        triangle(), triangle_doubled(), six_normals_rank3()]
+    for arr in fixtures:
         lat = build_lattice(arr)
         assert functional_equation_check(igusa_chain(arr, lat))
-    assert functional_equation_check(six_normal_data[2])
     _passed(8, "functional equation with degree-2 weight on all zetas")
 
 
 def test_criterion_09_hypertoric_classes():
-    for n in range(1, 5):
-        arr = n_origins(n)
-        cls = hypertoric_class(arr, build_lattice(arr))
-        expected = (LaurentPoly.monomial("L", n - 1)
-                    * LaurentPoly("L", {e: 1 for e in range(n)}))
-        assert cls.value == expected
+    _run("paper", "hypertoric origin family classes")
     for arr in [n_origins(2), n_origins(3), triangle()]:
         lat = build_lattice(arr)
         cls = hypertoric_class(arr, lat)
@@ -204,69 +145,36 @@ def test_criterion_09_hypertoric_classes():
 
 
 def test_criterion_10_quiver_series():
-    bound = 5
-    gf = nakajima_gf(jordan_quiver(), (1,), bound)
-    expected = hilbert_series_coefficients(bound)
-    for n in range(bound + 1):
-        assert gf.series.coeff((n,)) == RationalUni.from_laurent(expected[n])
-    assert gf.classes[(1,)] == LaurentPoly("L", {2: 1})
-    assert gf.classes[(2,)] == LaurentPoly("L", {4: 1, 3: 1})
+    _run("paper", "one-loop quiver series vs product expansion")
     _passed(10, "one-loop quiver series == product expansion through T^5")
 
 
 def test_criterion_11_open_derham():
+    _run("paper", "open de Rham rank-2 family")
     for orders in [(2,), (5,), (2, 3, 4)]:
         assert odr_class(OdrInput(1, orders)).value == LaurentPoly.one("L")
     for d in (2, 3, 4):
         for k in range(2 * d, 9):
-            orders = (k - 2 * (d - 1),) + (2,) * (d - 1)
-            inp = OdrInput(2, orders)
-            cls = odr_class(inp)
-            assert cls.value == odr_rank2_expected(d, k)
-            assert cls.value.degree() == inp.dimension()
-            assert cls.value.leading_coeff() == 1
+            inp = OdrInput(2, (k - 2 * (d - 1),) + (2,) * (d - 1))
+            value = odr_class(inp).value
+            assert value.degree() == inp.dimension()
+            assert value.leading_coeff() == 1
     _passed(11, "rank-2 family matches closed form for d = 2..4, total <= 8")
 
 
 def test_criterion_12_quiver_reps():
+    _run("paper", "indecomposable count limits")
     tri = cycle_quiver(3)
     poly = a_gamma_alpha(tri, 1)
-    assert poly == LaurentPoly("q", {1: 1, 0: 2})
     for p in (3, 5):
         assert brute_force_indec(tri, p, 1) == poly.evaluate(p)
-    assert a_gamma_limit(tri) == a_limit_cycle(3)
-    assert a_gamma_limit(cycle_quiver(4)) == a_limit_cycle(4)
-    assert a_gamma_limit(cycle3_doubled_quiver()) == a_limit_cycle3_doubled()
-    for quiver in [tri, cycle_quiver(4), cycle3_doubled_quiver()]:
-        assert check_lastone(quiver).equal
+    assert _run("properties", "graph-count vs numerator bridge") == (3, 0)
     _passed(12, "depth counts, limits, and the numerator bridge")
 
 
-def test_criterion_13_arrangement_core(random_arrangements):
-    fixtures = [n_origins(2), triangle(), triangle_doubled(),
-                six_normals_rank3()]
-    for arr in fixtures + random_arrangements:
-        lat = build_lattice(arr)
-        chi = lat.char_poly()
-        assert chi.degree() == arr.m and chi.leading_coeff() == 1
-        exact_div(chi, LaurentPoly("q", {1: 1, 0: -1}))
-        for fi in range(len(lat.flats)):
-            for gi in range(len(lat.flats)):
-                if lat.leq(fi, gi):
-                    assert lat.mobius(fi, gi) == lat.mobius_via_chains(fi, gi)
-                    r = lat.ranks[gi] - lat.ranks[fi]
-                    assert (-1) ** r * lat.mobius(fi, gi) > 0
-        for i in range(arr.n):
-            flat_i = min((f for f in lat.flats if i in f), key=len)
-            deleted, _ = deletion(arr, flat_i)
-            restricted, _ = restriction(arr, flat_i)
-            assert chi == (char_poly_of(deleted, ambient_m=arr.m)
-                           - char_poly_of(restricted,
-                                          ambient_m=arr.m
-                                          - lat.rank_of(flat_i)))
-        bound = structural_flags(arr)["max_abs_minor"]
-        p = bound + 1
-        while any(p % d == 0 for d in range(2, int(p ** 0.5) + 1)) or p < 2:
-            p += 1
-        assert count_complement_Fq(arr, p) == chi.evaluate(p)
+def test_criterion_13_arrangement_core():
+    _random_invariants()
+    for arr in [n_origins(2), triangle(), triangle_doubled(),
+                six_normals_rank3()]:
+        lattice_invariants(arr, build_lattice(arr))
     _passed(13, "lattice core properties on fixtures + 20 random")

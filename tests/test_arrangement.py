@@ -1,4 +1,3 @@
-import itertools
 import random
 
 import pytest
@@ -14,6 +13,7 @@ from amzeta.arrangement import (
     restriction,
     structural_flags,
 )
+from amzeta.checks import DEFAULT_SEED, lattice_invariants, random_arrangement
 from amzeta.errors import PreconditionError
 from amzeta.exact_algebra import LaurentPoly
 from amzeta.reference import (
@@ -28,31 +28,6 @@ from amzeta.reference import (
 
 def flat_sets(lat):
     return {tuple(sorted(f)) for f in lat.flats}
-
-
-def small_primes_above(bound):
-    p = bound + 1
-    while True:
-        if p > 1 and all(p % d for d in range(2, int(p ** 0.5) + 1)):
-            return p
-        p += 1
-
-
-def random_arrangement(rng, require_essential=False):
-    while True:
-        m = rng.randint(1, 3)
-        n = rng.randint(1, 5)
-        rows = []
-        for _ in range(n):
-            row = tuple(rng.randint(-2, 2) for _ in range(m))
-            if any(row):
-                rows.append(row)
-        if not rows:
-            continue
-        arr = Arrangement(rows)
-        if require_essential and arr.rank() != m:
-            continue
-        return arr
 
 
 # ---------------------------------------------------------------------------
@@ -107,17 +82,14 @@ def test_mobius_incomparable_rejected():
         lat.mobius(frozenset({0}), frozenset({1}))
 
 
-def assert_mobius_matches_chains(lat):
-    for fi in range(len(lat.flats)):
-        for gi in range(len(lat.flats)):
-            if lat.leq(fi, gi):
-                assert lat.mobius(fi, gi) == lat.mobius_via_chains(fi, gi)
-
-
 def test_mobius_recursion_equals_chain_count_fixtures():
     for arr in [n_origins(3), triangle(), triangle_doubled(),
                 six_normals_rank3()]:
-        assert_mobius_matches_chains(build_lattice(arr))
+        lat = build_lattice(arr)
+        for fi in range(len(lat.flats)):
+            for gi in range(len(lat.flats)):
+                if lat.leq(fi, gi):
+                    assert lat.mobius(fi, gi) == lat.mobius_via_chains(fi, gi)
 
 
 # ---------------------------------------------------------------------------
@@ -233,57 +205,35 @@ def test_localization_restriction_lattices():
             assert mapped == filt
 
 
-def assert_deletion_restriction(arr):
-    lat = build_lattice(arr)
-    chi = char_poly_of(arr)
-    for i in range(arr.n):
-        # the flat of hyperplane i is the closure of {i}
-        fi = min((f for f in lat.flats if i in f), key=len)
-        deleted, _ = deletion(arr, fi)
-        restricted, _ = restriction(arr, fi)
-        chi_del = char_poly_of(deleted, ambient_m=arr.m)
-        chi_res = char_poly_of(restricted,
-                               ambient_m=arr.m - lat.rank_of(fi))
-        assert chi == chi_del - chi_res
-
-
 def test_deletion_restriction_fixtures():
     for arr in [n_origins(3), triangle(), triangle_doubled(),
                 six_normals_rank3()]:
-        assert_deletion_restriction(arr)
+        lat = build_lattice(arr)
+        chi = char_poly_of(arr)
+        for i in range(arr.n):
+            # the flat of hyperplane i is the closure of {i}
+            fi = min((f for f in lat.flats if i in f), key=len)
+            deleted, _ = deletion(arr, fi)
+            restricted, _ = restriction(arr, fi)
+            chi_del = char_poly_of(deleted, ambient_m=arr.m)
+            chi_res = char_poly_of(restricted,
+                                   ambient_m=arr.m - lat.rank_of(fi))
+            assert chi == chi_del - chi_res
 
 
 # ---------------------------------------------------------------------------
-# global properties on fixtures plus random arrangements
+# lattice invariants (chi, Mobius, deletion-restriction, F_p count) on
+# fixtures plus random arrangements
 # ---------------------------------------------------------------------------
-
-def assert_core_properties(arr):
-    lat = build_lattice(arr)
-    chi = lat.char_poly()
-    # monic of degree m, divisible by q - 1
-    assert chi.degree() == arr.m and chi.leading_coeff() == 1
-    from amzeta.exact_algebra import exact_div
-    exact_div(chi, LaurentPoly("q", {1: 1, 0: -1}))
-    # sign alternation on all intervals
-    for fi in range(len(lat.flats)):
-        for gi in range(len(lat.flats)):
-            if lat.leq(fi, gi):
-                r = lat.ranks[gi] - lat.ranks[fi]
-                assert (-1) ** r * lat.mobius(fi, gi) > 0
-    assert_mobius_matches_chains(lat)
-    # counting oracle
-    p = small_primes_above(structural_flags(arr)["max_abs_minor"])
-    assert count_complement_Fq(arr, p) == chi.evaluate(p)
-
 
 def test_core_properties_fixtures():
-    for arr in [n_origins(2), triangle(), triangle_doubled()]:
-        assert_core_properties(arr)
+    for arr in [n_origins(2), n_origins(3), triangle(), triangle_doubled(),
+                six_normals_rank3()]:
+        lattice_invariants(arr, build_lattice(arr))
 
 
 def test_core_properties_random():
-    rng = random.Random(20260808)
+    rng = random.Random(DEFAULT_SEED)
     for _ in range(20):
         arr = random_arrangement(rng)
-        assert_core_properties(arr)
-        assert_deletion_restriction(arr)
+        lattice_invariants(arr, build_lattice(arr))

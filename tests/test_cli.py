@@ -174,6 +174,22 @@ def test_exit_code_budget(capsys, triangle_file, monkeypatch):
 def test_unknown_option_rejected(capsys, triangle_file):
     code, _, _ = run(capsys, "igusa", triangle_file, "--bogus")
     assert code == 1
+    code, _, _ = run(capsys, "--threads", "2", "igusa", triangle_file)
+    assert code == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["oracle", "triangle.json", "--alpha", "2"],
+    ["quiver-indec", "cycle3.json", "--alpha", "1"],
+    ["verify", "--suite", "oracle"],
+])
+def test_non_prime_p_rejected(capsys, tmp_path, argv):
+    (tmp_path / "triangle.json").write_text(json.dumps(triangle().to_json()))
+    (tmp_path / "cycle3.json").write_text(json.dumps(
+        cycle_quiver(3).to_json()))
+    argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
+    code, out, err = run(capsys, *argv, "--p", "4")
+    assert code == 1 and out == "" and "4 is not prime" in err
 
 
 def test_verify_paper_suite(capsys):
@@ -189,3 +205,12 @@ def test_verify_oracle_suite(capsys):
                        "--p", "5", "--alpha", "2")
     assert code == 0
     assert json.loads(out)["failed"] == 0
+
+
+def test_verify_properties_suite(capsys):
+    code, out, _ = run(capsys, "verify", "--suite", "properties")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["failed"] == 0
+    assert [c["status"] for c in payload["checks"]] == ["ok"] * 20
+    assert [c["status"] for c in payload["conjectures"]] == ["observed"] * 2
