@@ -3,8 +3,9 @@
 ``amz verify --suite NAME`` runs ``SUITES[NAME]``, and the acceptance gate
 runs the same entries.  A suite takes the parsed options (``p``, ``alpha``,
 ``seed``) and returns ``(checks, conjectures)``, two lists of
-``(name, fn)``: a check raises on failure, a conjecture returns
-``(cases seen, violations)`` and never fails the run.
+``(name, fn)``: a check raises an ``AmzError`` on failure (``require``
+raises ``InvariantError``, so the checks also run under ``python -O``), a
+conjecture returns ``(cases seen, violations)`` and never fails the run.
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ from .arrangement import (
     restriction,
     structural_flags,
 )
-from .exact_algebra import LaurentPoly, RationalUni, exact_div
+from .errors import InvariantError
+from .exact_algebra import LaurentPoly, RationalUni
 from .hypertoric import hypertoric_class
 from .igusa import (
     functional_equation_check,
@@ -43,6 +45,13 @@ from . import reference
 from .residues import b_mu, b_prime
 
 DEFAULT_SEED = 20260808
+
+
+def require(ok, what):
+    """Raise InvariantError naming ``what`` unless ``ok``.  Unlike an
+    assert statement, it still checks under ``python -O``."""
+    if not ok:
+        raise InvariantError(what)
 
 
 def random_arrangement(rng, require_essential=False):
@@ -77,24 +86,29 @@ def lattice_invariants(arr, lat):
     recursion == chain count on every comparable pair; deletion-restriction
     for each hyperplane; chi(p) == the F_p complement count."""
     chi = lat.char_poly()
-    assert chi.degree() == arr.m and chi.leading_coeff() == 1
-    exact_div(chi, LaurentPoly("q", {1: 1, 0: -1}))
+    require(chi.degree() == arr.m and chi.leading_coeff() == 1,
+            "chi is not monic of degree m")
+    require(chi.evaluate(1) == 0, "chi is not divisible by q - 1")
     for fi in range(len(lat.flats)):
         for gi in range(len(lat.flats)):
             if lat.leq(fi, gi):
-                assert lat.mobius(fi, gi) == lat.mobius_via_chains(fi, gi)
+                require(lat.mobius(fi, gi) == lat.mobius_via_chains(fi, gi),
+                        f"Mobius recursion != chain count on ({fi}, {gi})")
                 r = lat.ranks[gi] - lat.ranks[fi]
-                assert (-1) ** r * lat.mobius(fi, gi) > 0
+                require((-1) ** r * lat.mobius(fi, gi) > 0,
+                        f"Mobius sign wrong on ({fi}, {gi})")
     for i in range(arr.n):
         # the flat of hyperplane i is the closure of {i}
         fi = min((f for f in lat.flats if i in f), key=len)
         deleted, _ = deletion(arr, fi)
         restricted, _ = restriction(arr, fi)
-        assert chi == (char_poly_of(deleted, ambient_m=arr.m)
-                       - char_poly_of(restricted,
-                                      ambient_m=arr.m - lat.rank_of(fi)))
+        require(chi == (char_poly_of(deleted, ambient_m=arr.m)
+                        - char_poly_of(restricted,
+                                       ambient_m=arr.m - lat.rank_of(fi))),
+                f"deletion-restriction fails at hyperplane {i}")
     p = next_prime_above(structural_flags(arr)["max_abs_minor"])
-    assert count_complement_Fq(arr, p) == chi.evaluate(p)
+    require(count_complement_Fq(arr, p) == chi.evaluate(p),
+            f"F_{p} complement count != chi({p})")
 
 
 def _suite_paper(args):
@@ -107,18 +121,21 @@ def _suite_paper(args):
     def origin_zetas():
         for n in range(1, 6):
             z, _ = zeta_of(reference.n_origins(n))
-            assert z.value == reference.zeta_n_origins(n)
+            require(z.value == reference.zeta_n_origins(n),
+                    f"zeta of {n} origins")
     checks.append(("igusa rank-1 origin family n=1..5", origin_zetas))
 
     def triangle_zeta():
         z, _ = zeta_of(reference.triangle())
-        assert z.value == reference.zeta_triangle()
+        require(z.value == reference.zeta_triangle(), "zeta of the triangle")
     checks.append(("igusa triangle", triangle_zeta))
 
     def six_zeta():
         z, _ = zeta_of(reference.six_normals_rank3())
-        assert z.value == reference.zeta_six_normals()
-        assert z.value.pole_orders() == {3: 1, 5: 1, 6: 3}
+        require(z.value == reference.zeta_six_normals(),
+                "zeta of the six normals")
+        require(z.value.pole_orders() == {3: 1, 5: 1, 6: 3},
+                "pole orders of the six normals")
     checks.append(("igusa six-normal rank-3", six_zeta))
 
     def toric_classes():
@@ -127,65 +144,75 @@ def _suite_paper(args):
             cls = hypertoric_class(arr, build_lattice(arr))
             expected = (LaurentPoly.monomial("L", n - 1)
                         * LaurentPoly("L", {e: 1 for e in range(n)}))
-            assert cls.value == expected
+            require(cls.value == expected, f"hypertoric class of {n} origins")
     checks.append(("hypertoric origin family classes", toric_classes))
 
     def odr_values():
-        assert odr_class(OdrInput(1, (2, 5))).value == LaurentPoly.one("L")
+        require(odr_class(OdrInput(1, (2, 5))).value == LaurentPoly.one("L"),
+                "odr class of rank 1, orders (2, 5)")
         for d in (2, 3, 4):
             for k in range(2 * d, 9):
                 orders = (k - 2 * (d - 1),) + (2,) * (d - 1)
                 got = odr_class(OdrInput(2, orders)).value
-                assert got == reference.odr_rank2_expected(d, k)
+                require(got == reference.odr_rank2_expected(d, k),
+                        f"odr rank-2 class, d={d}, k={k}")
     checks.append(("open de Rham rank-2 family", odr_values))
 
     def one_loop_series():
         gf = nakajima_gf(reference.jordan_quiver(), (1,), 5)
         expected = reference.hilbert_series_coefficients(5)
         for n in range(6):
-            assert gf.series.coeff((n,)) == RationalUni.from_laurent(
-                expected[n])
-        assert gf.classes[(1,)] == LaurentPoly("L", {2: 1})
-        assert gf.classes[(2,)] == LaurentPoly("L", {4: 1, 3: 1})
+            require(gf.series.coeff((n,)) == RationalUni.from_laurent(
+                expected[n]), f"one-loop series coefficient T^{n}")
+        require(gf.classes[(1,)] == LaurentPoly("L", {2: 1}),
+                "one-loop class at dimension 1")
+        require(gf.classes[(2,)] == LaurentPoly("L", {4: 1, 3: 1}),
+                "one-loop class at dimension 2")
     checks.append(("one-loop quiver series vs product expansion",
                    one_loop_series))
 
     def residue_values():
         arr = reference.triangle()
         lat = build_lattice(arr)
-        assert b_mu(arr, lat) == reference.bmu_triangle()
-        assert b_prime(arr, lat).b_prime == reference.EULERIAN[3]
+        require(b_mu(arr, lat) == reference.bmu_triangle(),
+                "B_mu of the triangle")
+        require(b_prime(arr, lat).b_prime == reference.EULERIAN[3],
+                "B' of the triangle")
         arr4 = graphic_arrangement(reference.cycle_quiver(4))
-        assert b_prime(arr4, build_lattice(arr4)).b_prime == \
-            reference.EULERIAN[4]
+        require(b_prime(arr4, build_lattice(arr4)).b_prime
+                == reference.EULERIAN[4], "B' of the 4-cycle")
         arrd = reference.triangle_doubled()
         latd = build_lattice(arrd)
-        assert b_mu(arrd, latd) == reference.bmu_triangle_doubled()
+        require(b_mu(arrd, latd) == reference.bmu_triangle_doubled(),
+                "B_mu of the doubled triangle")
         arr6 = reference.six_normals_rank3()
-        assert b_prime(arr6, build_lattice(arr6)).b_prime == \
-            reference.SIX_NORMALS_BPRIME
+        require(b_prime(arr6, build_lattice(arr6)).b_prime
+                == reference.SIX_NORMALS_BPRIME, "B' of the six normals")
         for n in (2, 3):
             arrn = reference.n_origins(n)
-            assert b_mu(arrn, build_lattice(arrn)) == \
-                reference.bmu_n_origins(n)
+            require(b_mu(arrn, build_lattice(arrn))
+                    == reference.bmu_n_origins(n), f"B_mu of {n} origins")
     checks.append(("residues and numerators", residue_values))
 
     def divisor_counts():
         arr = reference.n_origins(1)
         for alpha in (1, 2, 3):
             got = count_solutions_mod(arr, 5, alpha).count
-            assert got == (alpha + 1) * 5 ** alpha - alpha * 5 ** (alpha - 1)
+            require(got == (alpha + 1) * 5 ** alpha
+                    - alpha * 5 ** (alpha - 1),
+                    f"single-origin count at depth {alpha}")
     checks.append(("single-origin depth counts", divisor_counts))
 
     def rep_limits():
-        assert a_gamma_limit(reference.cycle_quiver(3)) == \
-            reference.a_limit_cycle(3)
-        assert a_gamma_limit(reference.cycle_quiver(4)) == \
-            reference.a_limit_cycle(4)
-        assert a_gamma_limit(reference.cycle3_doubled_quiver()) == \
-            reference.a_limit_cycle3_doubled()
-        assert a_gamma_alpha(reference.cycle_quiver(3), 1) == \
-            LaurentPoly("q", {1: 1, 0: 2})
+        for k in (3, 4):
+            require(a_gamma_limit(reference.cycle_quiver(k))
+                    == reference.a_limit_cycle(k), f"limit of the {k}-cycle")
+        require(a_gamma_limit(reference.cycle3_doubled_quiver())
+                == reference.a_limit_cycle3_doubled(),
+                "limit of the doubled triangle")
+        require(a_gamma_alpha(reference.cycle_quiver(3), 1)
+                == LaurentPoly("q", {1: 1, 0: 2}),
+                "depth-1 count of the triangle")
     checks.append(("indecomposable count limits", rep_limits))
 
     return checks, []
@@ -214,7 +241,8 @@ def _suite_oracle(args):
     def probes():
         arr = reference.triangle()
         probe = limit_probe(arr, build_lattice(arr), p, alpha)
-        assert probe.converges and probe.distances[-1] < probe.distances[0]
+        require(probe.converges and probe.distances[-1] < probe.distances[0],
+                "limit probe does not converge")
     checks.append((f"normalized limit probe, triangle, p={p}", probes))
 
     return checks, []
@@ -232,8 +260,10 @@ def _suite_properties(args):
             lat = build_lattice(arr)
             lattice_invariants(arr, lat)
             zeta = igusa_chain(arr, lat)
-            assert zeta.value == igusa_recursion(arr, lat).value
-            assert functional_equation_check(zeta)
+            require(zeta.value == igusa_recursion(arr, lat).value,
+                    "chain != recursion")
+            require(functional_equation_check(zeta),
+                    "functional equation fails")
             pole_report(zeta, arr, lat)
         return run
 

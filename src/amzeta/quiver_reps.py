@@ -14,6 +14,12 @@ graphs is
 
   A = (1 - 1/q)^b(G) * sum over strict chains G'_1 < ... < G'_beta = G of
       prod_{j=1}^{beta-1} 1/(q^(b(G) - b(G'_j)) - 1).
+
+Both sums run over the Boolean lattice of edge masks.  A(alpha) takes one
+subset-sum (zeta) transform per level, E * 2^E Laurent additions.  The limit
+keeps every chain sum as an integer polynomial in the symbols
+u_k = 1/(q^k - 1), k = 1..b(G): 3^E (mask, submask) steps of integer dict
+additions, then one rational reduction of the total.
 """
 
 from __future__ import annotations
@@ -72,68 +78,87 @@ def is_two_edge_connected(quiver: Quiver) -> bool:
 # ---------------------------------------------------------------------------
 
 def a_gamma_alpha(quiver: Quiver, alpha: int) -> LaurentPoly:
-    """Polynomial count of indecomposable classes at depth alpha."""
+    """Polynomial count of indecomposable classes at depth alpha.
+
+    Each level is one subset-sum (zeta) transform over the 2^E edge masks,
+    E * 2^E Laurent additions, instead of a sum over every pair."""
     if alpha < 1:
         raise PreconditionError("depth must be >= 1")
     if not is_connected(quiver):
         raise PreconditionError("graph must be connected")
     ne = len(quiver.edges)
-    masks = list(range(1 << ne))
-    b = {mask: betti(quiver, mask) for mask in masks}
-    subsets = {mask: [s for s in masks if s & mask == s] for mask in masks}
-    qpoly = LaurentPoly.monomial
+    masks = range(1 << ne)
+    comps = [components(quiver, mask) for mask in masks]
+    b = [comps[mask] - quiver.vertices + bin(mask).count("1")
+         for mask in masks]
     # level[mask] = sum over nested chains ending at mask of q^(sum of
     # b-values of the earlier levels)
-    level = {mask: LaurentPoly.one("q") for mask in masks}
+    level = [LaurentPoly.one("q")] * len(masks)
     for _ in range(alpha - 1):
-        level = {
-            mask: sum((level[s] * qpoly("q", b[s]) for s in subsets[mask]),
-                      LaurentPoly.zero("q"))
-            for mask in masks
-        }
+        # level'[mask] = sum over s <= mask of level[s] q^b(s)
+        level = [level[s].shift(b[s]) for s in masks]
+        for i in range(ne):
+            bit = 1 << i
+            for mask in masks:
+                if mask & bit:
+                    level[mask] = level[mask] + level[mask ^ bit]
     qm1 = LaurentPoly("q", {1: 1, 0: -1})
     total = LaurentPoly.zero("q")
     for mask in masks:
-        if components(quiver, mask) == 1:
+        if comps[mask] == 1:
             total = total + level[mask] * qm1 ** b[mask]
-    if total.degree() != alpha * b[(1 << ne) - 1]:
+    if total.degree() != alpha * b[-1]:
         raise InvariantError("depth polynomial has wrong degree")
     return total
 
 
 def a_gamma_limit(quiver: Quiver) -> RationalUni:
-    """Normalized limit of q^(-alpha b) A(alpha) for 2-edge-connected graphs."""
+    """Normalized limit of q^(-alpha b) A(alpha) for 2-edge-connected graphs.
+
+    Every chain weight is u_k = 1/(q^k - 1) with k = b(G) - b(G'_j) in
+    1..b(G), so the chain sums are integer polynomials in the symbols
+    u_1..u_b(G), dicts from exponent tuples to ints.  The 3^E (subset,
+    submask) steps are integer dict additions; the sum becomes one
+    rational function, reduced once, only at the end."""
     if not is_two_edge_connected(quiver):
         raise PreconditionError(
             "graph has a bridge: the normalized limit diverges")
     ne = len(quiver.edges)
     full = (1 << ne) - 1
     b_top = betti(quiver, full)
-    masks = list(range(1 << ne))
-    b = {mask: betti(quiver, mask) for mask in masks}
-
-    def weight(mask):
-        return RationalUni(
-            LaurentPoly.one("q"),
-            LaurentPoly("q", {b_top - b[mask]: 1, 0: -1}))
-
+    one = (0,) * b_top
     # chains of proper subgraphs below the full graph, each weighted by
-    # 1/(q^(b(G)-b(G'_j)) - 1); accumulated bottom-up
-    acc = {}
-    for mask in sorted(masks, key=lambda m: bin(m).count("1")):
-        if mask == full:
-            continue
-        inner = RationalUni.one("q")
-        for sub in masks:
-            if sub != mask and sub & mask == sub and sub in acc:
-                inner = inner + acc[sub]
-        acc[mask] = weight(mask) * inner
-    total = RationalUni.one("q")
-    for mask, val in acc.items():
-        total = total + val
+    # u_k = 1/(q^(b(G)-b(G'_j)) - 1); accumulated bottom-up, submasks first
+    acc = []
+    total = {one: 1}
+    for mask in range(full):
+        inner = {one: 1}
+        sub = mask
+        while sub:
+            sub = (sub - 1) & mask
+            for e, c in acc[sub].items():
+                inner[e] = inner.get(e, 0) + c
+        i = b_top - betti(quiver, mask) - 1
+        val = {e[:i] + (e[i] + 1,) + e[i + 1:]: c for e, c in inner.items()}
+        acc.append(val)
+        for e, c in val.items():
+            total[e] = total.get(e, 0) + c
+    # clear over prod (q^k - 1)^(top exponent of u_k)
+    tops = [max(e[i] for e in total) for i in range(b_top)]
+    powers = [[LaurentPoly("q", {i + 1: 1, 0: -1}) ** j
+               for j in range(top + 1)] for i, top in enumerate(tops)]
+    num = LaurentPoly.zero("q")
+    for e, c in total.items():
+        term = LaurentPoly.const("q", c)
+        for i, top in enumerate(tops):
+            term = term * powers[i][top - e[i]]
+        num = num + term
+    den = LaurentPoly.one("q")
+    for i, top in enumerate(tops):
+        den = den * powers[i][top]
     norm = RationalUni(LaurentPoly("q", {0: 1, -1: -1}),
                        LaurentPoly.one("q")) ** b_top
-    return norm * total
+    return norm * RationalUni(num, den)
 
 
 # ---------------------------------------------------------------------------

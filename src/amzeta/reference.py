@@ -3,7 +3,8 @@ closed-form values used as independent oracles by the verify suites.
 
 The constants here are published reference values (Eulerian polynomials,
 worked zeta functions of small arrangements); they are transcribed, never
-recomputed through the code paths they certify.
+recomputed through the code paths they certify.  ``eulerian`` extends the
+transcribed Eulerian table by its standard recurrence.
 """
 
 from __future__ import annotations
@@ -56,6 +57,19 @@ def cycle3_doubled_quiver():
     return Quiver(3, [(1, 2), (2, 3), (3, 1), (3, 1)])
 
 
+def complete_quiver(k: int):
+    """The complete graph K_k, edges i->j for i < j."""
+    from .quiver_varieties import Quiver
+    return Quiver(k, [(i, j) for i in range(1, k + 1)
+                      for j in range(i + 1, k + 1)])
+
+
+def theta_quiver():
+    """Two vertices joined by three parallel edges."""
+    from .quiver_varieties import Quiver
+    return Quiver(2, [(1, 2), (1, 2), (2, 1)])
+
+
 def jordan_quiver():
     from .quiver_varieties import Quiver
     return Quiver(1, [(1, 1)])
@@ -77,6 +91,16 @@ EULERIAN = {
     4: LaurentPoly("q", {3: 1, 2: 11, 1: 11, 0: 1}),
     5: LaurentPoly("q", {4: 1, 3: 26, 2: 66, 1: 26, 0: 1}),
 }
+
+
+def eulerian(n: int) -> LaurentPoly:
+    """Eulerian polynomial sum_m A(n, m) q^m (n >= 1) from the standard
+    recurrence A(n, m) = (m + 1) A(n-1, m) + (n - m) A(n-1, m-1)."""
+    row = [1]
+    for k in range(2, n + 1):
+        row = [(m + 1) * (row[m] if m < k - 1 else 0)
+               + (k - m) * (row[m - 1] if m else 0) for m in range(k)]
+    return LaurentPoly("q", dict(enumerate(row)))
 
 
 # ---------------------------------------------------------------------------
@@ -175,11 +199,10 @@ def bmu_six_normals() -> RationalUni:
 # ---------------------------------------------------------------------------
 
 def a_limit_cycle(k: int) -> RationalUni:
-    """Cycle graphs: (q^2+4q+1)/(q-1)^2 for k=3,
-    (q^3+11q^2+11q+1)/(q-1)^3 for k=4."""
-    num = {3: EULERIAN[3], 4: EULERIAN[4]}[k]
+    """Cycle graphs: Eulerian(k)/(q-1)^(k-1), e.g. (q^2+4q+1)/(q-1)^2
+    for k=3 and (q^3+11q^2+11q+1)/(q-1)^3 for k=4."""
     den = LaurentPoly("q", {1: 1, 0: -1}) ** (k - 1)
-    return RationalUni(num, den)
+    return RationalUni(eulerian(k), den)
 
 
 def a_limit_cycle3_doubled() -> RationalUni:

@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import amzeta
 from amzeta.cli import main
 from amzeta.reference import (
     cycle_quiver,
@@ -214,3 +218,24 @@ def test_verify_properties_suite(capsys):
     assert payload["failed"] == 0
     assert [c["status"] for c in payload["checks"]] == ["ok"] * 20
     assert [c["status"] for c in payload["conjectures"]] == ["observed"] * 2
+
+
+def test_verify_fails_under_optimize():
+    # a wrong reference value must fail the check even when python -O
+    # strips assert statements
+    script = (
+        "import sys\n"
+        "from amzeta import cli, reference\n"
+        "assert False, 'assert statements are not stripped'\n"
+        "reference.a_limit_cycle = lambda k: reference.EULERIAN[k]\n"
+        "sys.exit(cli.main(['verify', '--suite', 'paper']))\n")
+    src = os.path.dirname(os.path.dirname(amzeta.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 4, proc.stderr
+    payload = json.loads(proc.stdout)
+    assert payload["failed"] == 1
+    failed = [c for c in payload["checks"] if c["status"] == "FAIL"]
+    assert failed == [{"check": "indecomposable count limits",
+                       "status": "FAIL", "detail": "limit of the 3-cycle"}]

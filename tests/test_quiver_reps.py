@@ -2,8 +2,9 @@ from fractions import Fraction
 
 import pytest
 
+from amzeta.arrangement import build_lattice, graphic_arrangement
 from amzeta.errors import PreconditionError
-from amzeta.exact_algebra import LaurentPoly
+from amzeta.exact_algebra import LaurentPoly, RationalUni
 from amzeta.quiver_reps import (
     a_gamma_alpha,
     a_gamma_limit,
@@ -14,12 +15,17 @@ from amzeta.quiver_reps import (
 )
 from amzeta.quiver_varieties import Quiver
 from amzeta.reference import (
+    EULERIAN,
     a_limit_cycle,
     a_limit_cycle3_doubled,
+    complete_quiver,
     cycle3_doubled_quiver,
     cycle_quiver,
+    eulerian,
     single_edge_quiver,
+    theta_quiver,
 )
+from amzeta.residues import b_mu
 
 
 def q(coeffs):
@@ -115,9 +121,27 @@ def test_orbit_count_identity():
 # ---------------------------------------------------------------------------
 
 def test_limit_values():
-    assert a_gamma_limit(cycle_quiver(3)) == a_limit_cycle(3)
-    assert a_gamma_limit(cycle_quiver(4)) == a_limit_cycle(4)
+    for k in range(3, 11):
+        assert a_gamma_limit(cycle_quiver(k)) == a_limit_cycle(k)
     assert a_gamma_limit(cycle3_doubled_quiver()) == a_limit_cycle3_doubled()
+
+
+def test_eulerian_recurrence_matches_table():
+    for n, poly in EULERIAN.items():
+        assert eulerian(n) == poly
+
+
+def test_limit_equals_bmu_of_graphic_arrangement():
+    # A(q) = (q/(q-1))^(V-1) B_mu(graphic arrangement), with b(G) > 1
+    k4 = complete_quiver(4)
+    k4_minus_edge = Quiver(4, k4.edges[:-1])
+    factor = RationalUni(q({1: 1}), q({1: 1, 0: -1}))
+    for quiver in [theta_quiver(), k4_minus_edge, k4,
+                   cycle3_doubled_quiver(), complete_quiver(5)]:
+        assert betti(quiver, (1 << len(quiver.edges)) - 1) > 1
+        arr = graphic_arrangement(quiver)
+        assert a_gamma_limit(quiver) == (
+            factor ** (quiver.vertices - 1) * b_mu(arr, build_lattice(arr)))
 
 
 def test_limit_rejects_bridges():
@@ -150,5 +174,4 @@ def test_lastone_on_fixtures():
 def test_lastone_five_cycle():
     report = check_lastone(cycle_quiver(5))
     assert report.equal
-    from amzeta.reference import EULERIAN
     assert report.rhs == EULERIAN[5]
