@@ -33,7 +33,12 @@ from .igusa import (
     pole_report,
 )
 from .open_derham import OdrInput, odr_class
-from .padic_oracle import count_solutions_mod, limit_probe, poincare_check
+from .padic_oracle import (
+    count_solutions_mod,
+    depth_counts,
+    limit_probe,
+    poincare_check,
+)
 from .quiver_reps import (
     a_gamma_alpha,
     a_gamma_limit,
@@ -240,7 +245,8 @@ def _suite_oracle(args):
 
     def probes():
         arr = reference.triangle()
-        probe = limit_probe(arr, build_lattice(arr), p, alpha)
+        probe = limit_probe(arr, build_lattice(arr),
+                            depth_counts(arr, p, alpha))
         require(probe.converges and probe.distances[-1] < probe.distances[0],
                 "limit probe does not converge")
     checks.append((f"normalized limit probe, triangle, p={p}", probes))

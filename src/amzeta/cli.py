@@ -29,7 +29,7 @@ from .igusa import (
     pole_report,
 )
 from .open_derham import OdrInput, odr_class
-from .padic_oracle import count_solutions_mod, limit_probe
+from .padic_oracle import depth_counts, limit_probe
 from .quiver_reps import (
     a_gamma_alpha,
     a_gamma_limit,
@@ -224,7 +224,7 @@ def cmd_bprime(args):
 
 def cmd_quiver_indec(args):
     quiver = _quiver(args.input)
-    poly = a_gamma_alpha(quiver, args.alpha)
+    poly = a_gamma_alpha(quiver, args.alpha, _budget(args))
     payload = {"poly": poly.to_json(), "alpha": args.alpha}
     if args.p is not None:
         count = brute_force_indec(quiver, args.p, args.alpha,
@@ -237,7 +237,7 @@ def cmd_quiver_indec(args):
 
 def cmd_quiver_limit(args):
     quiver = _quiver(args.input)
-    value = a_gamma_limit(quiver)
+    value = a_gamma_limit(quiver, _budget(args))
     if args.format == "plain":
         print(value.to_str())
     else:
@@ -246,7 +246,7 @@ def cmd_quiver_limit(args):
 
 def cmd_check_lastone(args):
     quiver = _quiver(args.input)
-    report = check_lastone(quiver)
+    report = check_lastone(quiver, _budget(args))
     _emit({
         "equal": report.equal,
         "lhs": report.lhs.to_json(),
@@ -258,9 +258,8 @@ def cmd_check_lastone(args):
 def cmd_oracle(args):
     arr = _arrangement(args.input)
     lat = build_lattice(arr, max_flats=_budget(args, "flats"))
-    counts = [count_solutions_mod(arr, args.p, alpha, budget=_budget(args))
-              for alpha in range(1, args.alpha + 1)]
-    probe = limit_probe(arr, lat, args.p, args.alpha, budget=_budget(args))
+    counts = depth_counts(arr, args.p, args.alpha, budget=_budget(args))
+    probe = limit_probe(arr, lat, counts)
     payload = {
         "p": args.p,
         "counts": [{"alpha": c.alpha, "count": str(c.count),

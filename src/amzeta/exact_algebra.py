@@ -534,6 +534,20 @@ def _b2_factor(a: int) -> dict:
     return {(a, 0): 1, (0, 1): -1}
 
 
+_FACTOR_POWERS = {}
+
+
+def _b2_factor_power(a: int, k: int) -> dict:
+    """(q^a - t)^k, cached; callers must not mutate the result."""
+    key = (a, k)
+    out = _FACTOR_POWERS.get(key)
+    if out is None:
+        out = (_b2_factor(a) if k == 1
+               else _b2_mul(_b2_factor_power(a, k - 1), _b2_factor(a)))
+        _FACTOR_POWERS[key] = out
+    return out
+
+
 def _b2_div_factor(num: dict, a: int):
     """Exact quotient num / (q^a - t), or None.
 
@@ -576,7 +590,12 @@ def _b2_div_factor(num: dict, a: int):
 
 
 class BiRational:
-    """num(q,t) / (q^e1 * t^e2 * prod (q^a - t)^mu), fully reduced."""
+    """num(q,t) / (q^e1 * t^e2 * prod (q^a - t)^mu), fully reduced.
+
+    The constructor reduces: it tries each denominator factor by exact
+    division.  Operations that cannot create a common factor (a monomial
+    or q-polynomial multiple, negation) skip that step, and ``sum`` adds
+    any number of terms with one reduction at the end."""
 
     __slots__ = ("num", "unit", "den")
 
@@ -619,6 +638,60 @@ class BiRational:
     # -- constructors -------------------------------------------------------
 
     @classmethod
+    def _from_reduced(cls, num: dict, unit, den) -> "BiRational":
+        """Instance from parts already in canonical form; no reduction."""
+        out = object.__new__(cls)
+        out.num = num
+        out.unit = unit
+        out.den = den
+        return out
+
+    @classmethod
+    def sum(cls, terms, unit=(0, 0), den=()) -> "BiRational":
+        """Sum of terms over q^unit[0] t^unit[1] prod (q^a - t)^mu (den),
+        reduced once.
+
+        Terms with equal denominators are added after aligning their units
+        (Laurent shifts, no multiplication).  Each such group is then
+        lifted once to the lcm of the group denominators by cached powers
+        (q^a - t)^k, and the constructor reduces the total."""
+        groups = {}
+        for x in terms:
+            acc = groups.setdefault(x.den, {})
+            e1, e2 = x.unit
+            for (e, f), c in x.num.items():
+                k = (e - e1, f - e2)
+                v = acc.get(k, 0) + c
+                if v:
+                    acc[k] = v
+                else:
+                    del acc[k]
+        groups = {d: num for d, num in groups.items() if num}
+        lcm = {}
+        for d in groups:
+            for a, mu in d:
+                if mu > lcm.get(a, 0):
+                    lcm[a] = mu
+        total = {}
+        for d, num in groups.items():
+            have = dict(d)
+            extra = None
+            for a, top in lcm.items():
+                k = top - have.get(a, 0)
+                if k:
+                    power = _b2_factor_power(a, k)
+                    extra = power if extra is None else _b2_mul(extra, power)
+            if extra is not None:
+                num = _b2_mul(num, extra)
+            for k, c in num.items():
+                v = total.get(k, 0) + c
+                if v:
+                    total[k] = v
+                else:
+                    del total[k]
+        return cls(total, unit, list(lcm.items()) + list(den))
+
+    @classmethod
     def zero(cls) -> "BiRational":
         return cls({})
 
@@ -656,45 +729,15 @@ class BiRational:
         return BiRational(_b2_mul(self.num, other.num), unit, den)
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if self.is_zero():
-            return other
-        if other.is_zero():
-            return self
-        d1, d2 = dict(self.den), dict(other.den)
-        lcm = {a: max(d1.get(a, 0), d2.get(a, 0)) for a in set(d1) | set(d2)}
-
-        def lifted(x, dx):
-            extra = BiRational.one()
-            for a, mu in lcm.items():
-                k = mu - dx.get(a, 0)
-                if k:
-                    extra = extra * BiRational(_b2_factor(a)) ** k
-            scaled = _b2_mul(x.num, extra.num)
-            # numerators re-expressed over the common denominator; the
-            # inverse units become Laurent shifts of the numerator
-            shift = (-x.unit[0] - extra.unit[0], -x.unit[1] - extra.unit[1])
-            return {(e + shift[0], f + shift[1]): c
-                    for (e, f), c in scaled.items()}
-
-        num = _b2_add(lifted(self, d1), lifted(other, d2))
-        return BiRational(num, (0, 0), sorted(lcm.items()))
+        return BiRational.sum((self, self._coerce(other)))
 
     def __sub__(self, other):
         other = self._coerce(other)
         return self + (-other)
 
     def __neg__(self):
-        return BiRational({k: -c for k, c in self.num.items()},
-                          self.unit, self.den)
-
-    def __pow__(self, k: int):
-        if k < 0:
-            raise ValueError("negative power of a BiRational")
-        out = BiRational.one()
-        for _ in range(k):
-            out = out * self
-        return out
+        return BiRational._from_reduced(
+            {k: -c for k, c in self.num.items()}, self.unit, self.den)
 
     def _coerce(self, other):
         if isinstance(other, int):
@@ -713,8 +756,19 @@ class BiRational:
 
     def times_unit(self, dq: int, dt: int) -> "BiRational":
         """Multiply by the monomial q^dq * t^dt."""
-        return BiRational(self.num, (self.unit[0] - dq, self.unit[1] - dt),
-                          self.den)
+        return BiRational._from_reduced(
+            self.num, (self.unit[0] - dq, self.unit[1] - dt), self.den)
+
+    def times_q_poly(self, p: LaurentPoly) -> "BiRational":
+        """Multiply by a Laurent polynomial in q alone, with no reduction:
+        q^a - t is irreducible and divides no nonzero polynomial in q, so
+        it divides the product only if it already divides num."""
+        if self.is_zero() or p.is_zero():
+            return BiRational.zero()
+        low = p.low_degree()
+        num = _b2_mul(self.num, {(e - low, 0): c for e, c in p._c.items()})
+        return BiRational._from_reduced(
+            num, (self.unit[0] - low, self.unit[1]), self.den)
 
     def __eq__(self, other):
         if isinstance(other, (int, LaurentPoly)):

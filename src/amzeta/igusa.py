@@ -3,7 +3,7 @@
 Two independent computations are provided and must agree exactly:
 
   igusa_chain      dynamic programming over the lattice of flats that
-                   resums the chain formula
+                   resums the chain formula, one reduction per flat
                      I = (q^m-1)/(q^m-t)
                        + pref * sum_{I != top} W(I) q^(rk I - m),
                    with W(top) = 1 and
@@ -68,7 +68,13 @@ def _check_pole_set(value: BiRational, lat: FlatLattice):
 
 
 def igusa_chain(arrangement: Arrangement, lat: FlatLattice) -> IgusaZeta:
-    """Resummed chain formula via one pass over the lattice."""
+    """Resummed chain formula via one pass over the lattice.
+
+    Each W(I) is one ``BiRational.sum`` over the terms W(J) chi_[I,J],
+    divided by (q^dI - t)/t in the same construction, so there is one
+    reduction per flat.  A term is W(J)'s numerator times chi_[I,J] over
+    W(J)'s unit and denominator, unreduced: q^a - t divides no nonzero
+    polynomial in q alone."""
     _require_essential(arrangement)
     m = arrangement.m
     order = sorted(range(len(lat.flats)),
@@ -77,16 +83,12 @@ def igusa_chain(arrangement: Arrangement, lat: FlatLattice) -> IgusaZeta:
     for i in order:
         if i == lat.top:
             continue
-        acc = BiRational.zero()
-        for j in order:
-            if j != i and lat.leq(i, j):
-                acc = acc + W[j] * BiRational.from_q_poly(
-                    lat.char_poly_interval(i, j))
-        W[i] = acc * BiRational({(0, 1): 1}, den=[(lat.delta(i), 1)])
-    total = BiRational.zero()
-    for i in order:
-        if i != lat.top:
-            total = total + W[i].times_unit(lat.ranks[i] - m, 0)
+        W[i] = BiRational.sum(
+            (W[j].times_q_poly(lat.char_poly_interval(i, j))
+             for j in order if j != i and lat.leq(i, j)),
+            (0, -1), [(lat.delta(i), 1)])
+    total = BiRational.sum(W[i].times_unit(lat.ranks[i] - m, 0)
+                           for i in order if i != lat.top)
     value = _leading_term(m) + _prefactor(m) * total
     _check_pole_set(value, lat)
     return IgusaZeta(arrangement, lat, value)

@@ -70,7 +70,8 @@ def count_solutions_mod(arrangement: Arrangement, p: int, alpha: int,
         return OracleCount(arrangement, p, alpha, count)
     if method != "convolution":
         raise PreconditionError(f"unknown method {method!r}")
-    if mod ** n * mod ** m > budget:
+    # n rows, each mapping at most mod^m states through mod values of lam
+    if n * mod ** (m + 1) > budget:
         raise BudgetExceededError("convolution congruence count over budget")
     table = product_count_table(p, alpha)
     rows = [tuple(x % mod for x in r) for r in arrangement.normals]
@@ -85,6 +86,15 @@ def count_solutions_mod(arrangement: Arrangement, p: int, alpha: int,
                 nxt[new] = nxt.get(new, 0) + ways * w
         states = nxt
     return OracleCount(arrangement, p, alpha, states.get((0,) * m, 0))
+
+
+def depth_counts(arrangement: Arrangement, p: int, alpha_max: int,
+                 budget: int = 10 ** 8):
+    """OracleCounts of depths 1..alpha_max at the prime p."""
+    if alpha_max < 1:
+        raise PreconditionError("depth must be >= 1")
+    return [count_solutions_mod(arrangement, p, alpha, budget)
+            for alpha in range(1, alpha_max + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -123,8 +133,7 @@ def poincare_check(arrangement: Arrangement, lat: FlatLattice, p: int,
         zeta = igusa_chain(arrangement, lat)
     n = arrangement.n
     expected = series_counts_from_zeta(zeta, p, alpha_max)
-    counts = [count_solutions_mod(arrangement, p, alpha, budget)
-              for alpha in range(1, alpha_max + 1)]
+    counts = depth_counts(arrangement, p, alpha_max, budget)
     got = [Fraction(c.count, p ** (2 * n * c.alpha)) for c in counts]
     match = got == expected
     if not match:
@@ -144,15 +153,17 @@ class LimitProbe:
         self.converges = converges
 
 
-def limit_probe(arrangement: Arrangement, lat: FlatLattice, p: int,
-                alpha_max: int, budget: int = 10 ** 8) -> LimitProbe:
+def limit_probe(arrangement: Arrangement, lat: FlatLattice,
+                counts) -> LimitProbe:
     """Normalized count sequence and exact distances to the symbolic limit.
 
-    Convergence holds exactly when the arrangement is coloop-free; for a
-    coloop the sequence diverges and the probe reports that."""
+    ``counts`` are the OracleCounts of depths 1..alpha_max at one prime,
+    as returned by ``depth_counts``.  Convergence holds exactly when
+    the arrangement is coloop-free; for a coloop the sequence diverges and
+    the probe reports that."""
+    p = counts[0].p
+    values = [c.normalized for c in counts]
     flags = structural_flags(arrangement)
-    values = [count_solutions_mod(arrangement, p, alpha, budget).normalized
-              for alpha in range(1, alpha_max + 1)]
     if flags["essential"] and flags["coloop_free"]:
         limit = b_mu(arrangement, lat).evaluate(p)
         distances = [abs(v - limit) for v in values]

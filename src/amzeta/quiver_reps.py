@@ -77,16 +77,25 @@ def is_two_edge_connected(quiver: Quiver) -> bool:
 # the finite-depth polynomial
 # ---------------------------------------------------------------------------
 
-def a_gamma_alpha(quiver: Quiver, alpha: int) -> LaurentPoly:
+def _charge(what: str, steps: int, budget: int):
+    if steps > budget:
+        raise BudgetExceededError(
+            f"{what} needs {steps} steps, budget allows {budget}")
+
+
+def a_gamma_alpha(quiver: Quiver, alpha: int,
+                  budget: int = 10 ** 9) -> LaurentPoly:
     """Polynomial count of indecomposable classes at depth alpha.
 
     Each level is one subset-sum (zeta) transform over the 2^E edge masks,
-    E * 2^E Laurent additions, instead of a sum over every pair."""
+    E * 2^E Laurent additions, instead of a sum over every pair; the
+    alpha * E * 2^E additions are charged against ``budget``."""
     if alpha < 1:
         raise PreconditionError("depth must be >= 1")
     if not is_connected(quiver):
         raise PreconditionError("graph must be connected")
     ne = len(quiver.edges)
+    _charge("depth polynomial", alpha * ne * 2 ** ne, budget)
     masks = range(1 << ne)
     comps = [components(quiver, mask) for mask in masks]
     b = [comps[mask] - quiver.vertices + bin(mask).count("1")
@@ -112,18 +121,19 @@ def a_gamma_alpha(quiver: Quiver, alpha: int) -> LaurentPoly:
     return total
 
 
-def a_gamma_limit(quiver: Quiver) -> RationalUni:
+def a_gamma_limit(quiver: Quiver, budget: int = 10 ** 9) -> RationalUni:
     """Normalized limit of q^(-alpha b) A(alpha) for 2-edge-connected graphs.
 
     Every chain weight is u_k = 1/(q^k - 1) with k = b(G) - b(G'_j) in
     1..b(G), so the chain sums are integer polynomials in the symbols
     u_1..u_b(G), dicts from exponent tuples to ints.  The 3^E (subset,
-    submask) steps are integer dict additions; the sum becomes one
-    rational function, reduced once, only at the end."""
+    submask) steps are integer dict additions, charged against ``budget``;
+    the sum becomes one rational function, reduced once, only at the end."""
     if not is_two_edge_connected(quiver):
         raise PreconditionError(
             "graph has a bridge: the normalized limit diverges")
     ne = len(quiver.edges)
+    _charge("normalized limit", 3 ** ne, budget)
     full = (1 << ne) - 1
     b_top = betti(quiver, full)
     one = (0,) * b_top
@@ -259,13 +269,13 @@ class LastOneReport:
         self.equal = equal
 
 
-def check_lastone(quiver: Quiver) -> LastOneReport:
+def check_lastone(quiver: Quiver, budget: int = 10 ** 9) -> LastOneReport:
     """Compare (q^b - 1)^(V-1) * A(q) with the numerator polynomial of the
     graphic arrangement.  A mismatch is reported, never raised: the
     equality is conjectural."""
     if not is_two_edge_connected(quiver):
         raise PreconditionError("check requires a 2-edge-connected graph")
-    limit = a_gamma_limit(quiver)
+    limit = a_gamma_limit(quiver, budget)
     b_top = betti(quiver, (1 << len(quiver.edges)) - 1)
     lhs = limit * RationalUni.from_laurent(
         LaurentPoly("q", {b_top: 1, 0: -1})) ** (quiver.vertices - 1)

@@ -154,6 +154,55 @@ def test_oracle_subcommand(capsys, tmp_path):
     assert payload["converges"] is False
 
 
+def test_oracle_triangle_counts_each_depth_once(capsys, triangle_file,
+                                               monkeypatch):
+    # the convolution is charged its n * mod^(m+1) steps, so p = 5,
+    # alpha = 3 (about 6 * 10^6 steps) runs inside the default budget
+    from fractions import Fraction
+    from amzeta import padic_oracle
+    from amzeta.igusa import IgusaZeta
+    from amzeta.reference import zeta_triangle
+    depths = []
+    count = padic_oracle.count_solutions_mod
+
+    def counted(arr, p, alpha, *args, **kwargs):
+        depths.append(alpha)
+        return count(arr, p, alpha, *args, **kwargs)
+    monkeypatch.setattr(padic_oracle, "count_solutions_mod", counted)
+    code, out, _ = run(capsys, "oracle", triangle_file, "--p", "5",
+                       "--alpha", "3")
+    assert code == 0
+    assert depths == [1, 2, 3]
+    payload = json.loads(out)
+    expected = padic_oracle.series_counts_from_zeta(
+        IgusaZeta(triangle(), None, zeta_triangle()), 5, 3)
+    n = triangle().n
+    assert [Fraction(int(c["count"]), 5 ** (2 * n * c["alpha"]))
+            for c in payload["counts"]] == expected
+    assert payload["converges"] is True
+    code, out, _ = run(capsys, "oracle", triangle_file, "--p", "5",
+                       "--alpha", "0")
+    assert code == 2 and out == ""
+
+
+def test_quiver_walks_draw_on_the_budget(capsys, tmp_path, monkeypatch):
+    from amzeta.exact_algebra import RationalUni
+    from amzeta.reference import a_limit_cycle
+    c5 = tmp_path / "c5.json"
+    c5.write_text(json.dumps(cycle_quiver(5).to_json()))
+    c8 = tmp_path / "c8.json"
+    c8.write_text(json.dumps(cycle_quiver(8).to_json()))
+    code, out, _ = run(capsys, "quiver-limit", str(c8))
+    assert code == 0
+    assert RationalUni.from_json(json.loads(out)) == a_limit_cycle(8)
+    monkeypatch.setenv("AMZ_BUDGET", "100")
+    for argv in (["quiver-limit", str(c5)], ["check-lastone", str(c5)],
+                 ["quiver-indec", str(c5), "--alpha", "2"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and out == ""
+        assert "budget allows 100" in err
+
+
 def test_exit_code_parse_error(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -207,6 +256,13 @@ def test_verify_paper_suite(capsys):
 def test_verify_oracle_suite(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "oracle",
                        "--p", "5", "--alpha", "2")
+    assert code == 0
+    assert json.loads(out)["failed"] == 0
+
+
+def test_verify_oracle_suite_p7(capsys):
+    code, out, _ = run(capsys, "verify", "--suite", "oracle",
+                       "--p", "7", "--alpha", "2")
     assert code == 0
     assert json.loads(out)["failed"] == 0
 

@@ -247,6 +247,133 @@ def test_birational_json_roundtrip():
     assert BiRational.from_json(x.to_json()) == x
 
 
+def poly2_mul(a, b):
+    out = {}
+    for (e1, f1), c1 in a.items():
+        for (e2, f2), c2 in b.items():
+            k = (e1 + e2, f1 + f2)
+            out[k] = out.get(k, 0) + c1 * c2
+    return {k: c for k, c in out.items() if c}
+
+
+def full_den(x):
+    """q^e1 t^e2 prod (q^a - t)^mu of x, expanded."""
+    out = {x.unit: 1}
+    for a, mu in x.den:
+        for _ in range(mu):
+            out = poly2_mul(out, {(a, 0): 1, (0, 1): -1})
+    return out
+
+
+def folded_sum(terms):
+    """Sum over the product of all the term denominators, unreduced:
+    num = sum_i num_i prod_{j != i} den_j, no lcm and no division."""
+    num = {}
+    for i, x in enumerate(terms):
+        part = dict(x.num)
+        for j, y in enumerate(terms):
+            if j != i:
+                part = poly2_mul(part, full_den(y))
+        for k, c in part.items():
+            num[k] = num.get(k, 0) + c
+    unit = (sum(x.unit[0] for x in terms), sum(x.unit[1] for x in terms))
+    return BiRational(num, unit, [f for x in terms for f in x.den])
+
+
+def assert_canonical(x):
+    if x.is_zero():
+        assert x.unit == (0, 0) and x.den == ()
+        return
+    assert min(e for e, _ in x.num) == 0 and min(f for _, f in x.num) == 0
+    for a, mu in x.den:
+        assert mu >= 1
+        # no factor q^a - t divides num: num(q, q^a) is not zero
+        at_pole = {}
+        for (e, f), c in x.num.items():
+            at_pole[e + a * f] = at_pole.get(e + a * f, 0) + c
+        assert any(at_pole.values())
+    assert x == BiRational(x.num, x.unit, x.den)
+
+
+def check_sum(terms):
+    got = BiRational.sum(terms)
+    assert got.cross_equal(folded_sum(terms))
+    for q0, t0 in ((Fraction(7), Fraction(3, 2)), (Fraction(-2, 3), 5),
+                   (Fraction(11, 4), Fraction(-1, 9))):
+        assert got.evaluate(q0, t0) == sum(
+            (x.evaluate(q0, t0) for x in terms), Fraction(0))
+    assert_canonical(got)
+    return got
+
+
+def test_birational_sum_random_against_folded_reference():
+    rng = random.Random(20261018)
+    for trial in range(150):
+        shared = [(rng.randint(1, 3), rng.randint(1, 2))]
+        terms = []
+        for _ in range(rng.randint(1, 6)):
+            num = {(rng.randint(-2, 3), rng.randint(-2, 2)):
+                   rng.randint(-3, 3) for _ in range(rng.randint(0, 4))}
+            den = shared if rng.random() < 0.5 else [
+                (rng.randint(1, 4), rng.randint(0, 2))
+                for _ in range(rng.randint(0, 2))]
+            terms.append(BiRational(num, (rng.randint(-3, 3),
+                                          rng.randint(-3, 3)), den))
+        if trial % 4 == 0:
+            terms.append(BiRational.zero())
+        if trial % 5 == 0:
+            terms.append(-terms[0])
+        check_sum(terms)
+
+
+def test_birational_sum_cancellation():
+    x = BiRational({(2, 1): 3, (0, 0): -1}, (1, -2), [(2, 1), (3, 2)])
+    assert check_sum([x, -x]) == BiRational.zero()
+    assert x + (-x) == BiRational.zero()
+    assert check_sum([]) == BiRational.zero()
+    assert check_sum([BiRational.zero(), x, BiRational.zero()]) == x
+    # q/((q-t)(q^2-t)) - t/((q-t)(q^2-t)) = 1/(q^2-t): the factor q - t
+    # leaves the reduced denominator
+    both = [(1, 1), (2, 1)]
+    got = check_sum([BiRational({(1, 0): 1}, den=both),
+                     BiRational({(0, 1): -1}, den=both)])
+    assert got == one_over(2)
+    # the same loss across distinct denominators, with negative units:
+    # q t^2 [1/((q-t)(q^2-t)) - (q+1)/((q-t)(q^3-t))]
+    #   = q t^2 (qt - q^2)/((q-t)(q^2-t)(q^3-t)) = -q^2 t^2/((q^2-t)(q^3-t))
+    got = check_sum([BiRational({(0, 0): 1}, (-1, -2), both),
+                     BiRational({(1, 0): -1, (0, 0): -1}, (-1, -2),
+                                [(1, 1), (3, 1)])])
+    assert got == BiRational({(2, 2): -1}, (0, 0), [(2, 1), (3, 1)])
+
+
+def test_birational_sum_unit_and_den_arguments():
+    x = BiRational({(1, 0): 1, (0, 0): -1}, (0, 1), [(1, 1)])
+    y = BiRational({(0, 1): 2}, (2, 0), [(3, 2)])
+    step = BiRational({(0, 1): 1}, den=[(2, 1)])     # t/(q^2 - t)
+    assert BiRational.sum([x, y], (0, -1), [(2, 1)]) == (x + y) * step
+    # a factor of den that the sum cancels is reduced away
+    z = BiRational({(2, 0): 1, (0, 1): -1})          # q^2 - t
+    assert BiRational.sum([z], (0, 0), [(2, 1)]) == BiRational.one()
+
+
+def test_birational_reduction_free_products():
+    rng = random.Random(77)
+    for _ in range(60):
+        num = {(rng.randint(0, 3), rng.randint(0, 2)): rng.randint(-3, 3)
+               for _ in range(rng.randint(1, 4))}
+        x = BiRational(num, (rng.randint(-2, 2), rng.randint(-2, 2)),
+                       [(rng.randint(1, 3), rng.randint(0, 2))])
+        p = rand_poly(rng, "q")
+        got = x.times_q_poly(p)
+        assert got == x * BiRational.from_q_poly(p)
+        assert_canonical(got)
+        dq, dt = rng.randint(-3, 3), rng.randint(-3, 3)
+        assert x.times_unit(dq, dt) == x * BiRational.monomial(dq, dt)
+        assert_canonical(-x)
+        assert -x == x * BiRational.const(-1)
+
+
 # ---------------------------------------------------------------------------
 # truncated multivariate series
 # ---------------------------------------------------------------------------

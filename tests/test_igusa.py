@@ -3,7 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from amzeta.arrangement import Arrangement, build_lattice, structural_flags
+from amzeta.arrangement import (
+    Arrangement,
+    build_lattice,
+    graphic_arrangement,
+    structural_flags,
+)
 from amzeta.errors import PreconditionError
 from amzeta.igusa import (
     functional_equation_check,
@@ -13,6 +18,7 @@ from amzeta.igusa import (
     pole_report,
 )
 from amzeta.reference import (
+    complete_quiver,
     n_origins,
     six_normals_rank3,
     triangle,
@@ -88,6 +94,26 @@ def test_chain_equals_recursion_random():
         arr = random_essential(rng)
         lat = build_lattice(arr)
         assert igusa_chain(arr, lat).value == igusa_recursion(arr, lat).value
+
+
+def test_chain_equals_recursion_graphic_k5():
+    arr = graphic_arrangement(complete_quiver(5))
+    lat = build_lattice(arr)
+    assert arr.rank() == 4 and len(lat.flats) == 52
+    assert igusa_chain(arr, lat).value == igusa_recursion(arr, lat).value
+
+
+def test_chain_equals_recursion_random_rank4():
+    rng = random.Random(4)
+    while True:
+        rows = [tuple(rng.randint(-1, 1) for _ in range(4))
+                for _ in range(10)]
+        arr = Arrangement([r for r in rows if any(r)])
+        if arr.rank() == 4:
+            lat = build_lattice(arr)
+            if len(lat.flats) >= 50:
+                break
+    assert igusa_chain(arr, lat).value == igusa_recursion(arr, lat).value
 
 
 def zeta_by_chain_enumeration(arr, lat):

@@ -6,6 +6,7 @@ from amzeta.arrangement import build_lattice
 from amzeta.errors import PreconditionError
 from amzeta.padic_oracle import (
     count_solutions_mod,
+    depth_counts,
     limit_probe,
     poincare_check,
     product_count_table,
@@ -134,7 +135,7 @@ def test_series_counts_shape():
 
 def test_limit_probe_triangle():
     arr, lat = with_lattice(triangle())
-    probe = limit_probe(arr, lat, 5, 2)
+    probe = limit_probe(arr, lat, depth_counts(arr, 5, 2))
     assert probe.converges
     assert probe.limit == Fraction(46, 25)
     assert probe.distances[1] < probe.distances[0]
@@ -142,13 +143,13 @@ def test_limit_probe_triangle():
 
 def test_limit_probe_two_origins():
     arr, lat = with_lattice(n_origins(2))
-    probe = limit_probe(arr, lat, 5, 3)
+    probe = limit_probe(arr, lat, depth_counts(arr, 5, 3))
     assert probe.limit == Fraction(6, 5)
     assert probe.distances[-1] < probe.distances[0]
 
 
 def test_limit_probe_divergence_single_origin():
     arr, lat = with_lattice(n_origins(1))
-    probe = limit_probe(arr, lat, 5, 3)
+    probe = limit_probe(arr, lat, depth_counts(arr, 5, 3))
     assert not probe.converges
     assert probe.values[0] < probe.values[1] < probe.values[2]
