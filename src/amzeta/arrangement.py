@@ -7,13 +7,16 @@ the span of {a_j : j in F}}.  The lattice of flats carries the Mobius
 function, interval characteristic polynomials and the delta statistics
 that drive the zeta-function modules.
 
-All rank computations are fraction-free integer eliminations (Bareiss),
-so the lattice is exact for arbitrary integer entries.
+Ranks and determinants are fraction-free integer eliminations (Bareiss)
+and flats come from integer kernel bases, so the lattice is exact for
+arbitrary integer entries.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+from operator import mul
 
 from .errors import BudgetExceededError, ParseError, PreconditionError
 from .exact_algebra import LaurentPoly
@@ -80,7 +83,7 @@ def int_kernel_basis(rows, m: int):
     """
     basis = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
     for a in rows:
-        vals = [sum(x * y for x, y in zip(a, b)) for b in basis]
+        vals = [sum(map(mul, a, b)) for b in basis]
         while True:
             nz = [i for i, v in enumerate(vals) if v]
             if len(nz) <= 1:
@@ -240,24 +243,59 @@ class Arrangement:
 # lattice of flats
 # ---------------------------------------------------------------------------
 
+def _bits(mask: int) -> list:
+    """Positions of the set bits of a nonnegative int, ascending."""
+    digits = bin(mask)[:1:-1]
+    out = []
+    i = digits.find("1")
+    while i >= 0:
+        out.append(i)
+        i = digits.find("1", i + 1)
+    return out
+
+
 class FlatLattice:
-    """Lattice of flats of a central arrangement, with Mobius data."""
+    """Lattice of flats of a central arrangement, with Mobius data.
 
-    __slots__ = ("arrangement", "flats", "index", "ranks", "_leq",
-                 "bottom", "top", "_mobius")
+    Flat i is built from a hyperplane mask and exposed as the frozenset
+    ``flats[i]`` of 0-based hyperplane indices.  Flats are ordered by
+    (size, sorted members), a linear extension of inclusion.  ``up[i]``
+    and ``down[i]`` are masks over flat indices of the flats H >= i and
+    H <= i (both include i), so an interval is one ``&``.
 
-    def __init__(self, arrangement: Arrangement, flats, ranks):
+    Mobius values are read from tables built once and cached: a column
+    nu(., G) for ``mobius`` and a row nu(F, .) for the characteristic
+    polynomials.  Each entry sums the entries of one interval.
+    """
+
+    __slots__ = ("arrangement", "flats", "index", "ranks", "up", "down",
+                 "bottom", "top", "_rows", "_columns")
+
+    def __init__(self, arrangement: Arrangement, masks, ranks, covers):
+        """``covers[i]`` lists the indices of the flats covering flat i."""
         self.arrangement = arrangement
-        self.flats = tuple(flats)
+        self.flats = tuple(frozenset(_bits(f)) for f in masks)
         self.index = {f: i for i, f in enumerate(self.flats)}
         self.ranks = tuple(ranks)
-        self._leq = tuple(
-            tuple(f <= g for g in self.flats) for f in self.flats)
+        count = len(self.flats)
+        # a cover has a larger index than the flat it covers
+        up = [1 << i for i in range(count)]
+        for i in reversed(range(count)):
+            for c in covers[i]:
+                up[i] |= up[c]
+        down = [1 << i for i in range(count)]
+        for i in range(count):
+            for c in covers[i]:
+                down[c] |= down[i]
+        self.up = tuple(up)
+        self.down = tuple(down)
         self.bottom = self.index[frozenset()]
         self.top = self.index[frozenset(range(arrangement.n))]
-        self._mobius = {}
+        self._rows = {}
+        self._columns = {}
 
-    # flats are exposed as frozensets of 0-based hyperplane indices
+    # flat indices in a mask such as ``up[i]`` or ``down[i]``, ascending
+    indices = staticmethod(_bits)
 
     def __len__(self):
         return len(self.flats)
@@ -272,41 +310,52 @@ class FlatLattice:
             raise PreconditionError(f"{sorted(f)} is not a flat") from None
 
     def leq(self, f, g) -> bool:
-        return self._leq[self.flat_index(f)][self.flat_index(g)]
+        return bool(self.up[self.flat_index(f)] >> self.flat_index(g) & 1)
 
     def rank_of(self, flat) -> int:
         return self.ranks[self.flat_index(flat)]
 
     def between(self, g, f):
-        """Indices of flats H with g <= H <= f."""
-        gi, fi = self.flat_index(g), self.flat_index(f)
-        return [h for h in range(len(self.flats))
-                if self._leq[gi][h] and self._leq[h][fi]]
+        """Indices of flats H with g <= H <= f, ascending."""
+        return _bits(self.up[self.flat_index(g)]
+                     & self.down[self.flat_index(f)])
+
+    def _comparable(self, f, g, what):
+        fi, gi = self.flat_index(f), self.flat_index(g)
+        if not self.leq(fi, gi):
+            raise PreconditionError(f"{what} on incomparable flats")
+        return fi, gi
 
     def mobius(self, f, g) -> int:
         """Mobius value nu(F, G) for comparable flats F <= G."""
-        fi, gi = self.flat_index(f), self.flat_index(g)
-        if not self._leq[fi][gi]:
-            raise PreconditionError("mobius on incomparable flats")
-        return self._mobius_idx(fi, gi)
+        fi, gi = self._comparable(f, g, "mobius")
+        column = self._columns.get(gi)
+        if column is None:
+            # nu(H, G) = -sum of nu(K, G) over H < K <= G, from G down
+            column = {}
+            below = self.down[gi]
+            for h in reversed(_bits(below)):
+                column[h] = 1 if h == gi else -sum(
+                    column[k] for k in _bits((self.up[h] & below) ^ (1 << h)))
+            self._columns[gi] = column
+        return column[fi]
 
-    def _mobius_idx(self, fi: int, gi: int) -> int:
-        if fi == gi:
-            return 1
-        key = (fi, gi)
-        val = self._mobius.get(key)
-        if val is None:
-            val = -sum(self._mobius_idx(fi, h)
-                       for h in self.between(fi, gi) if h != gi)
-            self._mobius[key] = val
-        return val
+    def _mobius_row(self, fi: int) -> dict:
+        row = self._rows.get(fi)
+        if row is None:
+            # nu(F, H) = -sum of nu(F, K) over F <= K < H, from F up
+            row = {}
+            above = self.up[fi]
+            for h in _bits(above):
+                row[h] = 1 if h == fi else -sum(
+                    row[k] for k in _bits((self.down[h] & above) ^ (1 << h)))
+            self._rows[fi] = row
+        return row
 
     def mobius_via_chains(self, f, g) -> int:
         """Alternating count of strict chains from f to g; independent of
-        the recursion and used to cross-check it."""
-        fi, gi = self.flat_index(f), self.flat_index(g)
-        if not self._leq[fi][gi]:
-            raise PreconditionError("mobius on incomparable flats")
+        the Mobius tables and used to cross-check them."""
+        fi, gi = self._comparable(f, g, "mobius")
         total = 0
         sign = 1
         counts = {fi: 1}
@@ -324,14 +373,13 @@ class FlatLattice:
     def char_poly_interval(self, g, f) -> LaurentPoly:
         """Characteristic polynomial of the interval [g, f], a monic
         polynomial in q of degree rank(f) - rank(g)."""
-        gi, fi = self.flat_index(g), self.flat_index(f)
-        if not self._leq[gi][fi]:
-            raise PreconditionError("interval on incomparable flats")
+        gi, fi = self._comparable(g, f, "interval")
+        row = self._mobius_row(gi)
         rf = self.ranks[fi]
         coeffs = {}
-        for h in self.between(gi, fi):
+        for h in _bits(self.up[gi] & self.down[fi]):
             e = rf - self.ranks[h]
-            coeffs[e] = coeffs.get(e, 0) + self._mobius_idx(gi, h)
+            coeffs[e] = coeffs.get(e, 0) + row[h]
         return LaurentPoly("q", coeffs)
 
     def char_poly(self) -> LaurentPoly:
@@ -339,9 +387,9 @@ class FlatLattice:
         ambient dimension m (monic of degree m)."""
         m = self.arrangement.m if self.arrangement.n else 0
         coeffs = {}
-        for h in range(len(self.flats)):
+        for h, value in self._mobius_row(self.bottom).items():
             e = m - self.ranks[h]
-            coeffs[e] = coeffs.get(e, 0) + self._mobius_idx(self.bottom, h)
+            coeffs[e] = coeffs.get(e, 0) + value
         return LaurentPoly("q", coeffs)
 
     def delta(self, flat) -> int:
@@ -353,98 +401,118 @@ class FlatLattice:
         return [i for i in range(len(self.flats)) if i != self.top]
 
 
+def _direction(vec) -> tuple:
+    """Primitive integer vector with positive leading entry parallel to a
+    nonzero vec: two vectors are parallel iff their directions agree."""
+    g = math.gcd(*vec)
+    if next(x for x in vec if x) < 0:
+        g = -g
+    return tuple(x // g for x in vec)
+
+
 def build_lattice(arrangement: Arrangement,
                   max_flats: int = DEFAULT_FLAT_BUDGET) -> FlatLattice:
-    """Enumerate all flats by breadth-first closure from the empty flat."""
-    n = arrangement.n
-    rank_cache = {}
+    """Enumerate all flats by a search over covers from the empty flat.
 
-    def rank_of(fs):
-        r = rank_cache.get(fs)
-        if r is None:
-            r = arrangement.rank_of(fs)
-            rank_cache[fs] = r
-        return r
-
-    def closure(fs):
-        r = rank_of(fs)
-        members = set(fs)
-        for j in range(n):
-            if j in members:
-                continue
-            if rank_of(frozenset(fs | {j})) == r:
-                members.add(j)
-        return frozenset(members)
-
-    bottom = closure(frozenset())
-    if bottom:
-        # rows are required nonzero, so the empty set is always closed
-        raise PreconditionError("zero normal detected")
-    flats = {bottom}
-    queue = [bottom]
+    Each flat F gets one integer kernel basis K of its normals.  A normal
+    a_j outside F pairs with K to a nonzero vector, and a_j lies in the
+    span of F and a_i iff the pairings of i and j are parallel.  So the
+    flats covering F are F joined with each class of parallel pairings,
+    each one rank above F.
+    """
+    normals, m = arrangement.normals, arrangement.m
+    everything = (1 << arrangement.n) - 1
+    ranks = {0: 0}
+    covers = {}
+    queue = [0]
     while queue:
         f = queue.pop()
-        for j in range(n):
-            if j in f:
-                continue
-            g = closure(frozenset(f | {j}))
-            if g not in flats:
-                flats.add(g)
-                if len(flats) > max_flats:
+        kernel = int_kernel_basis([normals[i] for i in _bits(f)], m)
+        classes = {}
+        for j in _bits(everything & ~f):
+            key = _direction([sum(map(mul, normals[j], k)) for k in kernel])
+            classes[key] = classes.get(key, 0) | 1 << j
+        covers[f] = [f | c for c in classes.values()]
+        for g in covers[f]:
+            if g not in ranks:
+                ranks[g] = ranks[f] + 1
+                if len(ranks) > max_flats:
                     raise BudgetExceededError(
                         f"flat count exceeds budget {max_flats}")
                 queue.append(g)
-    ordered = sorted(flats, key=lambda f: (len(f), sorted(f)))
-    ranks = [rank_of(f) for f in ordered]
-    return FlatLattice(arrangement, ordered, ranks)
+    masks = sorted(ranks, key=lambda f: (f.bit_count(), _bits(f)))
+    index = {f: i for i, f in enumerate(masks)}
+    return FlatLattice(arrangement, masks, [ranks[f] for f in masks],
+                       [[index[g] for g in covers[f]] for f in masks])
 
 
 # ---------------------------------------------------------------------------
 # structural predicates
 # ---------------------------------------------------------------------------
 
-_FLAGS_CACHE: dict = {}
-
-
-def structural_flags(arrangement: Arrangement) -> dict:
-    """Exact essential/coloop-free/unimodular predicates and the maximal
-    absolute value over all square minors of all sizes.
-
-    Cached per normal matrix: several modules consult the flags repeatedly.
-    """
-    cached = _FLAGS_CACHE.get(arrangement.normals)
-    if cached is not None:
-        return dict(cached)
+def _unimodular(arrangement: Arrangement) -> bool:
+    """Every maximal (m x m) minor lies in {-1, 0, 1}."""
     n, m = arrangement.n, arrangement.m
-    rank = arrangement.rank()
-    essential = rank == m and m > 0
-    coloop_free = n > 0 and all(
-        bareiss_rank([r for j, r in enumerate(arrangement.normals) if j != i])
-        == rank
-        for i in range(n))
-    unimodular = True
-    max_abs_minor = 0
+    if not m or n < m:
+        return True
+    return all(abs(int_det([arrangement.normals[i] for i in rows_idx])) <= 1
+               for rows_idx in itertools.combinations(range(n), m))
+
+
+def _max_abs_minor(arrangement: Arrangement) -> int:
+    """Largest |det| over the square minors of every size."""
+    n, m = arrangement.n, arrangement.m
+    best = 0
     for k in range(1, min(n, m) + 1):
         for rows_idx in itertools.combinations(range(n), k):
             rows = [arrangement.normals[i] for i in rows_idx]
             for cols_idx in itertools.combinations(range(m), k):
                 d = int_det([[r[c] for c in cols_idx] for r in rows])
-                max_abs_minor = max(max_abs_minor, abs(d))
-    if m and n >= m:
-        for rows_idx in itertools.combinations(range(n), m):
-            d = int_det([arrangement.normals[i] for i in rows_idx])
-            if abs(d) > 1:
-                unimodular = False
-                break
-    flags = {
-        "essential": essential,
-        "coloop_free": coloop_free,
-        "unimodular": unimodular,
-        "max_abs_minor": max_abs_minor,
-    }
-    if len(_FLAGS_CACHE) < 10 ** 4:
-        _FLAGS_CACHE[arrangement.normals] = dict(flags)
-    return flags
+                best = max(best, abs(d))
+    return best
+
+
+_FLAG_ROUTINES = {"unimodular": _unimodular, "max_abs_minor": _max_abs_minor}
+
+_FLAGS_CACHE: dict = {}
+
+
+def structural_flags(arrangement: Arrangement, *extra) -> dict:
+    """Exact structural predicates; each is computed only when asked for.
+
+    ``essential`` and ``coloop_free`` always, from n + 1 ranks.  ``extra``
+    names any of ``"unimodular"`` (one pass over the C(n, m) maximal
+    minors, stopping at the first |det| > 1) and ``"max_abs_minor"`` (the
+    largest |det| over square minors of every size, exponential in m).
+
+    Values are cached per normal matrix: several modules consult the flags
+    repeatedly.
+    """
+    cached = _FLAGS_CACHE.get(arrangement.normals)
+    if cached is None:
+        n, m = arrangement.n, arrangement.m
+        rank = arrangement.rank()
+        cached = {
+            "essential": rank == m and m > 0,
+            "coloop_free": n > 0 and all(
+                bareiss_rank(arrangement.normals[:i]
+                             + arrangement.normals[i + 1:]) == rank
+                for i in range(n)),
+        }
+        if len(_FLAGS_CACHE) < 10 ** 4:
+            _FLAGS_CACHE[arrangement.normals] = cached
+    for key in extra:
+        if key not in cached:
+            cached[key] = _FLAG_ROUTINES[key](arrangement)
+    return {key: cached[key] for key in ("essential", "coloop_free") + extra}
+
+
+def require_prime_above_minors(arrangement: Arrangement, p: int):
+    """The counting oracles need p larger than every |minor|."""
+    bound = structural_flags(arrangement, "max_abs_minor")["max_abs_minor"]
+    if p <= bound:
+        raise PreconditionError(
+            f"prime {p} not larger than max |minor| {bound}")
 
 
 def count_complement_Fq(arrangement: Arrangement, p: int,
@@ -454,10 +522,7 @@ def count_complement_Fq(arrangement: Arrangement, p: int,
     ambient_m supplies the dimension for the empty arrangement, which
     carries no width of its own.
     """
-    flags = structural_flags(arrangement)
-    if p <= flags["max_abs_minor"]:
-        raise PreconditionError(
-            f"prime {p} not larger than max |minor| {flags['max_abs_minor']}")
+    require_prime_above_minors(arrangement, p)
     m = arrangement.m if arrangement.n else (ambient_m or 0)
     if p ** m > budget:
         raise BudgetExceededError(f"{p}^{m} points exceed budget {budget}")

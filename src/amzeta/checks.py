@@ -111,7 +111,8 @@ def lattice_invariants(arr, lat):
                         - char_poly_of(restricted,
                                        ambient_m=arr.m - lat.rank_of(fi))),
                 f"deletion-restriction fails at hyperplane {i}")
-    p = next_prime_above(structural_flags(arr)["max_abs_minor"])
+    p = next_prime_above(
+        structural_flags(arr, "max_abs_minor")["max_abs_minor"])
     require(count_complement_Fq(arr, p) == chi.evaluate(p),
             f"F_{p} complement count != chi({p})")
 

@@ -122,7 +122,7 @@ def cmd_lattice(args):
         "deltas": [lat.delta(i) for i in range(len(lat.flats))],
         "mobius_to_top": [str(lat.mobius(i, lat.top))
                           for i in range(len(lat.flats))],
-        "flags": structural_flags(arr),
+        "flags": structural_flags(arr, "unimodular", "max_abs_minor"),
     })
 
 

@@ -16,6 +16,7 @@ from .arrangement import (
     Arrangement,
     FlatLattice,
     rank_mod_p,
+    require_prime_above_minors,
     structural_flags,
 )
 from .errors import (
@@ -42,13 +43,14 @@ class HypertoricClass:
 
 def hypertoric_class(arrangement: Arrangement,
                      lat: FlatLattice) -> HypertoricClass:
-    flags = structural_flags(arrangement)
+    flags = structural_flags(arrangement, "unimodular")
     if not flags["essential"]:
         raise PreconditionError("class formula needs an essential arrangement")
     n, m = arrangement.n, arrangement.m
-    acc = LaurentPoly.zero("L")
+    coeffs = {}
     for i, f in enumerate(lat.flats):
-        acc = acc + LaurentPoly.monomial("L", len(f), lat.mobius(i, lat.top))
+        coeffs[len(f)] = coeffs.get(len(f), 0) + lat.mobius(i, lat.top)
+    acc = LaurentPoly("L", coeffs)
     try:
         cleared = exact_div(acc, LaurentPoly("L", {1: 1, 0: -1}) ** m)
     except NotDivisibleError as exc:
@@ -99,10 +101,7 @@ def count_moment_fiber(arrangement: Arrangement, lat: FlatLattice, p: int,
                        xi, budget: int = 10 ** 8,
                        method: str = "auto") -> int:
     """|{(v, w) in F_p^2n : sum v_i w_i a_i = xi}| for generic xi."""
-    flags = structural_flags(arrangement)
-    if p <= flags["max_abs_minor"]:
-        raise PreconditionError(
-            f"prime {p} not larger than max |minor| {flags['max_abs_minor']}")
+    require_prime_above_minors(arrangement, p)
     if not xi_is_generic(arrangement, lat, p, xi):
         raise PreconditionError(f"{tuple(xi)} is not generic mod {p}")
     n, m = arrangement.n, arrangement.m
@@ -128,8 +127,9 @@ def count_moment_fiber(arrangement: Arrangement, lat: FlatLattice, p: int,
     if method != "convolution":
         raise PreconditionError(f"unknown method {method!r}")
     # products v_i w_i are distributed as: 0 with weight 2p-1, each unit
-    # with weight p-1; convolve the weighted sums lambda_i a_i over F_p^m
-    if p ** n * p ** m > budget:
+    # with weight p-1; convolve the weighted sums lambda_i a_i over F_p^m:
+    # n rows, each mapping at most p^m states through p values of lambda
+    if n * p ** (m + 1) > budget:
         raise BudgetExceededError("convolution fiber count over budget")
     rows = [tuple(x % p for x in r) for r in arrangement.normals]
     states = {(0,) * m: 1}

@@ -85,7 +85,7 @@ def igusa_chain(arrangement: Arrangement, lat: FlatLattice) -> IgusaZeta:
             continue
         W[i] = BiRational.sum(
             (W[j].times_q_poly(lat.char_poly_interval(i, j))
-             for j in order if j != i and lat.leq(i, j)),
+             for j in lat.indices(lat.up[i] ^ (1 << i))),
             (0, -1), [(lat.delta(i), 1)])
     total = BiRational.sum(W[i].times_unit(lat.ranks[i] - m, 0)
                            for i in order if i != lat.top)
@@ -129,9 +129,7 @@ def igusa_recursion(arrangement: Arrangement, lat: FlatLattice) -> IgusaZeta:
                 "localization lattice differs from the order ideal")
         rk_i = lat.ranks[i]
         acc = BiRational.zero()
-        for j in order:
-            if j == i or not lat.leq(j, i):
-                continue
+        for j in lat.indices(lat.down[i] ^ (1 << i)):
             rk_j = lat.ranks[j]
             d_j = len(flat) - len(lat.flats[j]) + rk_j
             chi = lat.char_poly_interval(j, i)
@@ -170,36 +168,34 @@ def level_sets(lat: FlatLattice) -> dict:
     """Group flats by -delta and analyse each group."""
     groups = {}
     for i in range(len(lat.flats)):
-        groups.setdefault(-lat.delta(i), []).append(i)
+        eps = -lat.delta(i)
+        groups[eps] = groups.get(eps, 0) | 1 << i
+    everything = (1 << len(lat.flats)) - 1
     out = {}
-    for eps, members in groups.items():
-        mset = set(members)
-        # interval property: anything between two members is a member
+    for eps, group in groups.items():
+        members = lat.indices(group)
+        # interval property: no outside flat lies above one member and
+        # below another
+        for h in lat.indices(everything & ~group):
+            if lat.down[h] & group and lat.up[h] & group:
+                raise InvariantError("level set is not interval-closed")
+        minimal = [a for a in members if lat.down[a] & group == 1 << a]
+        lowest = sum(1 << a for a in minimal)
         for a in members:
-            for b in members:
-                if lat.leq(a, b):
-                    for h in lat.between(a, b):
-                        if h not in mset:
-                            raise InvariantError(
-                                "level set is not interval-closed")
-        minimal = [a for a in members
-                   if not any(b != a and lat.leq(b, a) for b in members)]
-        for a in members:
-            below = [j for j in minimal if lat.leq(j, a)]
-            if len(below) != 1:
+            if (lat.down[a] & lowest).bit_count() != 1:
                 raise InvariantError(
                     "member contains more than one minimal flat")
-        # longest chains inside the set, measured from the minimal flats
+        # longest chains inside the set, measured from the minimal flats;
+        # index order is a linear extension of inclusion
         depth = {}
-        for a in sorted(members, key=lambda i: len(lat.flats[i])):
-            preds = [depth[b] for b in members
-                     if b != a and lat.leq(b, a)]
+        for a in members:
+            below = (lat.down[a] & group) ^ (1 << a)
+            preds = [depth[b] for b in lat.indices(below)]
             depth[a] = max(preds) + 1 if preds else 0
         length = max(depth.values())
-        tops = sorted(a for a in members if depth[a] == length)
+        tops = [a for a in members if depth[a] == length]
         criterion = sum(lat.mobius(a, lat.top) for a in tops)
-        out[eps] = LevelSet(eps, sorted(members), length, minimal, tops,
-                            criterion)
+        out[eps] = LevelSet(eps, members, length, minimal, tops, criterion)
     return out
 
 

@@ -17,7 +17,12 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .arrangement import Arrangement, FlatLattice, structural_flags
+from .arrangement import (
+    Arrangement,
+    FlatLattice,
+    require_prime_above_minors,
+    structural_flags,
+)
 from .errors import BudgetExceededError, InvariantError, PreconditionError
 from .igusa import IgusaZeta, igusa_chain
 from .residues import b_mu
@@ -50,10 +55,7 @@ def count_solutions_mod(arrangement: Arrangement, p: int, alpha: int,
                         budget: int = 10 ** 8,
                         method: str = "convolution") -> OracleCount:
     """Solutions of sum x_i y_i a_i = 0 in (Z/p^alpha)^(2n)."""
-    flags = structural_flags(arrangement)
-    if p <= flags["max_abs_minor"]:
-        raise PreconditionError(
-            f"prime {p} not larger than max |minor| {flags['max_abs_minor']}")
+    require_prime_above_minors(arrangement, p)
     if alpha < 1:
         raise PreconditionError("depth must be >= 1")
     n, m = arrangement.n, arrangement.m

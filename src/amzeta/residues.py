@@ -68,10 +68,9 @@ def b_mu(arrangement: Arrangement, lat: FlatLattice) -> RationalUni:
         if i == lat.top:
             continue
         acc = RationalUni.zero("q")
-        for j in order:
-            if j != i and lat.leq(i, j):
-                acc = acc + V[j] * RationalUni.from_laurent(
-                    lat.char_poly_interval(i, j))
+        for j in lat.indices(lat.up[i] ^ (1 << i)):
+            acc = acc + V[j] * RationalUni.from_laurent(
+                lat.char_poly_interval(i, j))
         d = lat.delta(i) - m
         if d <= 0:
             raise InvariantError("delta - m must be positive off the top")

@@ -2,8 +2,10 @@ import random
 
 import pytest
 
+from amzeta import arrangement as arrangement_module
 from amzeta.arrangement import (
     Arrangement,
+    bareiss_rank,
     build_lattice,
     char_poly_of,
     count_complement_Fq,
@@ -13,10 +15,18 @@ from amzeta.arrangement import (
     restriction,
     structural_flags,
 )
-from amzeta.checks import DEFAULT_SEED, lattice_invariants, random_arrangement
+from amzeta.checks import (
+    DEFAULT_SEED,
+    lattice_invariants,
+    next_prime_above,
+    random_arrangement,
+)
 from amzeta.errors import PreconditionError
 from amzeta.exact_algebra import LaurentPoly
+from amzeta.hypertoric import hypertoric_class
+from amzeta.igusa import igusa_chain
 from amzeta.reference import (
+    complete_quiver,
     cycle_quiver,
     n_origins,
     single_edge_quiver,
@@ -24,6 +34,7 @@ from amzeta.reference import (
     triangle,
     triangle_doubled,
 )
+from amzeta.residues import b_mu
 
 
 def flat_sets(lat):
@@ -117,7 +128,7 @@ def test_delta_examples():
 # ---------------------------------------------------------------------------
 
 def test_flags_triangle():
-    flags = structural_flags(triangle())
+    flags = structural_flags(triangle(), "unimodular", "max_abs_minor")
     assert flags == {"essential": True, "coloop_free": True,
                      "unimodular": True, "max_abs_minor": 1}
 
@@ -167,7 +178,7 @@ def test_graphic_single_edge():
 def test_graphic_four_cycle():
     arr = graphic_arrangement(cycle_quiver(4))
     assert arr.n == 4 and arr.m == 3
-    flags = structural_flags(arr)
+    flags = structural_flags(arr, "unimodular")
     assert flags["coloop_free"] and flags["unimodular"]
 
 
@@ -237,3 +248,98 @@ def test_core_properties_random():
     for _ in range(20):
         arr = random_arrangement(rng)
         lattice_invariants(arr, build_lattice(arr))
+
+
+# ---------------------------------------------------------------------------
+# the bitset core at the sizes where bugs live: K4-K7 and seeded rank-4/5
+# arrangements with 8-15 normals and at least 50 flats
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("k, bell", [(4, 15), (5, 52), (6, 203), (7, 877)])
+def test_braid_flat_counts_are_bell_numbers(k, bell):
+    lat = build_lattice(graphic_arrangement(complete_quiver(k)))
+    assert len(lat.flats) == bell
+    # chi_{K_k} = (q - 1)(q - 2)...(q - k + 1)
+    expected = LaurentPoly("q", {0: 1})
+    for i in range(1, k):
+        expected = expected * LaurentPoly("q", {1: 1, 0: -i})
+    assert lat.char_poly() == expected
+
+
+def closure_lattice(arr):
+    """Flats and ranks by rank-based closure from the empty set: a test
+    reference that shares no code with the kernel/cover build."""
+    def rank(indices):
+        return bareiss_rank([arr.normals[i] for i in sorted(indices)])
+
+    def closure(indices):
+        r = rank(indices)
+        return frozenset(j for j in range(arr.n)
+                         if j in indices or rank(indices | {j}) == r)
+
+    flats = {frozenset()}
+    queue = [frozenset()]
+    while queue:
+        f = queue.pop()
+        for j in range(arr.n):
+            if j not in f:
+                g = closure(f | {j})
+                if g not in flats:
+                    flats.add(g)
+                    queue.append(g)
+    return {f: rank(f) for f in flats}
+
+
+def medium_arrangements(count=5):
+    """Seeded essential arrangements of rank 4-5 with 8-15 normals (entries
+    in {-1, 0, 1}, zero rows dropped) and at least 50 flats.  Draws whose
+    F_p complement count would exceed 10^5 points are skipped to keep the
+    tier to a few seconds."""
+    rng = random.Random(DEFAULT_SEED + 5)
+    out = []
+    while len(out) < count:
+        m = rng.randint(4, 5)
+        rows = [tuple(rng.choice((-1, 0, 0, 1)) for _ in range(m))
+                for _ in range(rng.randint(8, 15))]
+        rows = [r for r in rows if any(r)]
+        if len(rows) < 8:
+            continue
+        arr = Arrangement(rows)
+        if arr.rank() != m:
+            continue
+        bound = structural_flags(arr, "max_abs_minor")["max_abs_minor"]
+        if next_prime_above(bound) ** m > 10 ** 5:
+            continue
+        if len(build_lattice(arr).flats) >= 50:
+            out.append(arr)
+    return out
+
+
+def test_medium_tier_lattices():
+    for arr in medium_arrangements():
+        lat = build_lattice(arr)
+        assert dict(zip(lat.flats, lat.ranks)) == closure_lattice(arr)
+        assert list(lat.flats) == sorted(lat.flats,
+                                         key=lambda f: (len(f), sorted(f)))
+        for i, f in enumerate(lat.flats):
+            assert lat.between(i, lat.top) == [
+                j for j, g in enumerate(lat.flats) if f <= g]
+        # Mobius recursion == chain count on every comparable pair, and
+        # count_complement_Fq(p) == chi(p) above the largest |minor|
+        lattice_invariants(arr, lat)
+
+
+def test_zeta_and_class_never_enumerate_all_minors(monkeypatch):
+    def refuse(arrangement):
+        raise AssertionError("square minors of every size enumerated")
+
+    monkeypatch.setattr(arrangement_module, "_FLAGS_CACHE", {})
+    monkeypatch.setitem(arrangement_module._FLAG_ROUTINES, "max_abs_minor",
+                        refuse)
+    arr = graphic_arrangement(complete_quiver(5))
+    with pytest.raises(AssertionError):
+        structural_flags(arr, "max_abs_minor")
+    lat = build_lattice(arr)
+    assert hypertoric_class(arr, lat).unimodular
+    igusa_chain(arr, lat)
+    b_mu(arr, lat)

@@ -1,7 +1,7 @@
 import pytest
 
-from amzeta.arrangement import Arrangement, build_lattice
-from amzeta.errors import PreconditionError
+from amzeta.arrangement import Arrangement, build_lattice, graphic_arrangement
+from amzeta.errors import BudgetExceededError, PreconditionError
 from amzeta.exact_algebra import LaurentPoly
 from amzeta.hypertoric import (
     count_moment_fiber,
@@ -10,7 +10,7 @@ from amzeta.hypertoric import (
     hypertoric_class,
     xi_is_generic,
 )
-from amzeta.reference import n_origins, triangle
+from amzeta.reference import complete_quiver, n_origins, triangle
 
 
 def L(coeffs):
@@ -127,3 +127,14 @@ def test_genericity_rejects_bad_xi():
     assert not xi_is_generic(arr, lat, 5, (1, 0))
     with pytest.raises(PreconditionError):
         count_moment_fiber(arr, lat, 5, (0, 0))
+
+
+def test_fiber_budget_charges_the_convolution_steps():
+    # the convolution makes n * p^(m+1) = 31250 steps on K5 at p = 5
+    arr = graphic_arrangement(complete_quiver(5))
+    cls, lat = class_of(arr)
+    xi = find_generic_xi(arr, lat, 5)
+    count = count_moment_fiber(arr, lat, 5, xi)
+    assert count == 151316000000 == cls.value.evaluate(5) * 4 ** 4
+    with pytest.raises(BudgetExceededError):
+        count_moment_fiber(arr, lat, 5, xi, budget=31249)

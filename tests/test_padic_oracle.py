@@ -112,7 +112,7 @@ def test_poincare_random_arrangements():
         arr = Arrangement(rows)
         if arr.rank() != m:
             continue
-        bound = structural_flags(arr)["max_abs_minor"]
+        bound = structural_flags(arr, "max_abs_minor")["max_abs_minor"]
         if bound > 4:
             continue
         p = next(c for c in (3, 5) if c > bound)
