@@ -47,5 +47,6 @@ class NotDivisibleError(ArithmeticError):
 
 
 class UnsupportedDenominatorError(InvariantError):
-    """A two-variable rational function would need a denominator factor
-    outside the supported (q^a - t) family."""
+    """A rational function would need a denominator outside its supported
+    family: c * x^e * prod Phi_d^k (cyclotomic Phi_d) in one variable,
+    q^e1 * t^e2 * prod (q^a - t)^mu with a >= 1 in two."""

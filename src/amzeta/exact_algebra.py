@@ -11,8 +11,10 @@ LaurentPoly   sparse dict {exponent: coefficient} with int (arbitrary
 
 RationalUni   quotient num/den of Laurent polynomials in one variable,
               kept fully reduced with a canonical representative:
-              den is a genuine primitive polynomial, nonzero constant
-              term, positive leading coefficient, coprime to num.
+              den = c * prod Phi_d^k with c >= 1 and Phi_d the d-th
+              cyclotomic polynomial, coprime to num in Z[x].  A
+              denominator factor other than an integer, a monomial or
+              some Phi_d raises UnsupportedDenominatorError.
 
 BiRational    value num(q,t) / (q^e1 * t^e2 * prod (q^a - t)^mu) where
               num is a polynomial dict over exponent pairs and every
@@ -32,6 +34,7 @@ Everything is immutable after construction and safe to share.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 from .errors import (
@@ -257,100 +260,44 @@ def palindromic_check(p: LaurentPoly):
 
 # -- integer polynomial helpers (dicts with exponents >= 0) -----------------
 
-def _gcd(a: int, b: int) -> int:
-    a, b = abs(a), abs(b)
-    while b:
-        a, b = b, a % b
-    return a
-
-
 def _poly_div_exact(a: dict, b: dict):
-    """Exact division of integer polynomial dicts; None when not exact."""
-    rem = {e: Fraction(c) for e, c in a.items()}
+    """Exact quotient of integer polynomial dicts; None when b does not
+    divide a in Z[x]."""
     db = max(b)
     lb = b[db]
+    da = max(a)
+    if da < db:
+        return None
+    rem = [a.get(e, 0) for e in range(da + 1)]
     quot = {}
-    while rem:
-        da = max(rem)
-        if da < db:
+    for top in range(da, db - 1, -1):
+        if not rem[top]:
+            continue
+        q, r = divmod(rem[top], lb)
+        if r:
             return None
-        q = rem[da] / lb
-        quot[da - db] = q
+        quot[top - db] = q
         for e, c in b.items():
-            ne = da - db + e
-            v = rem.get(ne, Fraction(0)) - q * c
-            if v:
-                rem[ne] = v
-            else:
-                rem.pop(ne, None)
-    out = {}
-    for e, c in quot.items():
-        if c.denominator != 1:
-            return None
-        if c:
-            out[e] = int(c)
+            rem[top - db + e] -= q * c
+    if any(rem[:db]):
+        return None
+    return quot
+
+
+_CYCLOTOMIC = {}
+
+
+def _cyclotomic(d: int) -> dict:
+    """Phi_d = (x^d - 1) / prod of Phi_e over proper divisors e of d,
+    cached; callers must not mutate the result."""
+    out = _CYCLOTOMIC.get(d)
+    if out is None:
+        out = {d: 1, 0: -1}
+        for e in range(1, d):
+            if d % e == 0:
+                out = _poly_div_exact(out, _cyclotomic(e))
+        _CYCLOTOMIC[d] = out
     return out
-
-
-def _poly_primitive(a: dict):
-    """(content, primitive part); sign convention: positive leading coeff."""
-    if not a:
-        return 0, {}
-    g = 0
-    for c in a.values():
-        g = _gcd(g, c)
-    if a[max(a)] < 0:
-        g = -g
-    return g, {e: c // g for e, c in a.items()}
-
-
-def _poly_pseudo_rem(a: dict, b: dict):
-    """Primitive pseudo-remainder of a by b (deg a >= deg b >= 0)."""
-    db = max(b)
-    lb = b[db]
-    rem = dict(a)
-    while rem and max(rem) >= db:
-        da = max(rem)
-        la = rem[da]
-        new = {}
-        for e, c in rem.items():
-            new[e] = lb * c
-        for e, c in b.items():
-            ne = da - db + e
-            new[ne] = new.get(ne, 0) - la * c
-        rem = {e: c for e, c in new.items() if c}
-    return rem
-
-
-def poly_gcd(a: dict, b: dict) -> dict:
-    """Gcd in Z[x] of two polynomial dicts, primitive with positive lead,
-    scaled by the gcd of the contents."""
-    if not a:
-        ca, pa = 0, {}
-    else:
-        ca, pa = _poly_primitive(a)
-    if not b:
-        cb, pb = 0, {}
-    else:
-        cb, pb = _poly_primitive(b)
-    cont = _gcd(ca, cb)
-    if not pa:
-        prim = pb
-    elif not pb:
-        prim = pa
-    else:
-        while pb:
-            if max(pa) < max(pb):
-                pa, pb = pb, pa
-                continue
-            rem = _poly_pseudo_rem(pa, pb)
-            pa = pb
-            pb = _poly_primitive(rem)[1] if rem else {}
-        prim = pa
-    if not prim:
-        return {}
-    _, prim = _poly_primitive(prim)
-    return {e: cont * c for e, c in prim.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -374,13 +321,39 @@ class RationalUni:
         ln, ld = num.low_degree(), den.low_degree()
         pn = {e - ln: c for e, c in num._c.items()}
         pd = {e - ld: c for e, c in den._c.items()}
-        g = poly_gcd(pn, pd)
-        if g != {0: 1}:
-            pn = _poly_div_exact(pn, g)
-            pd = _poly_div_exact(pd, g)
-        if pd[max(pd)] < 0:
-            pn = {e: -c for e, c in pn.items()}
-            pd = {e: -c for e, c in pd.items()}
+        # pd = c * prod Phi_d^k: strip the factors Phi_1, Phi_2, ... from a
+        # copy of pd and cancel each one that also divides pn.  A factor
+        # Phi_e of a degree-D rest has sqrt(e/2) <= phi(e) <= D, so once
+        # d > 2 D^2 no cyclotomic factor is left to find.
+        rest = pd
+        d = 0
+        while max(rest):
+            d += 1
+            if d > 2 * max(rest) ** 2:
+                raise UnsupportedDenominatorError(
+                    f"denominator {den.to_str()} has a factor other than "
+                    "an integer, a monomial and cyclotomic polynomials")
+            phi = _cyclotomic(d)
+            cancel = True
+            while True:
+                quot = _poly_div_exact(rest, phi)
+                if quot is None:
+                    break
+                rest = quot
+                if cancel:
+                    quot = _poly_div_exact(pn, phi)
+                    cancel = quot is not None
+                    if cancel:
+                        pn = quot
+                        pd = _poly_div_exact(pd, phi)
+        # rest is now the leading coefficient of pd and, by Gauss's lemma,
+        # its content up to sign
+        g = math.gcd(rest[0], *pn.values())
+        if rest[0] < 0:
+            g = -g
+        if g != 1:
+            pn = {e: c // g for e, c in pn.items()}
+            pd = {e: c // g for e, c in pd.items()}
         self.num = LaurentPoly(var, {e + ln - ld: c for e, c in pn.items()})
         self.den = LaurentPoly(var, pd)
 

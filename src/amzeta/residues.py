@@ -34,16 +34,19 @@ from .igusa import IgusaZeta, level_sets
 
 class ResidueData:
     __slots__ = ("b_mu", "b_prime", "degree", "declared_degree",
-                 "degree_discrepancy", "palindromic", "positive_coeffs")
+                 "degree_discrepancy", "positive_coeffs")
 
-    def __init__(self, b_mu, b_prime, degree, declared_degree, palindromic,
+    # b_prime raises InvariantError on a numerator that is not palindromic,
+    # so every ResidueData it returns has one
+    palindromic = True
+
+    def __init__(self, b_mu, b_prime, degree, declared_degree,
                  positive_coeffs):
         self.b_mu = b_mu
         self.b_prime = b_prime
         self.degree = degree
         self.declared_degree = declared_degree
         self.degree_discrepancy = degree != declared_degree
-        self.palindromic = palindromic
         self.positive_coeffs = positive_coeffs
 
 
@@ -105,15 +108,15 @@ def b_prime(arrangement: Arrangement, lat: FlatLattice) -> ResidueData:
     m = arrangement.m
     base = b_mu(arrangement, lat)
     levels = level_sets(lat)
-    qm1 = RationalUni.from_laurent(LaurentPoly("q", {1: 1, 0: -1}))
     value = base * RationalUni.from_laurent(LaurentPoly.monomial("q", m))
     declared_degree = m
     for eps, lv in sorted(levels.items()):
         if eps == -m:
             continue
         a = -eps - m
+        # the q-integer [a]_q = (q^a - 1)/(q - 1) = 1 + q + ... + q^(a-1)
         factor = RationalUni.from_laurent(
-            LaurentPoly("q", {a: 1, 0: -1})) / qm1
+            LaurentPoly("q", {e: 1 for e in range(a)}))
         value = value * factor ** (lv.length + 1)
         declared_degree += a * (lv.length + 1)
     try:
@@ -128,4 +131,4 @@ def b_prime(arrangement: Arrangement, lat: FlatLattice) -> ResidueData:
         raise InvariantError(
             f"numerator {poly.to_str()} is not palindromic at degree {degree}")
     positive = all(c > 0 for _, c in poly.items())
-    return ResidueData(base, poly, degree, declared_degree, palindromic, positive)
+    return ResidueData(base, poly, degree, declared_degree, positive)

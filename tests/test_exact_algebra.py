@@ -1,14 +1,20 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from amzeta.errors import NotDivisibleError, PreconditionError
+from amzeta.errors import (
+    NotDivisibleError,
+    PreconditionError,
+    UnsupportedDenominatorError,
+)
 from amzeta.exact_algebra import (
     BiRational,
     LaurentPoly,
     MultiSeries,
     RationalUni,
+    _cyclotomic,
     exact_div,
     palindromic_check,
     series_div,
@@ -111,28 +117,88 @@ def test_rational_normalization():
     assert r3.den.leading_coeff() > 0
 
 
+def rand_den(rng, var="q"):
+    """c * q^e * prod (q^a - 1)^k with c of either sign: the denominator
+    family RationalUni supports."""
+    den = LaurentPoly.monomial(var, rng.randint(-2, 2),
+                               rng.choice((-1, 1)) * rng.randint(1, 6))
+    for _ in range(rng.randint(0, 3)):
+        den = den * LaurentPoly(var, {rng.randint(1, 6): 1, 0: -1}) ** (
+            rng.randint(1, 2))
+    return den
+
+
 def test_rational_arithmetic_random():
     rng = random.Random(3)
     for _ in range(40):
         a = rand_poly(rng, "q", 2)
-        b = rand_poly(rng, "q", 2)
-        c = rand_poly(rng, "q", 2)
-        if b.is_zero() or c.is_zero():
-            continue
+        b = rand_den(rng)
+        c = rand_den(rng)
         x = RationalUni(a, b)
         y = RationalUni(b, c)
         z = x * y + y
         pt = Fraction(7, 3)
-        try:
-            expected = x.evaluate(pt) * y.evaluate(pt) + y.evaluate(pt)
-        except ZeroDivisionError:
-            continue
+        expected = x.evaluate(pt) * y.evaluate(pt) + y.evaluate(pt)
         assert z.evaluate(pt) == expected
+        assert z - y == x * y and z / y == x + 1
 
 
 def test_rational_degree():
-    r = RationalUni(L({2: 1, 0: 1}, "q"), L({2: 5, 1: 1}, "q"))
+    r = RationalUni(L({2: 1, 0: 1}, "q"), L({2: 5, 1: -5}, "q"))
     assert r.degree() == 0
+
+
+def test_cyclotomic_products():
+    for n in range(1, 41):
+        prod = LaurentPoly.one("x")
+        for d in range(1, n + 1):
+            if n % d == 0:
+                prod = prod * LaurentPoly("x", _cyclotomic(d))
+        assert prod == LaurentPoly("x", {n: 1, 0: -1})
+
+
+def test_unsupported_denominator_rejected():
+    one = RationalUni.one("q")
+    for den in (L({1: 1, 0: 2}, "q"), L({1: 5, 0: 1}, "q")):
+        with pytest.raises(UnsupportedDenominatorError):
+            RationalUni(L({0: 1}, "q"), den)
+        with pytest.raises(UnsupportedDenominatorError):
+            one / RationalUni.from_laurent(den)
+
+
+def content(p):
+    return math.gcd(*(c for _, c in p.items()))
+
+
+def test_rational_canonical_form_random():
+    rng = random.Random(20261018)
+    for trial in range(200):
+        num = rand_poly(rng, "q", 3)
+        if num.is_zero():
+            continue
+        # multiply in factors of the denominator family, so that some of
+        # them cancel
+        for _ in range(rng.randint(0, 2)):
+            num = num * LaurentPoly("q", {rng.randint(1, 6): 1, 0: -1})
+        num = num * rng.choice((1, 2, 3, -6))
+        den = rand_den(rng)
+        r = RationalUni(num, den)
+        assert r.num * den == num * r.den
+        assert r.den.is_polynomial()
+        assert r.den.leading_coeff() > 0 and r.den.coeff(0) != 0
+        assert math.gcd(content(r.num), content(r.den)) == 1
+        # every factor q^a - 1 of den has a <= 6, so Phi_d has d <= 6
+        for d in range(1, 7):
+            phi = LaurentPoly("q", _cyclotomic(d))
+            try:
+                exact_div(r.den, phi)
+            except NotDivisibleError:
+                continue
+            with pytest.raises(NotDivisibleError):
+                exact_div(r.num, phi)
+        # the reduced form does not depend on the representative
+        extra = rand_den(rng)
+        assert RationalUni(num * extra, den * extra) == r
 
 
 # ---------------------------------------------------------------------------

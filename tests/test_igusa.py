@@ -5,11 +5,12 @@ import pytest
 
 from amzeta.arrangement import (
     Arrangement,
+    FlatLattice,
     build_lattice,
     graphic_arrangement,
     structural_flags,
 )
-from amzeta.errors import PreconditionError
+from amzeta.errors import InvariantError, PreconditionError
 from amzeta.igusa import (
     functional_equation_check,
     igusa_chain,
@@ -199,6 +200,26 @@ def test_level_sets_coloop_detection():
         lat = build_lattice(arr)
         lv = level_sets(lat)[-arr.m]
         assert (lv.length == 0) == structural_flags(arr)["coloop_free"]
+
+
+def test_level_sets_rejects_outside_flat_inside_a_level_set():
+    # hand-built chain {} < {0} < {0, 1} with ranks 0, 2, 2: delta is
+    # 2, 3, 2, so {0} lies between the two members of the delta-2 set
+    lat = FlatLattice(Arrangement([(1, 0), (0, 1)]), [0b00, 0b01, 0b11],
+                      [0, 2, 2], [[1], [2], []])
+    with pytest.raises(InvariantError, match="interval-closed"):
+        level_sets(lat)
+
+
+def test_level_sets_rejects_member_above_two_minimal_flats():
+    # hand-built square {} < {0}, {1} < {0, 1} with ranks 0, 2, 2, 3: the
+    # delta-3 set {0}, {1}, {0, 1} is interval-closed, but its top member
+    # lies above both of its minimal flats
+    lat = FlatLattice(Arrangement([(1, 0), (0, 1)]),
+                      [0b00, 0b01, 0b10, 0b11], [0, 2, 2, 3],
+                      [[1, 2], [3], [3], []])
+    with pytest.raises(InvariantError, match="more than one minimal"):
+        level_sets(lat)
 
 
 def test_pole_reports_random():
