@@ -383,9 +383,6 @@ class RationalUni:
     def is_one(self) -> bool:
         return self.num.is_one() and self.den.is_one()
 
-    def is_laurent(self) -> bool:
-        return self.den.is_one()
-
     def as_laurent(self) -> LaurentPoly:
         if not self.den.is_one():
             raise InvariantError(
@@ -474,6 +471,25 @@ class RationalUni:
             raise ParseError(f"bad RationalUni JSON: {exc}") from exc
 
 
+def _clear_cyclotomic(sums: dict, ds) -> RationalUni:
+    """Sum over x of sums[x](q) * prod_k 1/(q^ds[k] - 1)^x[k], where sums
+    maps exponent tuples over ds to integer polynomial dicts {e: c}:
+    cleared over prod (q^d - 1)^(largest exponent of d), reduced once."""
+    tops = [max(x[k] for x in sums) for k in range(len(ds))]
+    powers = [[LaurentPoly("q", {d: 1, 0: -1}) ** j for j in range(top + 1)]
+              for d, top in zip(ds, tops)]
+    num = LaurentPoly.zero("q")
+    for x, poly in sums.items():
+        term = LaurentPoly("q", poly)
+        for row, top, e in zip(powers, tops, x):
+            term = term * row[top - e]
+        num = num + term
+    den = LaurentPoly.one("q")
+    for row in powers:
+        den = den * row[-1]
+    return RationalUni(num, den)
+
+
 # ---------------------------------------------------------------------------
 # Two-variable rational functions with factored denominators
 # ---------------------------------------------------------------------------
@@ -502,11 +518,6 @@ def _b2_add(a: dict, b: dict) -> dict:
     return out
 
 
-def _b2_factor(a: int) -> dict:
-    """The binomial q^a - t."""
-    return {(a, 0): 1, (0, 1): -1}
-
-
 _FACTOR_POWERS = {}
 
 
@@ -515,8 +526,9 @@ def _b2_factor_power(a: int, k: int) -> dict:
     key = (a, k)
     out = _FACTOR_POWERS.get(key)
     if out is None:
-        out = (_b2_factor(a) if k == 1
-               else _b2_mul(_b2_factor_power(a, k - 1), _b2_factor(a)))
+        out = {(a, 0): 1, (0, 1): -1}           # q^a - t
+        if k > 1:
+            out = _b2_mul(_b2_factor_power(a, k - 1), out)
         _FACTOR_POWERS[key] = out
     return out
 
@@ -567,8 +579,8 @@ class BiRational:
 
     The constructor reduces: it tries each denominator factor by exact
     division.  Operations that cannot create a common factor (a monomial
-    or q-polynomial multiple, negation) skip that step, and ``sum`` adds
-    any number of terms with one reduction at the end."""
+    multiple, negation) skip that step, and ``sum`` adds any number of
+    terms with one reduction at the end."""
 
     __slots__ = ("num", "unit", "den")
 
@@ -620,9 +632,8 @@ class BiRational:
         return out
 
     @classmethod
-    def sum(cls, terms, unit=(0, 0), den=()) -> "BiRational":
-        """Sum of terms over q^unit[0] t^unit[1] prod (q^a - t)^mu (den),
-        reduced once.
+    def sum(cls, terms) -> "BiRational":
+        """Sum of terms, reduced once.
 
         Terms with equal denominators are added after aligning their units
         (Laurent shifts, no multiplication).  Each such group is then
@@ -662,15 +673,11 @@ class BiRational:
                     total[k] = v
                 else:
                     del total[k]
-        return cls(total, unit, list(lcm.items()) + list(den))
+        return cls(total, den=list(lcm.items()))
 
     @classmethod
     def zero(cls) -> "BiRational":
         return cls({})
-
-    @classmethod
-    def one(cls) -> "BiRational":
-        return cls({(0, 0): 1})
 
     @classmethod
     def const(cls, c: int) -> "BiRational":
@@ -679,10 +686,6 @@ class BiRational:
     @classmethod
     def from_q_poly(cls, p: LaurentPoly) -> "BiRational":
         return cls({(e, 0): c for e, c in p._c.items()})
-
-    @classmethod
-    def monomial(cls, eq: int, et: int, c: int = 1) -> "BiRational":
-        return cls({(eq, et): c})
 
     # -- inspection ---------------------------------------------------------
 
@@ -722,26 +725,12 @@ class BiRational:
     __radd__ = __add__
     __rmul__ = __mul__
 
-    def over_factor(self, a: int, mu: int = 1) -> "BiRational":
-        """Divide by (q^a - t)^mu."""
-        return BiRational(self.num, self.unit,
-                          list(self.den) + [(a, mu)])
-
     def times_unit(self, dq: int, dt: int) -> "BiRational":
         """Multiply by the monomial q^dq * t^dt."""
+        if not self.num:
+            return self                 # zero keeps the unit (0, 0)
         return BiRational._from_reduced(
             self.num, (self.unit[0] - dq, self.unit[1] - dt), self.den)
-
-    def times_q_poly(self, p: LaurentPoly) -> "BiRational":
-        """Multiply by a Laurent polynomial in q alone, with no reduction:
-        q^a - t is irreducible and divides no nonzero polynomial in q, so
-        it divides the product only if it already divides num."""
-        if self.is_zero() or p.is_zero():
-            return BiRational.zero()
-        low = p.low_degree()
-        num = _b2_mul(self.num, {(e - low, 0): c for e, c in p._c.items()})
-        return BiRational._from_reduced(
-            num, (self.unit[0] - low, self.unit[1]), self.den)
 
     def __eq__(self, other):
         if isinstance(other, (int, LaurentPoly)):
@@ -766,8 +755,7 @@ class BiRational:
     def expanded_den(self) -> dict:
         out = {(0, 0): 1}
         for a, mu in self.den:
-            for _ in range(mu):
-                out = _b2_mul(out, _b2_factor(a))
+            out = _b2_mul(out, _b2_factor_power(a, mu))
         return out
 
     # -- substitutions ------------------------------------------------------
@@ -973,10 +961,6 @@ class MultiSeries:
                 if sum(v) <= bound and not c.is_zero():
                     clean[v] = c
         self.coeffs = clean
-
-    @classmethod
-    def zero(cls, nvars: int, bound: int, var: str = "L") -> "MultiSeries":
-        return cls(nvars, bound, {}, var)
 
     @classmethod
     def one(cls, nvars: int, bound: int, var: str = "L") -> "MultiSeries":

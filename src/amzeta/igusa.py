@@ -3,7 +3,7 @@
 Two independent computations are provided and must agree exactly:
 
   igusa_chain      dynamic programming over the lattice of flats that
-                   resums the chain formula, one reduction per flat
+                   resums the chain formula, reduced once at the end,
                      I = (q^m-1)/(q^m-t)
                        + pref * sum_{I != top} W(I) q^(rk I - m),
                    with W(top) = 1 and
@@ -67,28 +67,55 @@ def _check_pole_set(value: BiRational, lat: FlatLattice):
                 "candidate pole set")
 
 
-def igusa_chain(arrangement: Arrangement, lat: FlatLattice) -> IgusaZeta:
-    """Resummed chain formula via one pass over the lattice.
+def _add_into(out: dict, terms: dict, factor):
+    """out[x] += terms[x] * factor, where factor lists (exponent, coeff)."""
+    for x, poly in terms.items():
+        acc = out.setdefault(x, {})
+        for e, c in poly.items():
+            for f, d in factor:
+                acc[e + f] = acc.get(e + f, 0) + c * d
 
-    Each W(I) is one ``BiRational.sum`` over the terms W(J) chi_[I,J],
-    divided by (q^dI - t)/t in the same construction, so there is one
-    reduction per flat.  A term is W(J)'s numerator times chi_[I,J] over
-    W(J)'s unit and denominator, unreduced: q^a - t divides no nonzero
-    polynomial in q alone."""
+
+def _chain_sums(lat: FlatLattice):
+    """The chain sum over the proper flats in formal pole variables.
+
+    With v_a = t/(q^a - t) for each delta a of a proper flat, W(top) = 1 and
+    W(I) = v_dI * sum_{J > I} W(J) chi_[I,J](q).  W(I) is a dict from
+    exponent tuples x over the sorted deltas to integer q-polynomials, so
+    the pass is integer work.  Returns (deltas, sums) with
+    sum_{I != top} W(I) q^(rk I - m) = sum_x sums[x](q) prod v_a^x_a;
+    at t = q^m, v_a = 1/(q^(a-m) - 1), which is how ``b_mu`` reads it."""
+    m = lat.arrangement.m
+    proper = lat.proper_flats()
+    deltas = sorted({lat.delta(i) for i in proper})
+    W = {lat.top: {(0,) * len(deltas): {0: 1}}}
+    sums = {}
+    for i in reversed(proper):      # flat indices extend inclusion
+        # the W(J) that share one chi_[I,J] are added before the product
+        by_chi = {}
+        for j in lat.indices(lat.up[i] ^ (1 << i)):
+            chi = tuple(lat.char_poly_interval(i, j).items())
+            _add_into(by_chi.setdefault(chi, {}), W[j], ((0, 1),))
+        acc = {}
+        for chi, group in by_chi.items():
+            _add_into(acc, group, chi)
+        k = deltas.index(lat.delta(i))
+        W[i] = {x[:k] + (x[k] + 1,) + x[k + 1:]: p for x, p in acc.items()}
+        _add_into(sums, W[i], ((lat.ranks[i] - m, 1),))
+    return deltas, sums
+
+
+def igusa_chain(arrangement: Arrangement, lat: FlatLattice) -> IgusaZeta:
+    """Resummed chain formula via one pass over the lattice: the terms
+    sums[x](q) t^|x| / prod (q^a - t)^x_a of ``_chain_sums``, each already
+    reduced, are summed over one common denominator and reduced once."""
     _require_essential(arrangement)
     m = arrangement.m
-    order = sorted(range(len(lat.flats)),
-                   key=lambda i: -len(lat.flats[i]))
-    W = {lat.top: BiRational.one()}
-    for i in order:
-        if i == lat.top:
-            continue
-        W[i] = BiRational.sum(
-            (W[j].times_q_poly(lat.char_poly_interval(i, j))
-             for j in lat.indices(lat.up[i] ^ (1 << i))),
-            (0, -1), [(lat.delta(i), 1)])
-    total = BiRational.sum(W[i].times_unit(lat.ranks[i] - m, 0)
-                           for i in order if i != lat.top)
+    deltas, sums = _chain_sums(lat)
+    total = BiRational.sum(
+        BiRational({(e, 0): c for e, c in poly.items()}, (0, -sum(x)),
+                   zip(deltas, x))
+        for x, poly in sums.items())
     value = _leading_term(m) + _prefactor(m) * total
     _check_pole_set(value, lat)
     return IgusaZeta(arrangement, lat, value)

@@ -29,7 +29,7 @@ from fractions import Fraction
 
 from .arrangement import build_lattice, graphic_arrangement
 from .errors import BudgetExceededError, InvariantError, PreconditionError
-from .exact_algebra import LaurentPoly, RationalUni
+from .exact_algebra import LaurentPoly, RationalUni, _clear_cyclotomic
 from .quiver_varieties import Quiver
 
 
@@ -153,22 +153,10 @@ def a_gamma_limit(quiver: Quiver, budget: int = 10 ** 9) -> RationalUni:
         acc.append(val)
         for e, c in val.items():
             total[e] = total.get(e, 0) + c
-    # clear over prod (q^k - 1)^(top exponent of u_k)
-    tops = [max(e[i] for e in total) for i in range(b_top)]
-    powers = [[LaurentPoly("q", {i + 1: 1, 0: -1}) ** j
-               for j in range(top + 1)] for i, top in enumerate(tops)]
-    num = LaurentPoly.zero("q")
-    for e, c in total.items():
-        term = LaurentPoly.const("q", c)
-        for i, top in enumerate(tops):
-            term = term * powers[i][top - e[i]]
-        num = num + term
-    den = LaurentPoly.one("q")
-    for i, top in enumerate(tops):
-        den = den * powers[i][top]
     norm = RationalUni(LaurentPoly("q", {0: 1, -1: -1}),
                        LaurentPoly.one("q")) ** b_top
-    return norm * RationalUni(num, den)
+    return norm * _clear_cyclotomic({e: {0: c} for e, c in total.items()},
+                                    range(1, b_top + 1))
 
 
 # ---------------------------------------------------------------------------

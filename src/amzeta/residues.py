@@ -27,9 +27,10 @@ from .exact_algebra import (
     BiRational,
     LaurentPoly,
     RationalUni,
+    _clear_cyclotomic,
     palindromic_check,
 )
-from .igusa import IgusaZeta, level_sets
+from .igusa import IgusaZeta, _chain_sums, level_sets
 
 
 class ResidueData:
@@ -61,27 +62,15 @@ def _require_coloop_free(arrangement: Arrangement):
 
 def b_mu(arrangement: Arrangement, lat: FlatLattice) -> RationalUni:
     """Chain-sum value of the normalized limit, as a reduced degree-0
-    rational function of q."""
+    rational function of q: the sums of ``_chain_sums`` at t = q^m, plus
+    the top's 1, cleared over prod (q^(delta-m) - 1)^mu and reduced once."""
     _require_coloop_free(arrangement)
     m = arrangement.m
-    order = sorted(range(len(lat.flats)), key=lambda i: -len(lat.flats[i]))
-    one = RationalUni.one("q")
-    V = {lat.top: one}
-    for i in order:
-        if i == lat.top:
-            continue
-        acc = RationalUni.zero("q")
-        for j in lat.indices(lat.up[i] ^ (1 << i)):
-            acc = acc + V[j] * RationalUni.from_laurent(
-                lat.char_poly_interval(i, j))
-        d = lat.delta(i) - m
-        if d <= 0:
-            raise InvariantError("delta - m must be positive off the top")
-        V[i] = acc / RationalUni.from_laurent(LaurentPoly("q", {d: 1, 0: -1}))
-    total = RationalUni.zero("q")
-    for i in order:
-        total = total + V[i] * RationalUni.from_laurent(
-            LaurentPoly.monomial("q", lat.ranks[i] - m))
+    deltas, sums = _chain_sums(lat)
+    if deltas and deltas[0] <= m:
+        raise InvariantError("delta - m must be positive off the top")
+    sums[(0,) * len(deltas)] = {0: 1}
+    total = _clear_cyclotomic(sums, [a - m for a in deltas])
     if total.degree() != 0:
         raise InvariantError("normalized limit is not of degree 0")
     return total

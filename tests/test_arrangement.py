@@ -24,7 +24,12 @@ from amzeta.checks import (
 from amzeta.errors import PreconditionError
 from amzeta.exact_algebra import LaurentPoly
 from amzeta.hypertoric import hypertoric_class
-from amzeta.igusa import igusa_chain
+from amzeta.igusa import (
+    functional_equation_check,
+    igusa_chain,
+    igusa_recursion,
+    pole_report,
+)
 from amzeta.reference import (
     complete_quiver,
     cycle_quiver,
@@ -34,7 +39,7 @@ from amzeta.reference import (
     triangle,
     triangle_doubled,
 )
-from amzeta.residues import b_mu
+from amzeta.residues import b_mu, b_mu_via_residue, b_prime
 
 
 def flat_sets(lat):
@@ -327,6 +332,18 @@ def test_medium_tier_lattices():
         # Mobius recursion == chain count on every comparable pair, and
         # count_complement_Fq(p) == chi(p) above the largest |minor|
         lattice_invariants(arr, lat)
+
+
+def test_medium_tier_zeta():
+    for arr in medium_arrangements():
+        lat = build_lattice(arr)
+        zeta = igusa_chain(arr, lat)
+        oracle = igusa_recursion(arr, lat)
+        assert zeta.value == oracle.value
+        assert functional_equation_check(zeta)
+        assert b_mu(arr, lat) == b_mu_via_residue(oracle, arr.m)
+        b_prime(arr, lat)             # raises unless B' is palindromic
+        pole_report(zeta, arr, lat)   # raises on a violated order bound
 
 
 def test_zeta_and_class_never_enumerate_all_minors(monkeypatch):

@@ -104,6 +104,13 @@ def test_chain_equals_recursion_graphic_k5():
     assert igusa_chain(arr, lat).value == igusa_recursion(arr, lat).value
 
 
+def test_chain_equals_recursion_graphic_k6():
+    arr = graphic_arrangement(complete_quiver(6))
+    lat = build_lattice(arr)
+    assert arr.rank() == 5 and len(lat.flats) == 203
+    assert igusa_chain(arr, lat).value == igusa_recursion(arr, lat).value
+
+
 def test_chain_equals_recursion_random_rank4():
     rng = random.Random(4)
     while True:
@@ -133,7 +140,7 @@ def zeta_by_chain_enumeration(arr, lat):
     extend([lat.top])
     total = BiRational.zero()
     for chain in chains:
-        term = BiRational.monomial(lat.ranks[chain[-1]] - m, 0)
+        term = BiRational({(lat.ranks[chain[-1]] - m, 0): 1})
         for i in range(1, len(chain)):
             term = term * BiRational.from_q_poly(
                 lat.char_poly_interval(chain[i], chain[i - 1]))

@@ -25,6 +25,7 @@ from amzeta.reference import (
     single_edge_quiver,
     theta_quiver,
 )
+from amzeta.igusa import level_sets
 from amzeta.residues import b_mu
 
 
@@ -169,6 +170,40 @@ def test_lastone_on_fixtures():
     for quiver in [cycle_quiver(3), cycle_quiver(4), cycle3_doubled_quiver()]:
         report = check_lastone(quiver)
         assert report.equal
+
+
+def q_integer(a):
+    """[a]_q = (q^a - 1)/(q - 1)."""
+    return LaurentPoly("q", {e: 1 for e in range(a)})
+
+
+PHI5 = LaurentPoly("q", {4: 1, 3: 1, 2: 1, 1: 1, 0: 1})
+
+
+@pytest.mark.parametrize("quiver, ratio", [
+    (cycle_quiver(5), RationalUni.one("q")),
+    (cycle3_doubled_quiver(), RationalUni.one("q")),
+    (theta_quiver(), RationalUni.one("q")),
+    (complete_quiver(4), RationalUni.from_laurent(q_integer(2))),
+    (complete_quiver(5), RationalUni(PHI5 * PHI5,
+                                     LaurentPoly("q", {3: 1, 0: 1}))),
+], ids=["C5", "doubled-triangle", "theta", "K4", "K5"])
+def test_lastone_is_a_level_set_identity(quiver, ratio):
+    # with A = (q/(q-1))^m B_mu and m = V - 1, check_lastone's sides are
+    # q^m [b]_q^m B_mu and q^m prod_{eps != -m} [a_eps]_q^(l_eps+1) B_mu,
+    # a_eps = -eps - m: they agree exactly when the two products do
+    arr = graphic_arrangement(quiver)
+    m = arr.m
+    assert m == quiver.vertices - 1
+    graph = q_integer(betti(quiver, (1 << len(quiver.edges)) - 1)) ** m
+    levels = LaurentPoly.one("q")
+    for eps, lv in level_sets(build_lattice(arr)).items():
+        if eps != -m:
+            levels = levels * q_integer(-eps - m) ** (lv.length + 1)
+    report = check_lastone(quiver)
+    assert report.equal == (graph == levels)
+    assert RationalUni(levels, graph) == ratio
+    assert RationalUni.from_laurent(report.rhs) == report.lhs * ratio
 
 
 def test_lastone_five_cycle():

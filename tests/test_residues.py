@@ -18,6 +18,7 @@ from amzeta.reference import (
     bmu_six_normals,
     bmu_triangle,
     bmu_triangle_doubled,
+    complete_quiver,
     cycle_quiver,
     n_origins,
     six_normals_rank3,
@@ -53,11 +54,42 @@ def test_bmu_rejects_coloops():
         b_mu(arr, lat)
 
 
+def seeded_rank3():
+    """A seeded coloop-free rank-3 arrangement of 13 normals, 45-55 flats."""
+    rng = random.Random(20261018)
+    while True:
+        rows = [tuple(rng.randint(-2, 2) for _ in range(3))
+                for _ in range(13)]
+        arr = Arrangement([r for r in rows if any(r)])
+        if arr.rank() == 3 and structural_flags(arr)["coloop_free"]:
+            if 45 <= len(build_lattice(arr).flats) <= 55:
+                return arr
+
+
 def test_bmu_via_residue_matches():
-    for arr in [n_origins(2), n_origins(3), triangle(), triangle_doubled()]:
+    for arr in [n_origins(2), n_origins(3), triangle(), triangle_doubled(),
+                graphic_arrangement(complete_quiver(5)),
+                graphic_arrangement(complete_quiver(6)), seeded_rank3()]:
         lat = build_lattice(arr)
         zeta = igusa_chain(arr, lat)
         assert b_mu_via_residue(zeta, arr.m) == b_mu(arr, lat)
+
+
+def test_bmu_reduces_once(monkeypatch):
+    # the chain sums are cleared over one denominator; a reduced
+    # RationalUni per flat or per comparable pair (thousands on K5) would
+    # bring back the per-flat re-reduction
+    arr, lat = with_lattice(graphic_arrangement(complete_quiver(5)))
+    built = []
+    init = RationalUni.__init__
+
+    def counting(self, num, den):
+        built.append(den)
+        init(self, num, den)
+
+    monkeypatch.setattr(RationalUni, "__init__", counting)
+    b_mu(arr, lat)
+    assert len(built) <= 2
 
 
 def test_bmu_via_residue_doubled_edge_value():
