@@ -287,6 +287,18 @@ def _poly_div_exact(a: dict, b: dict):
 _CYCLOTOMIC = {}
 
 
+def _totient(d: int) -> int:
+    """Euler's phi(d) = deg Phi_d, by trial division."""
+    out, rest, f = d, d, 2
+    while f * f <= rest:
+        if rest % f == 0:
+            out -= out // f
+            while rest % f == 0:
+                rest //= f
+        f += 1
+    return out - out // rest if rest > 1 else out
+
+
 def _cyclotomic(d: int) -> dict:
     """Phi_d = (x^d - 1) / prod of Phi_e over proper divisors e of d,
     cached; callers must not mutate the result."""
@@ -323,8 +335,9 @@ class RationalUni:
         pd = {e - ld: c for e, c in den._c.items()}
         # pd = c * prod Phi_d^k: strip the factors Phi_1, Phi_2, ... from a
         # copy of pd and cancel each one that also divides pn.  A factor
-        # Phi_e of a degree-D rest has sqrt(e/2) <= phi(e) <= D, so once
-        # d > 2 D^2 no cyclotomic factor is left to find.
+        # Phi_e of a degree-D rest has sqrt(e/2) <= phi(e) <= D, so a d with
+        # phi(d) > D is skipped unbuilt, and once d > 2 D^2 no cyclotomic
+        # factor is left to find.
         rest = pd
         d = 0
         while max(rest):
@@ -333,6 +346,8 @@ class RationalUni:
                 raise UnsupportedDenominatorError(
                     f"denominator {den.to_str()} has a factor other than "
                     "an integer, a monomial and cyclotomic polynomials")
+            if _totient(d) > max(rest):
+                continue
             phi = _cyclotomic(d)
             cancel = True
             while True:

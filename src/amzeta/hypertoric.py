@@ -26,6 +26,7 @@ from .errors import (
     PreconditionError,
 )
 from .exact_algebra import LaurentPoly, exact_div
+from .padic_oracle import _meet_in_middle
 
 
 class HypertoricClass:
@@ -126,19 +127,5 @@ def count_moment_fiber(arrangement: Arrangement, lat: FlatLattice, p: int,
         return count
     if method != "convolution":
         raise PreconditionError(f"unknown method {method!r}")
-    # products v_i w_i are distributed as: 0 with weight 2p-1, each unit
-    # with weight p-1; convolve the weighted sums lambda_i a_i over F_p^m:
-    # n rows, each mapping at most p^m states through p values of lambda
-    if n * p ** (m + 1) > budget:
-        raise BudgetExceededError("convolution fiber count over budget")
-    rows = [tuple(x % p for x in r) for r in arrangement.normals]
-    states = {(0,) * m: 1}
-    for i in range(n):
-        nxt = {}
-        for state, ways in states.items():
-            for lam in range(p):
-                weight = (2 * p - 1) if lam == 0 else (p - 1)
-                new = tuple((s + lam * a) % p for s, a in zip(state, rows[i]))
-                nxt[new] = nxt.get(new, 0) + ways * weight
-        states = nxt
-    return states.get(xi, 0)
+    # v_i w_i takes 0 with weight 2p-1, each unit with weight p-1
+    return _meet_in_middle(arrangement.normals, p, 1, xi, budget)

@@ -63,31 +63,47 @@ def count_solutions_mod(arrangement: Arrangement, p: int, alpha: int,
     if method == "direct":
         if mod ** (2 * n) > budget:
             raise BudgetExceededError("direct congruence count over budget")
-        count = 0
-        for xy in itertools.product(range(mod), repeat=2 * n):
-            x, y = xy[:n], xy[n:]
-            if all(sum(x[i] * y[i] * arrangement.normals[i][k]
-                       for i in range(n)) % mod == 0 for k in range(m)):
-                count += 1
+        count = sum(all(sum(xy[i] * xy[n + i] * arrangement.normals[i][k]
+                            for i in range(n)) % mod == 0 for k in range(m))
+                    for xy in itertools.product(range(mod), repeat=2 * n))
         return OracleCount(arrangement, p, alpha, count)
     if method != "convolution":
         raise PreconditionError(f"unknown method {method!r}")
-    # n rows, each mapping at most mod^m states through mod values of lam
-    if n * mod ** (m + 1) > budget:
-        raise BudgetExceededError("convolution congruence count over budget")
-    table = product_count_table(p, alpha)
-    rows = [tuple(x % mod for x in r) for r in arrangement.normals]
+    return OracleCount(arrangement, p, alpha, _meet_in_middle(
+        arrangement.normals, p, alpha, (0,) * m, budget))
+
+
+def _row_sums(rows, table, mod, m):
+    """{s: sum of prod table[lam_i] over the lam with sum lam_i a_i = s}
+    over the states s in (Z/mod)^m, for the rows a_i."""
     states = {(0,) * m: 1}
-    for i in range(n):
+    for row in rows:
         nxt = {}
         for state, ways in states.items():
             for lam in range(mod):
-                w = table[lam]
-                new = tuple((s + lam * a) % mod
-                            for s, a in zip(state, rows[i]))
-                nxt[new] = nxt.get(new, 0) + ways * w
+                new = tuple((s + lam * a) % mod for s, a in zip(state, row))
+                nxt[new] = nxt.get(new, 0) + ways * table[lam]
         states = nxt
-    return OracleCount(arrangement, p, alpha, states.get((0,) * m, 0))
+    return states
+
+
+def _meet_in_middle(normals, p, alpha, target, budget):
+    """|{(x, y) in (Z/p^alpha)^2n : sum x_i y_i a_i = target}| as
+    sum_s F(s) G(target - s), with F, G the row sums of the two halves of
+    the normals.  Charged before any work: the p^(2 alpha) pairs of the
+    product table plus each half's (state, lam) steps, at most
+    mod^min(i, m) states entering its i-th row."""
+    mod, m, h = p ** alpha, len(target), (len(normals) + 1) // 2
+    halves = (normals[:h], normals[h:])
+    steps = mod * mod + sum(mod ** (min(i, m) + 1)
+                            for half in halves for i in range(len(half)))
+    if steps > budget:
+        raise BudgetExceededError(
+            f"convolution count charged {steps} steps, budget {budget}")
+    table = product_count_table(p, alpha)
+    f, g = sorted((_row_sums(half, table, mod, m) for half in halves), key=len)
+    return sum(w * g.get(tuple((t - s) % mod for t, s in zip(target, st)), 0)
+               for st, w in f.items())
 
 
 def depth_counts(arrangement: Arrangement, p: int, alpha_max: int,
@@ -117,12 +133,9 @@ class PoincareReport:
 def series_counts_from_zeta(zeta: IgusaZeta, p: int, alpha_max: int):
     """Normalized counts p_1..p_alpha_max recovered from the t-expansion."""
     coeffs = zeta.value.expand_in_t(p, max(alpha_max - 1, 0))
-    values = []
-    current = 1 - coeffs[0]
-    values.append(current)
+    values = [1 - coeffs[0]]
     for beta in range(1, alpha_max):
-        current = current - coeffs[beta]
-        values.append(current)
+        values.append(values[-1] - coeffs[beta])
     return values
 
 

@@ -30,6 +30,7 @@ from amzeta.igusa import (
     igusa_recursion,
     pole_report,
 )
+from amzeta.padic_oracle import poincare_check
 from amzeta.reference import (
     complete_quiver,
     cycle_quiver,
@@ -344,6 +345,15 @@ def test_medium_tier_zeta():
         assert b_mu(arr, lat) == b_mu_via_residue(oracle, arr.m)
         b_prime(arr, lat)             # raises unless B' is palindromic
         pole_report(zeta, arr, lat)   # raises on a violated order bound
+
+
+def test_medium_tier_oracle():
+    # the congruence counts at depth 1 against the t-expansion of the
+    # zeta function, at the first prime above the largest |minor|
+    for arr in medium_arrangements():
+        bound = structural_flags(arr, "max_abs_minor")["max_abs_minor"]
+        assert poincare_check(arr, build_lattice(arr), next_prime_above(bound),
+                              1).match
 
 
 def test_zeta_and_class_never_enumerate_all_minors(monkeypatch):

@@ -156,8 +156,9 @@ def test_oracle_subcommand(capsys, tmp_path):
 
 def test_oracle_triangle_counts_each_depth_once(capsys, triangle_file,
                                                monkeypatch):
-    # the convolution is charged its n * mod^(m+1) steps, so p = 5,
-    # alpha = 3 (about 6 * 10^6 steps) runs inside the default budget
+    # the convolution is charged its table pairs and the steps of both
+    # halves, so p = 5, alpha = 3 (31,500 steps) runs inside the default
+    # budget
     from fractions import Fraction
     from amzeta import padic_oracle
     from amzeta.igusa import IgusaZeta

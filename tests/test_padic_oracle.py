@@ -2,8 +2,9 @@ from fractions import Fraction
 
 import pytest
 
-from amzeta.arrangement import build_lattice
-from amzeta.errors import PreconditionError
+from amzeta import padic_oracle
+from amzeta.arrangement import build_lattice, graphic_arrangement
+from amzeta.errors import BudgetExceededError, PreconditionError
 from amzeta.padic_oracle import (
     count_solutions_mod,
     depth_counts,
@@ -13,7 +14,12 @@ from amzeta.padic_oracle import (
     series_counts_from_zeta,
 )
 from amzeta.igusa import igusa_chain
-from amzeta.reference import n_origins, triangle
+from amzeta.reference import (
+    complete_quiver,
+    n_origins,
+    six_normals_rank3,
+    triangle,
+)
 
 
 def with_lattice(arr):
@@ -56,6 +62,33 @@ def test_direct_equals_convolution_depth_one():
         assert direct == conv
 
 
+def test_direct_equals_convolution_depth_two():
+    # the halves meet at a nonzero state once alpha > 1
+    for arr, p in [(n_origins(2), 5), (triangle(), 3)]:
+        direct = count_solutions_mod(arr, p, 2, method="direct").count
+        assert count_solutions_mod(arr, p, 2).count == direct
+
+
+def test_budget_charges_table_and_both_halves():
+    # triangle at p = 5, alpha = 3 (mod 125, m = 2): the 125^2 pairs of the
+    # product table, 125 + 125^2 steps for the first two normals and 125
+    # for the third
+    arr = triangle()
+    assert count_solutions_mod(arr, 5, 3, budget=31500).count == 444765625
+    with pytest.raises(BudgetExceededError):
+        count_solutions_mod(arr, 5, 3, budget=31499)
+
+
+def test_table_is_charged_before_it_is_built(monkeypatch):
+    # one normal at p = 5, alpha = 6: 15625 (state, lam) steps but 5^12
+    # table pairs, so the default budget refuses before any tabulation
+    def refuse(p, alpha):
+        raise AssertionError("product table built past the budget")
+    monkeypatch.setattr(padic_oracle, "product_count_table", refuse)
+    with pytest.raises(BudgetExceededError):
+        count_solutions_mod(n_origins(1), 5, 6)
+
+
 def test_triangle_depth_one_value():
     # product structure: 9^3 + 4 * 4^3 over F_5
     arr, _ = with_lattice(triangle())
@@ -90,6 +123,16 @@ def test_poincare_two_origins():
 def test_poincare_triangle():
     arr, lat = with_lattice(triangle())
     assert poincare_check(arr, lat, 5, 2).match
+
+
+@pytest.mark.parametrize("arr, p, alpha", [
+    (graphic_arrangement(complete_quiver(4)), 5, 2),
+    (six_normals_rank3(), 5, 2),
+    (graphic_arrangement(complete_quiver(4)), 3, 3),
+    (triangle(), 5, 4),
+], ids=["K4-p5-a2", "six-p5-a2", "K4-p3-a3", "triangle-p5-a4"])
+def test_poincare_at_depth(arr, p, alpha):
+    assert poincare_check(arr, build_lattice(arr), p, alpha).match
 
 
 def test_poincare_random_arrangements():

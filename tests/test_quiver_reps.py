@@ -2,8 +2,9 @@ from fractions import Fraction
 
 import pytest
 
+from amzeta import exact_algebra
 from amzeta.arrangement import build_lattice, graphic_arrangement
-from amzeta.errors import PreconditionError
+from amzeta.errors import PreconditionError, UnsupportedDenominatorError
 from amzeta.exact_algebra import LaurentPoly, RationalUni
 from amzeta.quiver_reps import (
     a_gamma_alpha,
@@ -204,6 +205,20 @@ def test_lastone_is_a_level_set_identity(quiver, ratio):
     assert report.equal == (graph == levels)
     assert RationalUni(levels, graph) == ratio
     assert RationalUni.from_laurent(report.rhs) == report.lhs * ratio
+
+
+def test_non_cyclotomic_denominator_rejected_unbuilt(monkeypatch):
+    # rhs / lhs on K5 has a degree-32 denominator that is not a product
+    # of cyclotomic polynomials; a Phi_d of degree above 32 cannot divide
+    # it, so none may be built on the way to rejecting it
+    report = check_lastone(complete_quiver(5))
+    degree = report.lhs.num.degree() - report.lhs.num.low_degree()
+    assert degree == 32
+    built = {}
+    monkeypatch.setattr(exact_algebra, "_CYCLOTOMIC", built)
+    with pytest.raises(UnsupportedDenominatorError):
+        RationalUni.from_laurent(report.rhs) / report.lhs
+    assert built and all(max(phi) <= degree for phi in built.values())
 
 
 def test_lastone_five_cycle():
