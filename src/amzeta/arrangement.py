@@ -18,7 +18,12 @@ import itertools
 import math
 from operator import mul
 
-from .errors import BudgetExceededError, ParseError, PreconditionError
+from .errors import (
+    BudgetExceededError,
+    ParseError,
+    PreconditionError,
+    parse_int,
+)
 from .exact_algebra import LaurentPoly
 
 DEFAULT_FLAT_BUDGET = 10 ** 6
@@ -234,7 +239,8 @@ class Arrangement:
     @classmethod
     def from_json(cls, obj) -> "Arrangement":
         try:
-            return cls(obj["normals"])
+            return cls([[parse_int(x, "normal entry") for x in r]
+                        for r in obj["normals"]])
         except (KeyError, TypeError) as exc:
             raise ParseError(f"bad Arrangement JSON: {exc}") from exc
 

@@ -20,7 +20,7 @@ from .arrangement import (
     structural_flags,
 )
 from .checks import DEFAULT_SEED, SUITES, is_prime
-from .errors import AmzError, InvariantError, ParseError
+from .errors import AmzError, InvariantError, ParseError, parse_int
 from .hypertoric import e_polynomial, hypertoric_class
 from .igusa import (
     functional_equation_check,
@@ -95,6 +95,10 @@ def _parse_flat(text, n):
     return frozenset(i - 1 for i in indices)
 
 
+def _int_list(text, option):
+    return [parse_int(x, option) for x in text.split(",")]
+
+
 def _budget(args, kind: str = "states"):
     """Work budget: flats default 10^6, brute-force states default 10^9;
     AMZ_BUDGET overrides both, --budget overrides the states budget."""
@@ -158,14 +162,14 @@ def cmd_hypertoric(args):
 
 def cmd_nakajima(args):
     quiver = _quiver(args.input)
-    w = [int(x) for x in args.w.split(",")]
+    w = _int_list(args.w, "--w")
     gf = nakajima_gf(quiver, w, args.depth)
     _emit({"classes": {",".join(map(str, v)): cls.to_json()
                        for v, cls in gf.classes.items()}})
 
 
 def cmd_odr(args):
-    orders = [int(x) for x in args.orders.split(",")]
+    orders = _int_list(args.orders, "--orders")
     cls = odr_class(OdrInput(args.n, orders))
     _emit({"class": cls.value.to_json(),
            "dimension": cls.input.dimension(),

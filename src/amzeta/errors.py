@@ -18,6 +18,18 @@ class ParseError(AmzError):
     exit_code = 1
 
 
+def parse_int(value, what: str) -> int:
+    """An integer read from outside input: a JSON integer or a decimal
+    string.  Anything else, a float included, is a ParseError; nothing is
+    truncated."""
+    if isinstance(value, (int, str)) and not isinstance(value, bool):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise ParseError(f"{what}: {value!r} is not an integer")
+
+
 class PreconditionError(AmzError):
     """Input violates a documented precondition (non-essential arrangement,
     prime too small, non-generic parameter, ...)."""

@@ -1,6 +1,5 @@
 """Exact arithmetic foundation: Laurent polynomials, univariate rational
-functions, two-variable rational functions with factored denominators, and
-truncated multivariate power series.
+functions and two-variable rational functions with factored denominators.
 
 Representations
 ---------------
@@ -25,15 +24,11 @@ BiRational    value num(q,t) / (q^e1 * t^e2 * prod (q^a - t)^mu) where
               exponent 0 in both variables and no denominator factor
               divides num.
 
-MultiSeries   truncated power series in r variables with RationalUni
-              coefficients, all exponent vectors of total degree <= bound.
-
 Everything is immutable after construction and safe to share.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
 
@@ -937,100 +932,3 @@ class BiRational:
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"bad BiRational JSON: {exc}") from exc
 
-
-# ---------------------------------------------------------------------------
-# Truncated multivariate power series
-# ---------------------------------------------------------------------------
-
-def _exponents(nvars: int, bound: int):
-    """All exponent vectors with total degree <= bound, graded lexicographic."""
-    for total in range(bound + 1):
-        for cuts in itertools.combinations(range(total + nvars - 1), nvars - 1):
-            prev = -1
-            vec = []
-            for c in cuts:
-                vec.append(c - prev - 1)
-                prev = c
-            vec.append(total + nvars - 1 - prev - 1)
-            yield tuple(vec)
-
-
-class MultiSeries:
-    """Power series in nvars variables truncated at total degree bound,
-    with RationalUni coefficients."""
-
-    __slots__ = ("nvars", "bound", "var", "coeffs")
-
-    def __init__(self, nvars: int, bound: int, coeffs=None, var: str = "L"):
-        if nvars < 1:
-            raise PreconditionError("series needs at least one variable")
-        self.nvars = nvars
-        self.bound = bound
-        self.var = var
-        clean = {}
-        if coeffs:
-            for v, c in coeffs.items():
-                v = tuple(int(x) for x in v)
-                if len(v) != nvars or any(x < 0 for x in v):
-                    raise PreconditionError(f"bad exponent vector {v}")
-                if sum(v) <= bound and not c.is_zero():
-                    clean[v] = c
-        self.coeffs = clean
-
-    @classmethod
-    def one(cls, nvars: int, bound: int, var: str = "L") -> "MultiSeries":
-        return cls(nvars, bound, {(0,) * nvars: RationalUni.one(var)}, var)
-
-    def coeff(self, v) -> RationalUni:
-        return self.coeffs.get(tuple(v), RationalUni.zero(self.var))
-
-    def _check(self, other):
-        if (self.nvars, self.bound, self.var) != (other.nvars, other.bound,
-                                                  other.var):
-            raise PreconditionError("series shape mismatch")
-
-    def __mul__(self, other):
-        self._check(other)
-        c = {}
-        for v1, x1 in self.coeffs.items():
-            for v2, x2 in other.coeffs.items():
-                v = tuple(a + b for a, b in zip(v1, v2))
-                if sum(v) > self.bound:
-                    continue
-                c[v] = c.get(v, RationalUni.zero(self.var)) + x1 * x2
-        return MultiSeries(self.nvars, self.bound, c, self.var)
-
-    def __eq__(self, other):
-        return (isinstance(other, MultiSeries)
-                and (self.nvars, self.bound, self.var)
-                == (other.nvars, other.bound, other.var)
-                and self.coeffs == other.coeffs)
-
-    def __repr__(self):
-        inner = ", ".join(f"{v}: {c.to_str()}"
-                          for v, c in sorted(self.coeffs.items()))
-        return f"MultiSeries({{{inner}}})"
-
-
-def series_div(num: MultiSeries, den: MultiSeries) -> MultiSeries:
-    """Truncated quotient; den must have an invertible constant term."""
-    num._check(den)
-    origin = (0,) * num.nvars
-    c0 = den.coeff(origin)
-    if c0.is_zero():
-        raise PreconditionError("series division by zero constant term")
-    res = {}
-    for v in _exponents(num.nvars, num.bound):
-        acc = num.coeff(v)
-        for u, du in den.coeffs.items():
-            if u == origin:
-                continue
-            w = tuple(a - b for a, b in zip(v, u))
-            if any(x < 0 for x in w):
-                continue
-            rw = res.get(w)
-            if rw is not None:
-                acc = acc - du * rw
-        if not acc.is_zero():
-            res[v] = acc / c0
-    return MultiSeries(num.nvars, num.bound, res, num.var)

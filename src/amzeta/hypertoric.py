@@ -100,15 +100,16 @@ def find_generic_xi(arrangement: Arrangement, lat: FlatLattice, p: int):
 
 def count_moment_fiber(arrangement: Arrangement, lat: FlatLattice, p: int,
                        xi, budget: int = 10 ** 8,
-                       method: str = "auto") -> int:
-    """|{(v, w) in F_p^2n : sum v_i w_i a_i = xi}| for generic xi."""
+                       method: str = "convolution") -> int:
+    """|{(v, w) in F_p^2n : sum v_i w_i a_i = xi}| for generic xi.
+
+    ``method="direct"`` enumerates all p^2n pairs; it is kept only as the
+    reference the convolution is tested against."""
     require_prime_above_minors(arrangement, p)
     if not xi_is_generic(arrangement, lat, p, xi):
         raise PreconditionError(f"{tuple(xi)} is not generic mod {p}")
     n, m = arrangement.n, arrangement.m
     xi = tuple(x % p for x in xi)
-    if method == "auto":
-        method = "direct" if p ** (2 * n) <= 10 ** 6 else "convolution"
     if method == "direct":
         if p ** (2 * n) > budget:
             raise BudgetExceededError("direct fiber enumeration over budget")

@@ -11,10 +11,18 @@ internal error.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 
-from .errors import InvariantError, ParseError, PreconditionError
-from .exact_algebra import LaurentPoly, MultiSeries, RationalUni, series_div
+from .errors import (
+    InvariantError,
+    NotDivisibleError,
+    ParseError,
+    PreconditionError,
+    parse_int,
+)
+from .exact_algebra import LaurentPoly, exact_div
 
 
 # ---------------------------------------------------------------------------
@@ -82,7 +90,10 @@ class Quiver:
     @classmethod
     def from_json(cls, obj) -> "Quiver":
         try:
-            return cls(int(obj["vertices"]), obj["edges"])
+            return cls(parse_int(obj["vertices"], "vertex count"),
+                       [(parse_int(s, "edge source"),
+                         parse_int(t, "edge target"))
+                        for s, t in obj["edges"]])
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"bad Quiver JSON: {exc}") from exc
 
@@ -97,52 +108,62 @@ def dimension_pairing(quiver: Quiver, v, w) -> int:
 
 
 # ---------------------------------------------------------------------------
-# the partition sum
+# the partition sums, cleared by q-factorials
 # ---------------------------------------------------------------------------
 
-def hua_term(quiver: Quiver, w, blam) -> RationalUni:
-    """One multipartition summand: products of L^<.,.> over edges and
-    framings divided by the centralizer class of the multipartition."""
+@functools.lru_cache(maxsize=None)
+def q_factorial(n: int) -> LaurentPoly:
+    """P(n) = prod_{j=1..n} (1 - L^-j)."""
+    if n == 0:
+        return LaurentPoly.one("L")
+    return q_factorial(n - 1) * LaurentPoly("L", {0: 1, -n: -1})
+
+
+@functools.lru_cache(maxsize=None)
+def gaussian_binomial(n: int, k: int) -> LaurentPoly:
+    """[n, k] = P(n) / (P(k) P(n-k)), a polynomial in L^-1."""
+    return exact_div(q_factorial(n), q_factorial(k) * q_factorial(n - k))
+
+
+def hua_term(quiver: Quiver, w, blam) -> LaurentPoly:
+    """One multipartition summand times D_v: products of L^<.,.> over edges
+    and framings divided by the centralizer class of the multipartition,
+    whose factor prod_k P(m_k(lam)) divides P(|lam|)."""
     exp = 0
     for s, t in quiver.edges:
         exp += partition_inner(blam[s - 1], blam[t - 1])
-    for i, lam in enumerate(blam):
-        exp += partition_inner((1,) * w[i], lam)
-    num = LaurentPoly.monomial("L", exp)
+    num = LaurentPoly.one("L")
     den = LaurentPoly.one("L")
-    for lam in blam:
-        den = den * LaurentPoly.monomial("L", partition_inner(lam, lam))
+    for i, lam in enumerate(blam):
+        exp += partition_inner((1,) * w[i], lam) - partition_inner(lam, lam)
+        num = num * q_factorial(sum(lam))
         for mult in multiplicities(lam).values():
-            for j in range(1, mult + 1):
-                den = den * LaurentPoly("L", {0: 1, -j: -1})
-    return RationalUni(num, den)
+            den = den * q_factorial(mult)
+    return exact_div(num, den).shift(exp)
 
 
-def _vectors_of_total(nvars, total):
-    if nvars == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _vectors_of_total(nvars - 1, total - head):
-            yield (head,) + rest
+def _graded(nvars, bound):
+    """Dimension vectors of total degree <= bound, by total degree."""
+    return sorted((v for v in itertools.product(range(bound + 1),
+                                                repeat=nvars)
+                   if sum(v) <= bound), key=sum)
 
 
-def _partition_sum(quiver: Quiver, w, bound: int) -> MultiSeries:
-    nvars = quiver.vertices
+def _partition_sum(quiver: Quiver, w, bound: int) -> dict:
+    """{v: D_v * (T^v coefficient of Hua's sum)} for the nonzero ones."""
     coeffs = {}
-    for total in range(bound + 1):
-        for v in _vectors_of_total(nvars, total):
-            acc = RationalUni.zero("L")
-            pools = [list(partitions(x)) for x in v]
-            for blam in itertools.product(*pools):
-                acc = acc + hua_term(quiver, w, blam)
-            if not acc.is_zero():
-                coeffs[v] = acc
-    return MultiSeries(nvars, bound, coeffs)
+    for v in _graded(quiver.vertices, bound):
+        acc = LaurentPoly.zero("L")
+        for blam in itertools.product(*map(partitions, v)):
+            acc = acc + hua_term(quiver, w, blam)
+        if not acc.is_zero():
+            coeffs[v] = acc
+    return coeffs
 
 
 class NakajimaGF:
-    """Quotient series and the Laurent-polynomial classes extracted from it."""
+    """Quotient series {v: T^v coefficient} (nonzero ones) and the
+    Laurent-polynomial classes extracted from it."""
 
     __slots__ = ("quiver", "w", "bound", "series", "classes")
 
@@ -155,7 +176,12 @@ class NakajimaGF:
 
 
 def nakajima_gf(quiver: Quiver, w, bound: int) -> NakajimaGF:
-    """Build the quotient series and extract one class per coefficient."""
+    """Build the quotient series and extract one class per coefficient.
+
+    With N_v, Den_v the partition sums' coefficients and Q = N / Den, the
+    cleared Q~_v = D_v Q_v obey the integer recurrence
+    Q~_v = N~_v - sum_{0<u<=v} prod_i [v_i, u_i] Den~_u Q~_(v-u),
+    and Q_v = Q~_v / D_v must be exact."""
     w = tuple(int(x) for x in w)
     if len(w) != quiver.vertices:
         raise PreconditionError("framing vector length != vertex count")
@@ -165,17 +191,29 @@ def nakajima_gf(quiver: Quiver, w, bound: int) -> NakajimaGF:
         raise PreconditionError("truncation bound must be >= 0")
     num = _partition_sum(quiver, w, bound)
     den = _partition_sum(quiver, (0,) * quiver.vertices, bound)
-    series = series_div(num, den)
-    if not series.coeff((0,) * quiver.vertices).is_one():
-        raise InvariantError("series constant term is not 1")
-    classes = {}
-    for v in sorted(series.coeffs):
-        d = dimension_pairing(quiver, v, w)
-        cls = series.coeff(v) * RationalUni.from_laurent(
-            LaurentPoly.monomial("L", -d))
+    cleared, series = {}, {}
+    for v in _graded(quiver.vertices, bound):
+        acc = num.get(v, LaurentPoly.zero("L"))
+        for u, den_u in den.items():
+            if not any(u) or any(a > b for a, b in zip(u, v)):
+                continue
+            rest = cleared.get(tuple(b - a for a, b in zip(u, v)))
+            if rest is not None:
+                for a, b in zip(u, v):
+                    rest = rest * gaussian_binomial(b, a)
+                acc = acc - den_u * rest
+        if acc.is_zero():
+            continue
+        cleared[v] = acc
         try:
-            classes[v] = cls.as_laurent()
-        except InvariantError as exc:
+            # D_v = prod_i P(v_i) is the known denominator at T^v
+            series[v] = exact_div(acc, functools.reduce(
+                operator.mul, map(q_factorial, v)))
+        except NotDivisibleError as exc:
             raise InvariantError(
                 f"coefficient at {v} is not a Laurent polynomial") from exc
+    if not series.get((0,) * quiver.vertices, LaurentPoly.zero("L")).is_one():
+        raise InvariantError("series constant term is not 1")
+    classes = {v: series[v].shift(-dimension_pairing(quiver, v, w))
+               for v in sorted(series)}
     return NakajimaGF(quiver, w, bound, series, classes)

@@ -211,6 +211,35 @@ def test_exit_code_parse_error(capsys, tmp_path):
     assert code == 1 and "error" in err
 
 
+@pytest.mark.parametrize("normals", [[[1, "a"]], [[1.5, 0]]])
+def test_arrangement_json_entries_must_be_integers(capsys, tmp_path, normals):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"normals": normals}))
+    code, out, err = run(capsys, "chi", str(path))
+    assert code == 1 and out == "" and err.startswith("error:")
+
+
+@pytest.mark.parametrize("quiver", [{"vertices": 1.5, "edges": []},
+                                    {"vertices": 2, "edges": [[1, 2.7]]}])
+def test_quiver_json_entries_must_be_integers(capsys, tmp_path, quiver):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(quiver))
+    code, out, err = run(capsys, "nakajima", str(path), "--w", "1,0")
+    assert code == 1 and out == "" and err.startswith("error:")
+
+
+def test_nakajima_framing_must_be_integers(capsys, tmp_path):
+    path = tmp_path / "jordan.json"
+    path.write_text(json.dumps({"vertices": 1, "edges": [[1, 1]]}))
+    code, out, err = run(capsys, "nakajima", str(path), "--w", "a")
+    assert code == 1 and out == "" and err.startswith("error:")
+
+
+def test_odr_orders_must_be_integers(capsys):
+    code, out, err = run(capsys, "odr", "--n", "2", "--orders", "2,x")
+    assert code == 1 and out == "" and err.startswith("error:")
+
+
 def test_exit_code_precondition(capsys, tmp_path):
     path = tmp_path / "nonessential.json"
     path.write_text(json.dumps({"normals": [[1, 0]]}))

@@ -12,12 +12,10 @@ from amzeta.errors import (
 from amzeta.exact_algebra import (
     BiRational,
     LaurentPoly,
-    MultiSeries,
     RationalUni,
     _cyclotomic,
     exact_div,
     palindromic_check,
-    series_div,
 )
 
 
@@ -424,49 +422,3 @@ def test_birational_reduction_free_products():
         assert_canonical(-x)
         assert -x == x * BiRational.const(-1)
 
-
-# ---------------------------------------------------------------------------
-# truncated multivariate series
-# ---------------------------------------------------------------------------
-
-def const_series(nvars, bound, k):
-    return MultiSeries(nvars, bound,
-                       {(0,) * nvars: RationalUni.const("L", k)})
-
-
-def test_series_div_self():
-    rng = random.Random(13)
-    coeffs = {}
-    for v in [(0,), (1,), (2,), (3,)]:
-        coeffs[v] = RationalUni.const("L", rng.randint(1, 5))
-    f = MultiSeries(1, 3, coeffs)
-    assert series_div(f, f) == MultiSeries.one(1, 3)
-
-
-def test_series_div_geometric():
-    one = MultiSeries.one(1, 3)
-    den = MultiSeries(1, 3, {(0,): RationalUni.one("L"),
-                             (1,): RationalUni.const("L", -1)})
-    res = series_div(one, den)
-    assert all(res.coeff((k,)).is_one() for k in range(4))
-
-
-def test_series_mul_div_roundtrip():
-    rng = random.Random(17)
-    for _ in range(10):
-        a = MultiSeries(2, 3, {
-            v: RationalUni.const("L", rng.randint(-3, 3))
-            for v in [(0, 0), (1, 0), (0, 1), (1, 1), (2, 0)]})
-        b = MultiSeries(2, 3, {
-            v: RationalUni.const("L", rng.randint(-3, 3))
-            for v in [(0, 0), (1, 0), (0, 2)]})
-        if b.coeff((0, 0)).is_zero():
-            continue
-        assert series_div(a * b, b) == a
-
-
-def test_series_div_zero_constant_rejected():
-    one = MultiSeries.one(1, 2)
-    bad = MultiSeries(1, 2, {(1,): RationalUni.one("L")})
-    with pytest.raises(PreconditionError):
-        series_div(one, bad)

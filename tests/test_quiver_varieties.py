@@ -3,14 +3,16 @@ import random
 import pytest
 
 from amzeta.errors import InvariantError, ParseError, PreconditionError
-from amzeta.exact_algebra import LaurentPoly, RationalUni
+from amzeta.exact_algebra import LaurentPoly
 from amzeta.quiver_varieties import (
     Quiver,
     dimension_pairing,
+    gaussian_binomial,
     hua_term,
     nakajima_gf,
     partition_inner,
     partitions,
+    q_factorial,
 )
 from amzeta.reference import hilbert_series_coefficients, jordan_quiver
 
@@ -47,14 +49,25 @@ def test_quiver_validation():
     assert Quiver.from_json(q.to_json()) == q
 
 
+def test_q_factorial_and_gaussian_binomial():
+    assert q_factorial(0) == L({0: 1})
+    assert q_factorial(2) == L({0: 1, -1: -1, -2: -1, -3: 1})
+    assert gaussian_binomial(4, 2) == L({0: 1, -1: 1, -2: 2, -3: 1, -4: 1})
+    for n in range(6):
+        assert gaussian_binomial(n, 0) == gaussian_binomial(n, n) == L({0: 1})
+
+
 def test_hua_term_examples():
+    # summands cleared by D_v = P(|lam|), P(n) = prod_{j<=n} (1 - L^-j)
     jordan = jordan_quiver()
-    assert hua_term(jordan, (1,), ((),)) == RationalUni.one("L")
-    term = hua_term(jordan, (1,), ((1,),))
-    # L^2 / (L (1 - L^-1)) = L^2 / (L - 1)
-    assert term == RationalUni(L({2: 1}), L({1: 1, 0: -1}))
-    term0 = hua_term(jordan, (0,), ((1,),))
-    assert term0 == RationalUni(L({1: 1}), L({1: 1, 0: -1}))
+    assert hua_term(jordan, (1,), ((),)) == L({0: 1})
+    # L^2 / (L (1 - L^-1)) times P(1)
+    assert hua_term(jordan, (1,), ((1,),)) == L({1: 1})
+    assert hua_term(jordan, (0,), ((1,),)) == L({0: 1})
+    # lam = (1, 1): L^4 L^2 / (L^4 P(2)) times P(2)
+    assert hua_term(jordan, (1,), ((1, 1),)) == L({2: 1})
+    # lam = (2): L^2 L / (L^2 P(1)) times P(2) = L (1 - L^-2)
+    assert hua_term(jordan, (1,), ((2,),)) == L({1: 1, -1: -1})
 
 
 def test_dimension_pairing_jordan():
@@ -66,8 +79,7 @@ def test_dimension_pairing_jordan():
 def test_series_is_one_for_zero_framing():
     for quiver in [jordan_quiver(), Quiver(2, [(1, 2)])]:
         gf = nakajima_gf(quiver, (0,) * quiver.vertices, 3)
-        assert gf.series.coeff((0,) * quiver.vertices).is_one()
-        assert all(v == (0,) * quiver.vertices for v in gf.series.coeffs)
+        assert gf.series == {(0,) * quiver.vertices: L({0: 1})}
 
 
 def test_jordan_small_classes():
@@ -76,14 +88,13 @@ def test_jordan_small_classes():
     assert gf.classes[(2,)] == L({4: 1, 3: 1})
 
 
-def test_jordan_matches_product_expansion_through_degree_six():
-    bound = 6
+def test_jordan_matches_product_expansion_through_degree_twelve():
+    bound = 12
     gf = nakajima_gf(jordan_quiver(), (1,), bound)
     expected = hilbert_series_coefficients(bound)
     for n in range(bound + 1):
         # the product's T^n coefficient equals class * L^(-n)
-        got = gf.series.coeff((n,))
-        assert got == RationalUni.from_laurent(expected[n])
+        assert gf.series[(n,)] == expected[n]
         if n:
             assert gf.classes[(n,)] == expected[n] * L({n: 1})
 
@@ -95,6 +106,22 @@ def test_edgeless_vertex_classes():
     gf = nakajima_gf(quiver, (1,), 4)
     assert gf.classes[(1,)] == L({0: 1})
     assert all(v in ((0,), (1,)) for v in gf.classes)
+
+
+def test_multi_vertex_classes():
+    # A3 framed at its source vertex: every class is a point
+    gf = nakajima_gf(Quiver(3, [(1, 2), (2, 3)]), (1, 0, 0), 4)
+    assert gf.classes == {v: L({0: 1}) for v in
+                          [(0, 0, 0), (1, 0, 0), (1, 1, 0), (1, 1, 1)]}
+    # two vertices joined by a double edge, framed at both
+    gf = nakajima_gf(Quiver(2, [(1, 2), (1, 2)]), (1, 1), 4)
+    one = L({0: 1})
+    mid = L({4: 1, 3: 2, 2: 2})
+    assert gf.classes == {
+        (0, 0): one, (0, 1): one, (1, 0): one, (1, 3): one, (3, 1): one,
+        (1, 1): mid, (1, 2): mid, (2, 1): mid,
+        (2, 2): L({8: 1, 7: 2, 6: 5, 5: 6, 4: 4}),
+    }
 
 
 def test_all_extracted_classes_are_laurent():
