@@ -19,10 +19,11 @@ import math
 from operator import mul
 
 from .errors import (
-    BudgetExceededError,
     ParseError,
     PreconditionError,
+    charge,
     parse_int,
+    parse_list,
 )
 from .exact_algebra import LaurentPoly
 
@@ -218,9 +219,6 @@ class Arrangement:
     def rows(self, indices):
         return [self.normals[i] for i in sorted(indices)]
 
-    def rank_of(self, indices) -> int:
-        return bareiss_rank(self.rows(indices))
-
     def rank(self) -> int:
         return bareiss_rank(self.normals)
 
@@ -239,7 +237,8 @@ class Arrangement:
     @classmethod
     def from_json(cls, obj) -> "Arrangement":
         try:
-            return cls([[parse_int(x, "normal entry") for x in r]
+            return cls([[parse_int(x, "normal entry")
+                         for x in parse_list(r, "normal")]
                         for r in obj["normals"]])
         except (KeyError, TypeError) as exc:
             raise ParseError(f"bad Arrangement JSON: {exc}") from exc
@@ -442,9 +441,7 @@ def build_lattice(arrangement: Arrangement,
         for g in covers[f]:
             if g not in ranks:
                 ranks[g] = ranks[f] + 1
-                if len(ranks) > max_flats:
-                    raise BudgetExceededError(
-                        f"flat count exceeds budget {max_flats}")
+                charge("lattice of flats", len(ranks), max_flats)
                 queue.append(g)
     masks = sorted(ranks, key=lambda f: (f.bit_count(), _bits(f)))
     index = {f: i for i, f in enumerate(masks)}
@@ -530,8 +527,7 @@ def count_complement_Fq(arrangement: Arrangement, p: int,
     """
     require_prime_above_minors(arrangement, p)
     m = arrangement.m if arrangement.n else (ambient_m or 0)
-    if p ** m > budget:
-        raise BudgetExceededError(f"{p}^{m} points exceed budget {budget}")
+    charge(f"complement count over F_{p}^{m}", p ** m, budget)
     count = 0
     for v in itertools.product(range(p), repeat=m):
         if all(sum(a * x for a, x in zip(row, v)) % p
@@ -580,15 +576,14 @@ def deletion(arrangement: Arrangement, flat):
     return Arrangement([arrangement.normals[j] for j in idx]), idx
 
 
-def char_poly_of(arrangement: Arrangement, ambient_m=None,
-                 max_flats: int = DEFAULT_FLAT_BUDGET) -> LaurentPoly:
+def char_poly_of(arrangement: Arrangement, ambient_m=None) -> LaurentPoly:
     """Characteristic polynomial with an explicit ambient dimension (used
     for deletions, which live in the original space)."""
     if arrangement.n == 0:
         m = ambient_m if ambient_m is not None else 0
         return LaurentPoly.monomial("q", m)
     m = ambient_m if ambient_m is not None else arrangement.m
-    return build_lattice(arrangement, max_flats).char_poly().shift(
+    return build_lattice(arrangement).char_poly().shift(
         m - arrangement.m)
 
 

@@ -30,6 +30,14 @@ def parse_int(value, what: str) -> int:
     raise ParseError(f"{what}: {value!r} is not an integer")
 
 
+def parse_list(value, what: str) -> list:
+    """A list read from outside input: a JSON array.  A string is a
+    ParseError too, so "12" is never read as the entries 1 and 2."""
+    if isinstance(value, list):
+        return value
+    raise ParseError(f"{what}: {value!r} is not a list")
+
+
 class PreconditionError(AmzError):
     """Input violates a documented precondition (non-essential arrangement,
     prime too small, non-generic parameter, ...)."""
@@ -41,6 +49,13 @@ class BudgetExceededError(AmzError):
     """An enumeration would exceed the configured work budget."""
 
     exit_code = 3
+
+
+def charge(what: str, steps: int, budget: int):
+    """Refuse, before any work, an enumeration of more steps than budget."""
+    if steps > budget:
+        raise BudgetExceededError(
+            f"{what} needs {steps} steps, budget allows {budget}")
 
 
 class InvariantError(AmzError):

@@ -481,10 +481,12 @@ class RationalUni:
             raise ParseError(f"bad RationalUni JSON: {exc}") from exc
 
 
-def _clear_cyclotomic(sums: dict, ds) -> RationalUni:
+def _clear_cyclotomic(sums: dict, ds):
     """Sum over x of sums[x](q) * prod_k 1/(q^ds[k] - 1)^x[k], where sums
-    maps exponent tuples over ds to integer polynomial dicts {e: c}:
-    cleared over prod (q^d - 1)^(largest exponent of d), reduced once."""
+    maps exponent tuples over ds to integer polynomial dicts {e: c}, as an
+    unreduced pair (num, den) of Laurent polynomials in q with den =
+    prod (q^d - 1)^(largest exponent of d).  Each caller folds its own
+    known factors into the pair and builds one RationalUni from it."""
     tops = [max(x[k] for x in sums) for k in range(len(ds))]
     powers = [[LaurentPoly("q", {d: 1, 0: -1}) ** j for j in range(top + 1)]
               for d, top in zip(ds, tops)]
@@ -497,7 +499,7 @@ def _clear_cyclotomic(sums: dict, ds) -> RationalUni:
     den = LaurentPoly.one("q")
     for row in powers:
         den = den * row[-1]
-    return RationalUni(num, den)
+    return num, den
 
 
 # ---------------------------------------------------------------------------

@@ -20,10 +20,10 @@ from .arrangement import (
     structural_flags,
 )
 from .errors import (
-    BudgetExceededError,
     InvariantError,
     NotDivisibleError,
     PreconditionError,
+    charge,
 )
 from .exact_algebra import LaurentPoly, exact_div
 from .padic_oracle import _meet_in_middle
@@ -111,8 +111,7 @@ def count_moment_fiber(arrangement: Arrangement, lat: FlatLattice, p: int,
     n, m = arrangement.n, arrangement.m
     xi = tuple(x % p for x in xi)
     if method == "direct":
-        if p ** (2 * n) > budget:
-            raise BudgetExceededError("direct fiber enumeration over budget")
+        charge("direct fiber enumeration", p ** (2 * n), budget)
         count = 0
         rows = [tuple(x % p for x in r) for r in arrangement.normals]
         for vw in itertools.product(range(p), repeat=2 * n):

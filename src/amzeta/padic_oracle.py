@@ -23,7 +23,7 @@ from .arrangement import (
     require_prime_above_minors,
     structural_flags,
 )
-from .errors import BudgetExceededError, InvariantError, PreconditionError
+from .errors import InvariantError, PreconditionError, charge
 from .igusa import IgusaZeta, igusa_chain
 from .residues import b_mu
 
@@ -61,8 +61,7 @@ def count_solutions_mod(arrangement: Arrangement, p: int, alpha: int,
     n, m = arrangement.n, arrangement.m
     mod = p ** alpha
     if method == "direct":
-        if mod ** (2 * n) > budget:
-            raise BudgetExceededError("direct congruence count over budget")
+        charge("direct congruence count", mod ** (2 * n), budget)
         count = sum(all(sum(xy[i] * xy[n + i] * arrangement.normals[i][k]
                             for i in range(n)) % mod == 0 for k in range(m))
                     for xy in itertools.product(range(mod), repeat=2 * n))
@@ -97,9 +96,7 @@ def _meet_in_middle(normals, p, alpha, target, budget):
     halves = (normals[:h], normals[h:])
     steps = mod * mod + sum(mod ** (min(i, m) + 1)
                             for half in halves for i in range(len(half)))
-    if steps > budget:
-        raise BudgetExceededError(
-            f"convolution count charged {steps} steps, budget {budget}")
+    charge("convolution count", steps, budget)
     table = product_count_table(p, alpha)
     f, g = sorted((_row_sums(half, table, mod, m) for half in halves), key=len)
     return sum(w * g.get(tuple((t - s) % mod for t, s in zip(target, st)), 0)
@@ -120,14 +117,13 @@ def depth_counts(arrangement: Arrangement, p: int, alpha_max: int,
 # ---------------------------------------------------------------------------
 
 class PoincareReport:
-    __slots__ = ("p", "alpha_max", "counts", "series_values", "match")
+    __slots__ = ("p", "alpha_max", "counts", "series_values")
 
-    def __init__(self, p, alpha_max, counts, series_values, match):
+    def __init__(self, p, alpha_max, counts, series_values):
         self.p = p
         self.alpha_max = alpha_max
         self.counts = counts
         self.series_values = series_values
-        self.match = match
 
 
 def series_counts_from_zeta(zeta: IgusaZeta, p: int, alpha_max: int):
@@ -140,21 +136,19 @@ def series_counts_from_zeta(zeta: IgusaZeta, p: int, alpha_max: int):
 
 
 def poincare_check(arrangement: Arrangement, lat: FlatLattice, p: int,
-                   alpha_max: int, zeta: IgusaZeta = None,
-                   budget: int = 10 ** 8) -> PoincareReport:
+                   alpha_max: int, budget: int = 10 ** 8) -> PoincareReport:
     """Exact equality of the series coefficients with the brute-force
-    normalized counts, for every depth up to alpha_max."""
-    if zeta is None:
-        zeta = igusa_chain(arrangement, lat)
+    normalized counts, for every depth up to alpha_max; a mismatch
+    raises."""
+    zeta = igusa_chain(arrangement, lat)
     n = arrangement.n
     expected = series_counts_from_zeta(zeta, p, alpha_max)
     counts = depth_counts(arrangement, p, alpha_max, budget)
     got = [Fraction(c.count, p ** (2 * n * c.alpha)) for c in counts]
-    match = got == expected
-    if not match:
+    if got != expected:
         raise InvariantError(
             f"series/oracle mismatch at p={p}: {expected} vs {got}")
-    return PoincareReport(p, alpha_max, counts, expected, match)
+    return PoincareReport(p, alpha_max, counts, expected)
 
 
 class LimitProbe:

@@ -28,7 +28,7 @@ import itertools
 from fractions import Fraction
 
 from .arrangement import build_lattice, graphic_arrangement
-from .errors import BudgetExceededError, InvariantError, PreconditionError
+from .errors import InvariantError, PreconditionError, charge
 from .exact_algebra import LaurentPoly, RationalUni, _clear_cyclotomic
 from .quiver_varieties import Quiver
 
@@ -77,12 +77,6 @@ def is_two_edge_connected(quiver: Quiver) -> bool:
 # the finite-depth polynomial
 # ---------------------------------------------------------------------------
 
-def _charge(what: str, steps: int, budget: int):
-    if steps > budget:
-        raise BudgetExceededError(
-            f"{what} needs {steps} steps, budget allows {budget}")
-
-
 def a_gamma_alpha(quiver: Quiver, alpha: int,
                   budget: int = 10 ** 9) -> LaurentPoly:
     """Polynomial count of indecomposable classes at depth alpha.
@@ -95,7 +89,7 @@ def a_gamma_alpha(quiver: Quiver, alpha: int,
     if not is_connected(quiver):
         raise PreconditionError("graph must be connected")
     ne = len(quiver.edges)
-    _charge("depth polynomial", alpha * ne * 2 ** ne, budget)
+    charge("depth polynomial", alpha * ne * 2 ** ne, budget)
     masks = range(1 << ne)
     comps = [components(quiver, mask) for mask in masks]
     b = [comps[mask] - quiver.vertices + bin(mask).count("1")
@@ -133,7 +127,7 @@ def a_gamma_limit(quiver: Quiver, budget: int = 10 ** 9) -> RationalUni:
         raise PreconditionError(
             "graph has a bridge: the normalized limit diverges")
     ne = len(quiver.edges)
-    _charge("normalized limit", 3 ** ne, budget)
+    charge("normalized limit", 3 ** ne, budget)
     full = (1 << ne) - 1
     b_top = betti(quiver, full)
     one = (0,) * b_top
@@ -153,10 +147,11 @@ def a_gamma_limit(quiver: Quiver, budget: int = 10 ** 9) -> RationalUni:
         acc.append(val)
         for e, c in val.items():
             total[e] = total.get(e, 0) + c
-    norm = RationalUni(LaurentPoly("q", {0: 1, -1: -1}),
-                       LaurentPoly.one("q")) ** b_top
-    return norm * _clear_cyclotomic({e: {0: c} for e, c in total.items()},
-                                    range(1, b_top + 1))
+    num, den = _clear_cyclotomic({e: {0: c} for e, c in total.items()},
+                                 range(1, b_top + 1))
+    # the factor (1 - 1/q)^b = (q - 1)^b / q^b
+    return RationalUni(num * LaurentPoly("q", {1: 1, 0: -1}) ** b_top,
+                       den.shift(b_top))
 
 
 # ---------------------------------------------------------------------------
@@ -188,8 +183,7 @@ def brute_force_indec(quiver: Quiver, p: int, alpha: int,
         return _brute_force_raw(quiver, p, alpha, budget)
     if method != "grouped":
         raise PreconditionError(f"unknown method {method!r}")
-    if (alpha + 1) ** ne > budget:
-        raise BudgetExceededError("valuation pattern count over budget")
+    charge("valuation pattern enumeration", (alpha + 1) ** ne, budget)
     weights = _unit_weights(p, alpha)
     group_order = ((p - 1) * p ** (alpha - 1)) ** quiver.vertices
     total = 0
@@ -221,8 +215,8 @@ def _brute_force_raw(quiver: Quiver, p: int, alpha: int, budget: int) -> int:
     ne = len(quiver.edges)
     mod = p ** alpha
     units = [u for u in range(1, mod) if u % p]
-    if mod ** ne * len(units) ** quiver.vertices > budget:
-        raise BudgetExceededError("raw orbit enumeration over budget")
+    charge("raw orbit enumeration", mod ** ne * len(units) ** quiver.vertices,
+           budget)
     seen = set()
     classes = 0
     for rep in itertools.product(range(mod), repeat=ne):
@@ -265,10 +259,10 @@ def check_lastone(quiver: Quiver, budget: int = 10 ** 9) -> LastOneReport:
         raise PreconditionError("check requires a 2-edge-connected graph")
     limit = a_gamma_limit(quiver, budget)
     b_top = betti(quiver, (1 << len(quiver.edges)) - 1)
-    lhs = limit * RationalUni.from_laurent(
-        LaurentPoly("q", {b_top: 1, 0: -1})) ** (quiver.vertices - 1)
+    lhs = RationalUni(limit.num * LaurentPoly("q", {b_top: 1, 0: -1})
+                      ** (quiver.vertices - 1), limit.den)
     arr = graphic_arrangement(quiver)
     from .residues import b_prime
     rhs = b_prime(arr, build_lattice(arr)).b_prime
-    equal = lhs == RationalUni.from_laurent(rhs)
+    equal = lhs.den.is_one() and lhs.num == rhs
     return LastOneReport(quiver, lhs, rhs, equal)

@@ -21,6 +21,7 @@ from .errors import (
     ParseError,
     PreconditionError,
     parse_int,
+    parse_list,
 )
 from .exact_algebra import LaurentPoly, exact_div
 
@@ -90,10 +91,10 @@ class Quiver:
     @classmethod
     def from_json(cls, obj) -> "Quiver":
         try:
+            edges = [parse_list(e, "edge") for e in obj["edges"]]
             return cls(parse_int(obj["vertices"], "vertex count"),
                        [(parse_int(s, "edge source"),
-                         parse_int(t, "edge target"))
-                        for s, t in obj["edges"]])
+                         parse_int(t, "edge target")) for s, t in edges])
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"bad Quiver JSON: {exc}") from exc
 

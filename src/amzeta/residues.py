@@ -22,12 +22,13 @@ discrepancy flag is raised when they differ.
 from __future__ import annotations
 
 from .arrangement import Arrangement, FlatLattice, structural_flags
-from .errors import InvariantError, PreconditionError
+from .errors import InvariantError, NotDivisibleError, PreconditionError
 from .exact_algebra import (
     BiRational,
     LaurentPoly,
     RationalUni,
     _clear_cyclotomic,
+    exact_div,
     palindromic_check,
 )
 from .igusa import IgusaZeta, _chain_sums, level_sets
@@ -70,7 +71,7 @@ def b_mu(arrangement: Arrangement, lat: FlatLattice) -> RationalUni:
     if deltas and deltas[0] <= m:
         raise InvariantError("delta - m must be positive off the top")
     sums[(0,) * len(deltas)] = {0: 1}
-    total = _clear_cyclotomic(sums, [a - m for a in deltas])
+    total = RationalUni(*_clear_cyclotomic(sums, [a - m for a in deltas]))
     if total.degree() != 0:
         raise InvariantError("normalized limit is not of degree 0")
     return total
@@ -87,30 +88,28 @@ def b_mu_via_residue(zeta: IgusaZeta, m: int) -> RationalUni:
                            (zeta.value.unit[0], zeta.value.unit[1] + 1),
                            [(a, mu) for a, mu in zeta.value.den if a != m])
     value = cancelled.substitute_t_qpower(m)
-    scale = RationalUni(LaurentPoly.monomial("q", m),
-                        LaurentPoly("q", {m: 1, 0: -1}))
-    return scale * value
+    return RationalUni(value.num.shift(m),
+                       value.den * LaurentPoly("q", {m: 1, 0: -1}))
 
 
 def b_prime(arrangement: Arrangement, lat: FlatLattice) -> ResidueData:
-    _require_coloop_free(arrangement)
+    """num(B_mu) times the clearing factor, divided once, exactly, by
+    den(B_mu); a remainder means the factor does not clear B_mu."""
     m = arrangement.m
     base = b_mu(arrangement, lat)
-    levels = level_sets(lat)
-    value = base * RationalUni.from_laurent(LaurentPoly.monomial("q", m))
+    cleared = base.num.shift(m)
     declared_degree = m
-    for eps, lv in sorted(levels.items()):
+    for eps, lv in sorted(level_sets(lat).items()):
         if eps == -m:
             continue
         a = -eps - m
         # the q-integer [a]_q = (q^a - 1)/(q - 1) = 1 + q + ... + q^(a-1)
-        factor = RationalUni.from_laurent(
-            LaurentPoly("q", {e: 1 for e in range(a)}))
-        value = value * factor ** (lv.length + 1)
+        factor = LaurentPoly("q", {e: 1 for e in range(a)})
+        cleared = cleared * factor ** (lv.length + 1)
         declared_degree += a * (lv.length + 1)
     try:
-        poly = value.as_laurent()
-    except InvariantError as exc:
+        poly = exact_div(cleared, base.den)
+    except NotDivisibleError as exc:
         raise InvariantError(
             "expected denominator does not clear the normalized limit") from exc
     if not poly.is_polynomial():

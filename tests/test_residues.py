@@ -8,9 +8,11 @@ from amzeta.arrangement import (
     graphic_arrangement,
     structural_flags,
 )
-from amzeta.errors import PreconditionError
+from amzeta import residues
+from amzeta.errors import InvariantError, PreconditionError
 from amzeta.exact_algebra import LaurentPoly, RationalUni
-from amzeta.igusa import igusa_chain
+from amzeta.igusa import igusa_chain, level_sets
+from amzeta.quiver_reps import a_gamma_limit, check_lastone
 from amzeta.reference import (
     EULERIAN,
     SIX_NORMALS_BPRIME,
@@ -92,6 +94,31 @@ def test_bmu_reduces_once(monkeypatch):
     assert len(built) <= 2
 
 
+def test_each_univariate_result_is_reduced_once(monkeypatch):
+    # B' is one exact division of integer polynomials and the quiver limit
+    # and the bridge fold their known factors into one construction each,
+    # so these counts are the reductions that are left
+    k5, lat5 = with_lattice(graphic_arrangement(complete_quiver(5)))
+    zeta5 = igusa_chain(k5, lat5)
+    built = []
+    init = RationalUni.__init__
+
+    def counting(self, num, den):
+        built.append(den)
+        init(self, num, den)
+
+    monkeypatch.setattr(RationalUni, "__init__", counting)
+    for call, expected in [
+            (lambda: b_prime(k5, lat5), 1),
+            (lambda: a_gamma_limit(cycle_quiver(5)), 1),
+            (lambda: a_gamma_limit(complete_quiver(4)), 1),
+            (lambda: check_lastone(complete_quiver(4)), 3),
+            (lambda: b_mu_via_residue(zeta5, k5.m), 2)]:
+        built.clear()
+        call()
+        assert len(built) == expected
+
+
 def test_bmu_via_residue_doubled_edge_value():
     arr, lat = with_lattice(triangle_doubled())
     zeta = igusa_chain(arr, lat)
@@ -147,6 +174,24 @@ def test_bprime_origin_family():
         data = b_prime(arr, lat)
         assert data.palindromic
         assert data.b_mu == bmu_n_origins(n)
+
+
+@pytest.mark.parametrize("arr", [six_normals_rank3(),
+                                 graphic_arrangement(complete_quiver(4))],
+                         ids=["six", "K4"])
+def test_bprime_refuses_a_factor_that_does_not_clear(monkeypatch, arr):
+    # one power of each q-integer too few leaves a remainder in the
+    # exact division by den(B_mu)
+    def shorter(lat):
+        levels = level_sets(lat)
+        for lv in levels.values():
+            lv.length -= 1
+        return levels
+
+    monkeypatch.setattr(residues, "level_sets", shorter)
+    with pytest.raises(InvariantError,
+                       match="expected denominator does not clear"):
+        b_prime(arr, build_lattice(arr))
 
 
 def random_coloop_free(rng):
