@@ -6,8 +6,9 @@ Two independent computations are provided and must agree exactly:
                    resums the chain formula, reduced once at the end,
                      I = (q^m-1)/(q^m-t)
                        + pref * sum_{I != top} W(I) q^(rk I - m),
-                   with W(top) = 1 and
-                     W(I) = sum_{J > I} W(J) chi_[I,J](q) * t/(q^dI - t).
+                   with W(top) = 1, S(top) = 0 and, free of any chi or mu,
+                     W(I) = t/(q^dI - t) * S(I),
+                     S(I) = sum_{J > I} [W(J) q^(rk J - rk I) - W(J) - S(J)].
 
   igusa_recursion  a recursion over localizations: each proper flat I
                    contributes through the zeta data of the arrangement
@@ -67,41 +68,40 @@ def _check_pole_set(value: BiRational, lat: FlatLattice):
                 "candidate pole set")
 
 
-def _add_into(out: dict, terms: dict, factor):
-    """out[x] += terms[x] * factor, where factor lists (exponent, coeff)."""
+def _add_into(out: dict, terms: dict, shift=0, sign=1):
+    """out[x] += sign * q^shift * terms[x] for every key x of terms."""
     for x, poly in terms.items():
         acc = out.setdefault(x, {})
         for e, c in poly.items():
-            for f, d in factor:
-                acc[e + f] = acc.get(e + f, 0) + c * d
+            acc[e + shift] = acc.get(e + shift, 0) + sign * c
 
 
 def _chain_sums(lat: FlatLattice):
     """The chain sum over the proper flats in formal pole variables.
 
-    With v_a = t/(q^a - t) for each delta a of a proper flat, W(top) = 1 and
-    W(I) = v_dI * sum_{J > I} W(J) chi_[I,J](q).  W(I) is a dict from
-    exponent tuples x over the sorted deltas to integer q-polynomials, so
-    the pass is integer work.  Returns (deltas, sums) with
+    With v_a = t/(q^a - t) for each delta a of a proper flat, the chain
+    recurrence W(I) = v_dI * sum_{J > I} W(J) chi_[I,J](q) becomes, after
+    writing chi_[I,J] = sum_{I<=K<=J} mu(I,K) q^(rk J - rk K) and swapping
+    the sums, W(I) = v_dI * S(I) with the recurrence of the module
+    docstring, which reads no chi and no mu.  S(I) maps exponent tuples x
+    over the sorted deltas to integer q-polynomials; W(I) is S(I) re-keyed
+    (x_dI + 1) over the same polynomial dicts.  Returns (deltas, sums) with
     sum_{I != top} W(I) q^(rk I - m) = sum_x sums[x](q) prod v_a^x_a;
     at t = q^m, v_a = 1/(q^(a-m) - 1), which is how ``b_mu`` reads it."""
     m = lat.arrangement.m
     proper = lat.proper_flats()
     deltas = sorted({lat.delta(i) for i in proper})
-    W = {lat.top: {(0,) * len(deltas): {0: 1}}}
+    S, W = {lat.top: {}}, {lat.top: {(0,) * len(deltas): {0: 1}}}
     sums = {}
     for i in reversed(proper):      # flat indices extend inclusion
-        # the W(J) that share one chi_[I,J] are added before the product
-        by_chi = {}
+        acc = S[i] = {}
         for j in lat.indices(lat.up[i] ^ (1 << i)):
-            chi = tuple(lat.char_poly_interval(i, j).items())
-            _add_into(by_chi.setdefault(chi, {}), W[j], ((0, 1),))
-        acc = {}
-        for chi, group in by_chi.items():
-            _add_into(acc, group, chi)
+            _add_into(acc, W[j], lat.ranks[j] - lat.ranks[i])
+            _add_into(acc, W[j], sign=-1)
+            _add_into(acc, S[j], sign=-1)
         k = deltas.index(lat.delta(i))
         W[i] = {x[:k] + (x[k] + 1,) + x[k + 1:]: p for x, p in acc.items()}
-        _add_into(sums, W[i], ((lat.ranks[i] - m, 1),))
+        _add_into(sums, W[i], lat.ranks[i] - m)
     return deltas, sums
 
 

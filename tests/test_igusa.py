@@ -156,6 +156,8 @@ def test_dp_equals_literal_chain_sum():
     rng = random.Random(777)
     arrangements = [triangle(), n_origins(3)]
     arrangements += [random_essential(rng) for _ in range(5)]
+    # rank 4 and 52 flats: the resummed DP against every chain literally
+    arrangements.append(graphic_arrangement(complete_quiver(5)))
     for arr in arrangements:
         lat = build_lattice(arr)
         assert igusa_chain(arr, lat).value == zeta_by_chain_enumeration(

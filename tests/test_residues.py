@@ -1,9 +1,12 @@
+import hashlib
+import json
 import random
 
 import pytest
 
 from amzeta.arrangement import (
     Arrangement,
+    FlatLattice,
     build_lattice,
     graphic_arrangement,
     structural_flags,
@@ -11,7 +14,7 @@ from amzeta.arrangement import (
 from amzeta import residues
 from amzeta.errors import InvariantError, PreconditionError
 from amzeta.exact_algebra import LaurentPoly, RationalUni
-from amzeta.igusa import igusa_chain, level_sets
+from amzeta.igusa import igusa_chain, igusa_recursion, level_sets
 from amzeta.quiver_reps import a_gamma_limit, check_lastone
 from amzeta.reference import (
     EULERIAN,
@@ -218,3 +221,55 @@ def test_bprime_random_palindromic():
         if not data.positive_coeffs:
             violations += 1        # conjectural, tracked not asserted
     assert violations == 0, "positivity conjecture violated on suite"
+
+
+# ---------------------------------------------------------------------------
+# the chain sums behind igusa_chain, b_mu and b_prime
+# ---------------------------------------------------------------------------
+
+K5_BPRIME = LaurentPoly("q", dict(enumerate([
+    1, 6, 21, 60, 145, 324, 672, 1197, 1913, 2825, 3874, 4991, 6042, 6868,
+    7301, 7301, 6868, 6042, 4991, 3874, 2825, 1913, 1197, 672, 324, 145, 60,
+    21, 6, 1])))
+
+
+@pytest.mark.parametrize("arr, bprime", [
+    (graphic_arrangement(complete_quiver(5)), K5_BPRIME),
+    (six_normals_rank3(), SIX_NORMALS_BPRIME)], ids=["K5", "six"])
+def test_chain_route_reads_no_interval_chi_or_mobius_row(monkeypatch, arr,
+                                                         bprime):
+    # the references come from the localization recursion, which reads
+    # interval characteristic polynomials, before those are switched off
+    zeta = igusa_recursion(arr, build_lattice(arr))
+
+    def refuse(*args):
+        raise AssertionError("the chain route read an interval chi or a "
+                             "Mobius row")
+
+    monkeypatch.setattr(FlatLattice, "char_poly_interval", refuse)
+    monkeypatch.setattr(FlatLattice, "_mobius_row", refuse)
+    lat = build_lattice(arr)
+    assert igusa_chain(arr, lat).value == zeta.value
+    assert b_mu(arr, lat) == b_mu_via_residue(zeta, arr.m)
+    assert b_prime(arr, lat).b_prime == bprime
+
+
+def test_k7_chain_route_regression_pin():
+    # K7 (877 flats) is past the recursion oracle's reach in tier-1 time
+    # (about 8 s), so its values are pinned as the interval-chi form of the
+    # chain sums computed them: 16 hex digits of the sha256 of the sorted
+    # JSON, and the degree and leading coefficients of B'
+    arr = graphic_arrangement(complete_quiver(7))
+    lat = build_lattice(arr)
+
+    def digest(value):
+        text = json.dumps(value.to_json(), sort_keys=True)
+        return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+    assert digest(igusa_chain(arr, lat).value) == "1d83506e638b90c0"
+    data = b_prime(arr, lat)
+    assert digest(data.b_mu) == "24ddce2147880e01"
+    coeffs = [c for _, c in sorted(data.b_prime.items())]
+    assert data.degree == 165 and len(coeffs) == 166
+    assert coeffs == coeffs[::-1]
+    assert coeffs[:6] == [1, 14, 105, 560, 2380, 8574]
