@@ -9,7 +9,10 @@ that drive the zeta-function modules.
 
 Ranks and determinants are fraction-free integer eliminations (Bareiss)
 and flats come from integer kernel bases, so the lattice is exact for
-arbitrary integer entries.
+arbitrary integer entries.  Sub-arrangements come from the same kernels:
+a localization pairs the flat's normals with an integer basis of their
+span (the kernel of the flat's kernel), a restriction pairs the normals
+outside the flat with the flat's kernel.
 """
 
 from __future__ import annotations
@@ -106,60 +109,6 @@ def int_kernel_basis(rows, m: int):
         if nz:
             del basis[nz[0]]
     return basis
-
-
-def row_lattice_basis(rows):
-    """Echelon basis of the Z-lattice generated by integer rows."""
-    work = [list(r) for r in rows if any(r)]
-    if not work:
-        return []
-    ncols = len(work[0])
-    basis = []
-    col = 0
-    while work and col < ncols:
-        cand = [r for r in work if r[col]]
-        if not cand:
-            col += 1
-            continue
-        rest = [r for r in work if not r[col]]
-        while len(cand) > 1:
-            cand.sort(key=lambda r: abs(r[col]))
-            piv = cand[0]
-            new_cand = [piv]
-            for r in cand[1:]:
-                k = r[col] // piv[col]
-                red = [x - k * y for x, y in zip(r, piv)]
-                if red[col]:
-                    new_cand.append(red)
-                elif any(red):
-                    rest.append(red)
-            cand = new_cand
-        piv = cand[0]
-        if piv[col] < 0:
-            piv = [-x for x in piv]
-        basis.append(piv)
-        work = rest
-        col += 1
-    return basis
-
-
-def coords_in_basis(vec, basis):
-    """Integer coordinates of vec in an echelon lattice basis.
-
-    Requires vec to lie in the lattice spanned by the basis rows.
-    """
-    coords = []
-    rem = list(vec)
-    for b in basis:
-        piv = next(j for j, x in enumerate(b) if x)
-        c, r = divmod(rem[piv], b[piv])
-        if r:
-            raise PreconditionError("vector not in the row lattice")
-        coords.append(c)
-        rem = [x - c * y for x, y in zip(rem, b)]
-    if any(rem):
-        raise PreconditionError("vector not in the row lattice")
-    return coords
 
 
 def rank_mod_p(rows, p: int) -> int:
@@ -519,14 +468,10 @@ def require_prime_above_minors(arrangement: Arrangement, p: int):
 
 
 def count_complement_Fq(arrangement: Arrangement, p: int,
-                        budget: int = 10 ** 7, ambient_m=None) -> int:
-    """Points of F_p^m lying on none of the hyperplanes (brute force).
-
-    ambient_m supplies the dimension for the empty arrangement, which
-    carries no width of its own.
-    """
+                        budget: int = 10 ** 7) -> int:
+    """Points of F_p^m lying on none of the hyperplanes (brute force)."""
     require_prime_above_minors(arrangement, p)
-    m = arrangement.m if arrangement.n else (ambient_m or 0)
+    m = arrangement.m
     charge(f"complement count over F_{p}^{m}", p ** m, budget)
     count = 0
     for v in itertools.product(range(p), repeat=m):
@@ -541,15 +486,16 @@ def count_complement_Fq(arrangement: Arrangement, p: int,
 # ---------------------------------------------------------------------------
 
 def localization(arrangement: Arrangement, flat):
-    """Arrangement of the hyperplanes in the flat, rewritten in an integer
-    basis of their span.  Returns (sub_arrangement, index_list)."""
+    """Arrangement of the hyperplanes in the flat, written in rank F
+    coordinates: their normals paired against an integer basis of their
+    span, the kernel of the flat's own kernel basis.
+    Returns (sub_arrangement, index_list)."""
     idx = sorted(flat)
     rows = [arrangement.normals[i] for i in idx]
-    if not rows:
-        return Arrangement(()), []
-    basis = row_lattice_basis(rows)
-    new_rows = [coords_in_basis(r, basis) for r in rows]
-    return Arrangement(new_rows), idx
+    span = int_kernel_basis(int_kernel_basis(rows, arrangement.m),
+                            arrangement.m)
+    return Arrangement([tuple(sum(map(mul, r, b)) for b in span)
+                        for r in rows]), idx
 
 
 def restriction(arrangement: Arrangement, flat):
@@ -597,23 +543,15 @@ def graphic_arrangement(quiver) -> Arrangement:
     k = quiver.vertices
     if k < 2:
         raise PreconditionError("graphic arrangement needs >= 2 vertices")
-    parent = list(range(k))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     rows = []
     for s, t in quiver.edges:
         if s == t:
             raise PreconditionError("loops give zero normals; rejected")
-        parent[find(s - 1)] = find(t - 1)
         row = [0] * k
         row[s - 1] += 1
         row[t - 1] -= 1
         rows.append(tuple(row[:-1]))
-    if len({find(v) for v in range(k)}) != 1:
+    # the normals of a graph on k vertices span rank k - c, c = components
+    if bareiss_rank(rows) != k - 1:
         raise PreconditionError("graph must be connected")
     return Arrangement(rows)

@@ -175,17 +175,11 @@ class LaurentPoly:
         """Multiply by var**k."""
         return LaurentPoly(self.var, {e + k: c for e, c in self._c.items()})
 
-    def reverse(self) -> "LaurentPoly":
-        """Substitute var -> var**(-1)."""
-        return LaurentPoly(self.var, {-e: c for e, c in self._c.items()})
-
     def rename(self, var: str) -> "LaurentPoly":
         return LaurentPoly(var, self._c)
 
     def evaluate(self, x) -> Fraction:
         x = Fraction(x)
-        if not self._c and x == 0:
-            return Fraction(0)
         total = Fraction(0)
         for e, c in self._c.items():
             total += c * x ** e
@@ -376,10 +370,6 @@ class RationalUni:
         return cls.from_laurent(LaurentPoly.const(var, c))
 
     @classmethod
-    def zero(cls, var: str) -> "RationalUni":
-        return cls.const(var, 0)
-
-    @classmethod
     def one(cls, var: str) -> "RationalUni":
         return cls.const(var, 1)
 
@@ -519,17 +509,6 @@ def _b2_mul(a: dict, b: dict) -> dict:
     return out
 
 
-def _b2_add(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for k, c in b.items():
-        v = out.get(k, 0) + c
-        if v:
-            out[k] = v
-        else:
-            out.pop(k, None)
-    return out
-
-
 _FACTOR_POWERS = {}
 
 
@@ -548,42 +527,31 @@ def _b2_factor_power(a: int, k: int) -> dict:
 def _b2_div_factor(num: dict, a: int):
     """Exact quotient num / (q^a - t), or None.
 
-    Treating num as a polynomial in t with Laurent-q coefficients, divide
-    synthetically by (t - q^a) and negate; exact iff num vanishes at t = q^a.
-    Laurent input is handled by shifting the t-window and shifting back.
+    num is a polynomial in q and t with minimal t-exponent 0, as the
+    constructor leaves it.  Synthetic division by t - q^a from the top
+    t-degree down carries one q-polynomial {e: c}; the quotient is the
+    negated carry, exact iff the carry past t^0 vanishes.
     """
-    if not num:
-        return {}
-    mt = min(f for (_, f) in num)
-    if mt:
-        quot = _b2_div_factor({(e, f - mt): c for (e, f), c in num.items()},
-                              a)
-        if quot is None:
-            return None
-        return {(e, f + mt): c for (e, f), c in quot.items()}
     by_t = {}
     for (eq, et), c in num.items():
         by_t.setdefault(et, {})[eq] = c
     d = max(by_t)
     if d == 0:
         return None
-    h = {}                      # coefficients of the synthetic quotient
-    carry = {}
-    for j in range(d, 0, -1):
-        c_j = by_t.get(j, {})
-        carry = _b2_add({(e, 0): c for e, c in c_j.items()},
-                        {(e + a, f): c for (e, f), c in carry.items()})
-        h[j - 1] = carry
-    c0 = by_t.get(0, {})
-    rem = _b2_add({(e, 0): c for e, c in c0.items()},
-                  {(e + a, f): c for (e, f), c in carry.items()})
-    if rem:
-        return None
     out = {}
-    for j, cj in h.items():
-        for (eq, _), c in cj.items():
-            out[(eq, j)] = -c
-    return out
+    carry = {}
+    for j in range(d, -1, -1):
+        row = by_t.get(j, {})
+        for e, c in carry.items():
+            v = row.get(e + a, 0) + c
+            if v:
+                row[e + a] = v
+            else:
+                row.pop(e + a, None)
+        carry = row
+        if j:
+            out.update(((e, j - 1), -c) for e, c in row.items())
+    return None if carry else out
 
 
 class BiRational:
@@ -834,8 +802,6 @@ class BiRational:
         series = [scale * v for v in series]
         for a, mu in self.den:
             base = q0 ** a
-            if base == 0:
-                raise PreconditionError("denominator factor vanishes")
             geom = [Fraction(1, base ** (k + 1)) for k in range(order + 1)]
             for _ in range(mu):
                 out = [Fraction(0)] * (order + 1)

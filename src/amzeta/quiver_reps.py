@@ -255,8 +255,6 @@ def check_lastone(quiver: Quiver, budget: int = 10 ** 9) -> LastOneReport:
     """Compare (q^b - 1)^(V-1) * A(q) with the numerator polynomial of the
     graphic arrangement.  A mismatch is reported, never raised: the
     equality is conjectural."""
-    if not is_two_edge_connected(quiver):
-        raise PreconditionError("check requires a 2-edge-connected graph")
     limit = a_gamma_limit(quiver, budget)
     b_top = betti(quiver, (1 << len(quiver.edges)) - 1)
     lhs = RationalUni(limit.num * LaurentPoly("q", {b_top: 1, 0: -1})

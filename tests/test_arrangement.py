@@ -156,7 +156,6 @@ def test_flags_coloops():
 def test_count_complement_examples():
     assert count_complement_Fq(triangle(), 5) == 12
     assert count_complement_Fq(n_origins(4), 7) == 6
-    assert count_complement_Fq(Arrangement(()), 3, ambient_m=2) == 9
 
 
 def test_count_complement_prime_guard():
@@ -201,7 +200,15 @@ def test_graphic_rejects_loops_and_disconnected():
 # ---------------------------------------------------------------------------
 
 def test_localization_restriction_lattices():
-    arr = six_normals_rank3()
+    # rank 3, then K5 (rank 4, 52 flats) and a seeded rank 4-5 draw with
+    # at least 50 flats
+    for arr in [six_normals_rank3(),
+                graphic_arrangement(complete_quiver(5)),
+                medium_arrangements(1)[0]]:
+        localizations_and_restrictions(arr)
+
+
+def localizations_and_restrictions(arr):
     lat = build_lattice(arr)
     for f in lat.flats:
         loc, idx = localization(arr, f)

@@ -13,6 +13,7 @@ from amzeta.exact_algebra import (
     BiRational,
     LaurentPoly,
     RationalUni,
+    _b2_div_factor,
     _cyclotomic,
     exact_div,
     palindromic_check,
@@ -84,10 +85,10 @@ def test_palindromic_check():
         palindromic_check(L({-1: 1, 0: 1}, "q"))
 
 
-def test_evaluate_and_reverse():
+def test_evaluate():
     p = L({2: 3, -1: 1}, "q")
     assert p.evaluate(2) == Fraction(12) + Fraction(1, 2)
-    assert p.reverse() == L({-2: 3, 1: 1}, "q")
+    assert L({}, "q").evaluate(0) == 0
 
 
 def test_json_roundtrip_poly():
@@ -251,6 +252,24 @@ def test_birational_reduction_preserves_value():
         # equality is canonical: rebuilding from the unreduced cross sum
         # must give the identical object
         assert total == BiRational(total.num, total.unit, total.den)
+
+
+def test_b2_div_factor_exact_and_refusals():
+    rng = random.Random(12)
+    for _ in range(200):
+        a = rng.randint(1, 4)
+        num = {(rng.randint(0, 4), rng.randint(0, 3)): rng.randint(-5, 5)
+               for _ in range(rng.randint(1, 6))}
+        num[(rng.randint(0, 4), 0)] = rng.choice((-2, -1, 1, 3))
+        num = {k: c for k, c in num.items() if c}
+        product = poly2_mul(num, {(a, 0): 1, (0, 1): -1})
+        assert _b2_div_factor(product, a) == num
+        # product(q, q^a) = 0 and its t^0 part q^a num(q, 0) has no q^0
+        # term, so adding 1 leaves a nonzero remainder
+        assert _b2_div_factor({**product, (0, 0): 1}, a) is None
+        # num has t-degree 0 here: no factor q^a - t can divide it
+        assert _b2_div_factor({k: c for k, c in num.items() if not k[1]},
+                              a) is None
 
 
 def test_birational_laurent_numerator_normalization():
