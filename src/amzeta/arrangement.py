@@ -459,6 +459,22 @@ def structural_flags(arrangement: Arrangement, *extra) -> dict:
     return {key: cached[key] for key in ("essential", "coloop_free") + extra}
 
 
+def _require_essential(arrangement: Arrangement, *extra,
+                       coloop_free=False) -> dict:
+    """``structural_flags(arrangement, *extra)``, refusing an arrangement
+    that is not essential or, when ``coloop_free`` is asked for, has a
+    coloop."""
+    flags = structural_flags(arrangement, *extra)
+    if not flags["essential"]:
+        raise PreconditionError(
+            "arrangement is not essential; restrict to the span of the "
+            "normals first")
+    if coloop_free and not flags["coloop_free"]:
+        raise PreconditionError(
+            "arrangement has a coloop: the normalized limit diverges")
+    return flags
+
+
 def require_prime_above_minors(arrangement: Arrangement, p: int):
     """The counting oracles need p larger than every |minor|."""
     bound = structural_flags(arrangement, "max_abs_minor")["max_abs_minor"]
@@ -522,15 +538,13 @@ def deletion(arrangement: Arrangement, flat):
     return Arrangement([arrangement.normals[j] for j in idx]), idx
 
 
-def char_poly_of(arrangement: Arrangement, ambient_m=None) -> LaurentPoly:
-    """Characteristic polynomial with an explicit ambient dimension (used
-    for deletions, which live in the original space)."""
+def char_poly_of(arrangement: Arrangement, ambient_m: int) -> LaurentPoly:
+    """Characteristic polynomial in an ambient space of dimension
+    ambient_m (deletions live in the original space)."""
     if arrangement.n == 0:
-        m = ambient_m if ambient_m is not None else 0
-        return LaurentPoly.monomial("q", m)
-    m = ambient_m if ambient_m is not None else arrangement.m
+        return LaurentPoly.monomial("q", ambient_m)
     return build_lattice(arrangement).char_poly().shift(
-        m - arrangement.m)
+        ambient_m - arrangement.m)
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,12 @@ BiRational    value num(q,t) / (q^e1 * t^e2 * prod (q^a - t)^mu) where
               exponent 0 in both variables and no denominator factor
               divides num.
 
+Sums over formal pole variables t/(q^d - t) (the zeta chain sum, and at
+t = 1 the symbols 1/(q^d - 1) of B_mu and of the quiver limit) are
+cleared by ``_clear``: one Horner pass per variable, each step a product
+with the single binomial q^d - t, the counterpart of the exact division
+``_b2_div_factor``.
+
 Everything is immutable after construction and safe to share.
 """
 
@@ -471,27 +477,6 @@ class RationalUni:
             raise ParseError(f"bad RationalUni JSON: {exc}") from exc
 
 
-def _clear_cyclotomic(sums: dict, ds):
-    """Sum over x of sums[x](q) * prod_k 1/(q^ds[k] - 1)^x[k], where sums
-    maps exponent tuples over ds to integer polynomial dicts {e: c}, as an
-    unreduced pair (num, den) of Laurent polynomials in q with den =
-    prod (q^d - 1)^(largest exponent of d).  Each caller folds its own
-    known factors into the pair and builds one RationalUni from it."""
-    tops = [max(x[k] for x in sums) for k in range(len(ds))]
-    powers = [[LaurentPoly("q", {d: 1, 0: -1}) ** j for j in range(top + 1)]
-              for d, top in zip(ds, tops)]
-    num = LaurentPoly.zero("q")
-    for x, poly in sums.items():
-        term = LaurentPoly("q", poly)
-        for row, top, e in zip(powers, tops, x):
-            term = term * row[top - e]
-        num = num + term
-    den = LaurentPoly.one("q")
-    for row in powers:
-        den = den * row[-1]
-    return num, den
-
-
 # ---------------------------------------------------------------------------
 # Two-variable rational functions with factored denominators
 # ---------------------------------------------------------------------------
@@ -509,19 +494,62 @@ def _b2_mul(a: dict, b: dict) -> dict:
     return out
 
 
-_FACTOR_POWERS = {}
-
-
-def _b2_factor_power(a: int, k: int) -> dict:
-    """(q^a - t)^k, cached; callers must not mutate the result."""
-    key = (a, k)
-    out = _FACTOR_POWERS.get(key)
-    if out is None:
-        out = {(a, 0): 1, (0, 1): -1}           # q^a - t
-        if k > 1:
-            out = _b2_mul(_b2_factor_power(a, k - 1), out)
-        _FACTOR_POWERS[key] = out
+def _b2_times_factor(num: dict, a: int) -> dict:
+    """num * (q^a - t): two shifted copies of num."""
+    out = {(e + a, f): c for (e, f), c in num.items()}
+    for (e, f), c in num.items():
+        k = (e, f + 1)
+        v = out.get(k, 0) - c
+        if v:
+            out[k] = v
+        else:
+            del out[k]
     return out
+
+
+def _b2_add_into(out: dict, num: dict, dt: int = 0):
+    """out += t^dt * num, in place."""
+    for (e, f), c in num.items():
+        k = (e, f + dt)
+        v = out.get(k, 0) + c
+        if v:
+            out[k] = v
+        else:
+            del out[k]
+
+
+def _clear(sums: dict, ds):
+    """Sum over x of sums[x](q) * prod_k (t/(q^ds[k] - t))^x[k], where sums
+    maps exponent tuples over ds to integer polynomial dicts {e: c}, as the
+    unreduced pair (num, den): num a dict over (q, t) exponent pairs and
+    den = [(d, top)], top the largest exponent of d with a nonzero sum.
+
+    One Horner pass per variable, last first: the terms sharing x[:k] are
+    P_j = their values at x[k] = j, and sum_j P_j t^j (q^d - t)^(top - j)
+    is built by multiplying the running value by q^d - t and adding the
+    next P_j t^j.  At t = 1 the factors are 1/(q^d - 1)."""
+    terms = {x: {(e, 0): c for e, c in poly.items() if c}
+             for x, poly in sums.items()}
+    terms = {x: num for x, num in terms.items() if num}
+    den = []
+    for k in reversed(range(len(ds))):
+        top = max((x[k] for x in terms), default=0)
+        if top:
+            den.append((ds[k], top))
+        rows = {}
+        for x, num in terms.items():
+            rows.setdefault(x[:k], {})[x[k]] = num
+        terms = {}
+        for prefix, row in rows.items():
+            acc = {}
+            for j in range(min(row), top + 1):
+                if acc:
+                    acc = _b2_times_factor(acc, ds[k])
+                if j in row:
+                    _b2_add_into(acc, row[j], j)
+            if acc:
+                terms[prefix] = acc
+    return terms.get((), {}), den
 
 
 def _b2_div_factor(num: dict, a: int):
@@ -559,8 +587,8 @@ class BiRational:
 
     The constructor reduces: it tries each denominator factor by exact
     division.  Operations that cannot create a common factor (a monomial
-    multiple, negation) skip that step, and ``sum`` adds any number of
-    terms with one reduction at the end."""
+    multiple, negation) skip that step.  A sum of many terms is cleared by
+    ``_clear`` and handed to the constructor once."""
 
     __slots__ = ("num", "unit", "den")
 
@@ -612,50 +640,6 @@ class BiRational:
         return out
 
     @classmethod
-    def sum(cls, terms) -> "BiRational":
-        """Sum of terms, reduced once.
-
-        Terms with equal denominators are added after aligning their units
-        (Laurent shifts, no multiplication).  Each such group is then
-        lifted once to the lcm of the group denominators by cached powers
-        (q^a - t)^k, and the constructor reduces the total."""
-        groups = {}
-        for x in terms:
-            acc = groups.setdefault(x.den, {})
-            e1, e2 = x.unit
-            for (e, f), c in x.num.items():
-                k = (e - e1, f - e2)
-                v = acc.get(k, 0) + c
-                if v:
-                    acc[k] = v
-                else:
-                    del acc[k]
-        groups = {d: num for d, num in groups.items() if num}
-        lcm = {}
-        for d in groups:
-            for a, mu in d:
-                if mu > lcm.get(a, 0):
-                    lcm[a] = mu
-        total = {}
-        for d, num in groups.items():
-            have = dict(d)
-            extra = None
-            for a, top in lcm.items():
-                k = top - have.get(a, 0)
-                if k:
-                    power = _b2_factor_power(a, k)
-                    extra = power if extra is None else _b2_mul(extra, power)
-            if extra is not None:
-                num = _b2_mul(num, extra)
-            for k, c in num.items():
-                v = total.get(k, 0) + c
-                if v:
-                    total[k] = v
-                else:
-                    del total[k]
-        return cls(total, den=list(lcm.items()))
-
-    @classmethod
     def zero(cls) -> "BiRational":
         return cls({})
 
@@ -685,7 +669,26 @@ class BiRational:
         return BiRational(_b2_mul(self.num, other.num), unit, den)
 
     def __add__(self, other):
-        return BiRational.sum((self, self._coerce(other)))
+        """Both terms lifted to the lcm of the two denominators one factor
+        q^a - t at a time, added, and reduced once."""
+        other = self._coerce(other)
+        if not other.num:
+            return self
+        if not self.num:
+            return other
+        lcm = dict(self.den)
+        for a, mu in other.den:
+            lcm[a] = max(mu, lcm.get(a, 0))
+        total = {}
+        for x in (self, other):
+            num = {(e - x.unit[0], f - x.unit[1]): c
+                   for (e, f), c in x.num.items()}
+            have = dict(x.den)
+            for a, top in lcm.items():
+                for _ in range(top - have.get(a, 0)):
+                    num = _b2_times_factor(num, a)
+            _b2_add_into(total, num)
+        return BiRational(total, den=list(lcm.items()))
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -735,7 +738,8 @@ class BiRational:
     def expanded_den(self) -> dict:
         out = {(0, 0): 1}
         for a, mu in self.den:
-            out = _b2_mul(out, _b2_factor_power(a, mu))
+            for _ in range(mu):
+                out = _b2_times_factor(out, a)
         return out
 
     # -- substitutions ------------------------------------------------------

@@ -15,16 +15,11 @@ import itertools
 from .arrangement import (
     Arrangement,
     FlatLattice,
+    _require_essential,
     rank_mod_p,
     require_prime_above_minors,
-    structural_flags,
 )
-from .errors import (
-    InvariantError,
-    NotDivisibleError,
-    PreconditionError,
-    charge,
-)
+from .errors import InvariantError, NotDivisibleError, PreconditionError
 from .exact_algebra import LaurentPoly, exact_div
 from .padic_oracle import _meet_in_middle
 
@@ -44,9 +39,7 @@ class HypertoricClass:
 
 def hypertoric_class(arrangement: Arrangement,
                      lat: FlatLattice) -> HypertoricClass:
-    flags = structural_flags(arrangement, "unimodular")
-    if not flags["essential"]:
-        raise PreconditionError("class formula needs an essential arrangement")
+    flags = _require_essential(arrangement, "unimodular")
     n, m = arrangement.n, arrangement.m
     coeffs = {}
     for i, f in enumerate(lat.flats):
@@ -99,33 +92,11 @@ def find_generic_xi(arrangement: Arrangement, lat: FlatLattice, p: int):
 
 
 def count_moment_fiber(arrangement: Arrangement, lat: FlatLattice, p: int,
-                       xi, budget: int = 10 ** 8,
-                       method: str = "convolution") -> int:
-    """|{(v, w) in F_p^2n : sum v_i w_i a_i = xi}| for generic xi.
-
-    ``method="direct"`` enumerates all p^2n pairs; it is kept only as the
-    reference the convolution is tested against."""
+                       xi, budget: int = 10 ** 8) -> int:
+    """|{(v, w) in F_p^2n : sum v_i w_i a_i = xi}| for generic xi."""
     require_prime_above_minors(arrangement, p)
     if not xi_is_generic(arrangement, lat, p, xi):
         raise PreconditionError(f"{tuple(xi)} is not generic mod {p}")
-    n, m = arrangement.n, arrangement.m
     xi = tuple(x % p for x in xi)
-    if method == "direct":
-        charge("direct fiber enumeration", p ** (2 * n), budget)
-        count = 0
-        rows = [tuple(x % p for x in r) for r in arrangement.normals]
-        for vw in itertools.product(range(p), repeat=2 * n):
-            v, w = vw[:n], vw[n:]
-            image = [0] * m
-            for i in range(n):
-                c = v[i] * w[i]
-                if c % p:
-                    for k in range(m):
-                        image[k] += c * rows[i][k]
-            if tuple(x % p for x in image) == xi:
-                count += 1
-        return count
-    if method != "convolution":
-        raise PreconditionError(f"unknown method {method!r}")
     # v_i w_i takes 0 with weight 2p-1, each unit with weight p-1
     return _meet_in_middle(arrangement.normals, p, 1, xi, budget)

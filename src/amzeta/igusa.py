@@ -23,12 +23,12 @@ from __future__ import annotations
 from .arrangement import (
     Arrangement,
     FlatLattice,
+    _require_essential,
     build_lattice,
     localization,
-    structural_flags,
 )
-from .errors import InvariantError, PreconditionError
-from .exact_algebra import BiRational
+from .errors import InvariantError
+from .exact_algebra import BiRational, _clear
 
 
 class IgusaZeta:
@@ -38,15 +38,6 @@ class IgusaZeta:
         self.arrangement = arrangement
         self.lattice = lattice
         self.value = value
-
-
-def _require_essential(arrangement: Arrangement):
-    flags = structural_flags(arrangement)
-    if not flags["essential"]:
-        raise PreconditionError(
-            "arrangement is not essential; restrict to the span of the "
-            "normals first")
-    return flags
 
 
 def _leading_term(m: int) -> BiRational:
@@ -107,15 +98,13 @@ def _chain_sums(lat: FlatLattice):
 
 def igusa_chain(arrangement: Arrangement, lat: FlatLattice) -> IgusaZeta:
     """Resummed chain formula via one pass over the lattice: the terms
-    sums[x](q) t^|x| / prod (q^a - t)^x_a of ``_chain_sums``, each already
-    reduced, are summed over one common denominator and reduced once."""
+    sums[x](q) t^|x| / prod (q^a - t)^x_a of ``_chain_sums`` are cleared
+    over one common denominator by ``_clear`` and reduced once."""
     _require_essential(arrangement)
     m = arrangement.m
     deltas, sums = _chain_sums(lat)
-    total = BiRational.sum(
-        BiRational({(e, 0): c for e, c in poly.items()}, (0, -sum(x)),
-                   zip(deltas, x))
-        for x, poly in sums.items())
+    num, den = _clear(sums, deltas)
+    total = BiRational(num, den=den)
     value = _leading_term(m) + _prefactor(m) * total
     _check_pole_set(value, lat)
     return IgusaZeta(arrangement, lat, value)

@@ -52,24 +52,27 @@ def product_count_table(p: int, alpha: int):
 
 
 def count_solutions_mod(arrangement: Arrangement, p: int, alpha: int,
-                        budget: int = 10 ** 8,
-                        method: str = "convolution") -> OracleCount:
+                        budget: int = 10 ** 8) -> OracleCount:
     """Solutions of sum x_i y_i a_i = 0 in (Z/p^alpha)^(2n)."""
     require_prime_above_minors(arrangement, p)
     if alpha < 1:
         raise PreconditionError("depth must be >= 1")
-    n, m = arrangement.n, arrangement.m
-    mod = p ** alpha
-    if method == "direct":
-        charge("direct congruence count", mod ** (2 * n), budget)
-        count = sum(all(sum(xy[i] * xy[n + i] * arrangement.normals[i][k]
-                            for i in range(n)) % mod == 0 for k in range(m))
-                    for xy in itertools.product(range(mod), repeat=2 * n))
-        return OracleCount(arrangement, p, alpha, count)
-    if method != "convolution":
-        raise PreconditionError(f"unknown method {method!r}")
     return OracleCount(arrangement, p, alpha, _meet_in_middle(
-        arrangement.normals, p, alpha, (0,) * m, budget))
+        arrangement.normals, p, alpha, (0,) * arrangement.m, budget))
+
+
+def _count_direct(normals, p, alpha, target, budget):
+    """|{(x, y) in (Z/p^alpha)^2n : sum x_i y_i a_i = target}| by
+    enumerating all p^(2 n alpha) pairs: the reference that
+    ``_meet_in_middle`` is tested against, for the fiber count (alpha = 1,
+    target xi) and the congruence count (target 0) alike."""
+    n, mod = len(normals), p ** alpha
+    charge("direct enumeration", mod ** (2 * n), budget)
+    target = tuple(t % mod for t in target)
+    return sum(all(sum(xy[i] * xy[n + i] * normals[i][k]
+                       for i in range(n)) % mod == t
+                   for k, t in enumerate(target))
+               for xy in itertools.product(range(mod), repeat=2 * n))
 
 
 def _row_sums(rows, table, mod, m):

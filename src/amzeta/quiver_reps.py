@@ -29,7 +29,13 @@ from fractions import Fraction
 
 from .arrangement import build_lattice, graphic_arrangement
 from .errors import InvariantError, PreconditionError, charge
-from .exact_algebra import LaurentPoly, RationalUni, _clear_cyclotomic
+from .exact_algebra import (
+    BiRational,
+    LaurentPoly,
+    RationalUni,
+    _b2_mul,
+    _clear,
+)
 from .quiver_varieties import Quiver
 
 
@@ -147,11 +153,12 @@ def a_gamma_limit(quiver: Quiver, budget: int = 10 ** 9) -> RationalUni:
         acc.append(val)
         for e, c in val.items():
             total[e] = total.get(e, 0) + c
-    num, den = _clear_cyclotomic({e: {0: c} for e, c in total.items()},
-                                 range(1, b_top + 1))
-    # the factor (1 - 1/q)^b = (q - 1)^b / q^b
-    return RationalUni(num * LaurentPoly("q", {1: 1, 0: -1}) ** b_top,
-                       den.shift(b_top))
+    num, den = _clear({e: {0: c} for e, c in total.items()},
+                      range(1, b_top + 1))
+    # the factor (1 - 1/q)^b = (q - 1)^b / q^b, then t = 1
+    for _ in range(b_top):
+        num = _b2_mul(num, {(1, 0): 1, (0, 0): -1})
+    return BiRational(num, (b_top, 0), den).substitute_t_qpower(0)
 
 
 # ---------------------------------------------------------------------------
@@ -165,24 +172,17 @@ def _unit_weights(p: int, alpha: int):
 
 
 def brute_force_indec(quiver: Quiver, p: int, alpha: int,
-                      method: str = "grouped",
                       budget: int = 10 ** 7) -> int:
     """Number of isomorphism classes of indecomposable all-ones
-    representations over Z/p^alpha.
-
-    grouped: enumerate edge valuation patterns and weight each by the
-    automorphism count (q-1)^c_alpha q^(sum c_k) via the orbit-count lemma.
-    raw: enumerate representations and canonicalize orbits explicitly.
+    representations over Z/p^alpha: edge valuation patterns, each weighted
+    by the automorphism count (q-1)^c_alpha q^(sum c_k) via the
+    orbit-count lemma.  ``_brute_force_raw`` is its reference.
     """
     if alpha < 1:
         raise PreconditionError("depth must be >= 1")
     if not is_connected(quiver):
         raise PreconditionError("graph must be connected")
     ne = len(quiver.edges)
-    if method == "raw":
-        return _brute_force_raw(quiver, p, alpha, budget)
-    if method != "grouped":
-        raise PreconditionError(f"unknown method {method!r}")
     charge("valuation pattern enumeration", (alpha + 1) ** ne, budget)
     weights = _unit_weights(p, alpha)
     group_order = ((p - 1) * p ** (alpha - 1)) ** quiver.vertices
@@ -212,6 +212,8 @@ def brute_force_indec(quiver: Quiver, p: int, alpha: int,
 
 
 def _brute_force_raw(quiver: Quiver, p: int, alpha: int, budget: int) -> int:
+    """``brute_force_indec`` by enumerating representations and
+    canonicalizing their orbits explicitly."""
     ne = len(quiver.edges)
     mod = p ** alpha
     units = [u for u in range(1, mod) if u % p]

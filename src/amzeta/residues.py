@@ -21,13 +21,13 @@ discrepancy flag is raised when they differ.
 
 from __future__ import annotations
 
-from .arrangement import Arrangement, FlatLattice, structural_flags
+from .arrangement import Arrangement, FlatLattice, _require_essential
 from .errors import InvariantError, NotDivisibleError, PreconditionError
 from .exact_algebra import (
     BiRational,
     LaurentPoly,
     RationalUni,
-    _clear_cyclotomic,
+    _clear,
     exact_div,
     palindromic_check,
 )
@@ -52,26 +52,20 @@ class ResidueData:
         self.positive_coeffs = positive_coeffs
 
 
-def _require_coloop_free(arrangement: Arrangement):
-    flags = structural_flags(arrangement)
-    if not flags["essential"]:
-        raise PreconditionError("residue needs an essential arrangement")
-    if not flags["coloop_free"]:
-        raise PreconditionError(
-            "arrangement has a coloop: the normalized limit diverges")
-
-
 def b_mu(arrangement: Arrangement, lat: FlatLattice) -> RationalUni:
     """Chain-sum value of the normalized limit, as a reduced degree-0
     rational function of q: the sums of ``_chain_sums`` at t = q^m, plus
-    the top's 1, cleared over prod (q^(delta-m) - 1)^mu and reduced once."""
-    _require_coloop_free(arrangement)
+    the top's 1.  There t/(q^delta - t) is 1/(q^(delta-m) - 1), so they are
+    cleared by ``_clear`` over the factors q^(delta-m) - t, read at t = 1
+    and reduced once."""
+    _require_essential(arrangement, coloop_free=True)
     m = arrangement.m
     deltas, sums = _chain_sums(lat)
     if deltas and deltas[0] <= m:
         raise InvariantError("delta - m must be positive off the top")
     sums[(0,) * len(deltas)] = {0: 1}
-    total = RationalUni(*_clear_cyclotomic(sums, [a - m for a in deltas]))
+    num, den = _clear(sums, [a - m for a in deltas])
+    total = BiRational(num, den=den).substitute_t_qpower(0)
     if total.degree() != 0:
         raise InvariantError("normalized limit is not of degree 0")
     return total

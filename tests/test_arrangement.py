@@ -233,7 +233,7 @@ def test_deletion_restriction_fixtures():
     for arr in [n_origins(3), triangle(), triangle_doubled(),
                 six_normals_rank3()]:
         lat = build_lattice(arr)
-        chi = char_poly_of(arr)
+        chi = char_poly_of(arr, arr.m)
         for i in range(arr.n):
             # the flat of hyperplane i is the closure of {i}
             fi = min((f for f in lat.flats if i in f), key=len)

@@ -1,4 +1,6 @@
+import functools
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -14,6 +16,7 @@ from amzeta.exact_algebra import (
     LaurentPoly,
     RationalUni,
     _b2_div_factor,
+    _clear,
     _cyclotomic,
     exact_div,
     palindromic_check,
@@ -272,6 +275,42 @@ def test_b2_div_factor_exact_and_refusals():
                               a) is None
 
 
+def test_clear_equals_termwise_sums():
+    # sum_x sums[x](q) prod (t/(q^d - t))^x_d, cleared in one Horner pass
+    # per variable, against the fold of its reduced terms, and at t = 1
+    # against the fold of the terms over prod (q^d - 1)^x_d
+    rng = random.Random(2026)
+    for trial in range(200):
+        ds = rng.sample(range(1, 6), rng.randint(1, 4))
+        sums = {}
+        for _ in range(rng.randint(1, 6)):
+            x = tuple(rng.randint(0, 3) for _ in ds)
+            if trial % 3 == 0:
+                x = (x[0],) * len(ds)        # one exponent in every slot
+            sums[x] = {rng.randint(0, 4): rng.randint(-3, 3)
+                       for _ in range(rng.randint(0, 3))}
+        if trial % 4 == 0:
+            sums[(1,) * len(ds)] = {}
+        num, den = _clear(sums, ds)
+        live = [x for x, poly in sums.items() if any(poly.values())]
+        tops = {d: max((x[k] for x in live), default=0)
+                for k, d in enumerate(ds)}
+        assert dict(den) == {d: top for d, top in tops.items() if top}
+        terms = [BiRational({(e, 0): c for e, c in poly.items()},
+                            (0, -sum(x)), zip(ds, x))
+                 for x, poly in sums.items()]
+        got = BiRational(num, den=den)
+        assert got == functools.reduce(operator.add, terms,
+                                       BiRational.zero())
+        at_one = RationalUni.from_laurent(L({}, "q"))
+        for x, poly in sums.items():
+            cleared = L({0: 1}, "q")
+            for d, e in zip(ds, x):
+                cleared = cleared * L({d: 1, 0: -1}, "q") ** e
+            at_one = at_one + RationalUni(L(poly, "q"), cleared)
+        assert got.substitute_t_qpower(0) == at_one
+
+
 def test_birational_laurent_numerator_normalization():
     # a numerator living at negative t-exponents must not be corrupted by
     # the reduction pass
@@ -378,7 +417,7 @@ def assert_canonical(x):
 
 
 def check_sum(terms):
-    got = BiRational.sum(terms)
+    got = functools.reduce(operator.add, terms, BiRational.zero())
     assert got.cross_equal(folded_sum(terms))
     for q0, t0 in ((Fraction(7), Fraction(3, 2)), (Fraction(-2, 3), 5),
                    (Fraction(11, 4), Fraction(-1, 9))):

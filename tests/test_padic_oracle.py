@@ -6,6 +6,7 @@ from amzeta import padic_oracle
 from amzeta.arrangement import build_lattice, graphic_arrangement
 from amzeta.errors import BudgetExceededError, PreconditionError
 from amzeta.padic_oracle import (
+    _count_direct,
     count_solutions_mod,
     depth_counts,
     limit_probe,
@@ -57,7 +58,7 @@ def test_product_table_closed_form():
 
 def test_direct_equals_convolution_depth_one():
     for arr in [n_origins(2), triangle()]:
-        direct = count_solutions_mod(arr, 5, 1, method="direct").count
+        direct = _count_direct(arr.normals, 5, 1, (0,) * arr.m, 10 ** 8)
         conv = count_solutions_mod(arr, 5, 1).count
         assert direct == conv
 
@@ -65,7 +66,7 @@ def test_direct_equals_convolution_depth_one():
 def test_direct_equals_convolution_depth_two():
     # the halves meet at a nonzero state once alpha > 1
     for arr, p in [(n_origins(2), 5), (triangle(), 3)]:
-        direct = count_solutions_mod(arr, p, 2, method="direct").count
+        direct = _count_direct(arr.normals, p, 2, (0,) * arr.m, 10 ** 8)
         assert count_solutions_mod(arr, p, 2).count == direct
 
 
@@ -91,21 +92,17 @@ def test_table_is_charged_before_it_is_built(monkeypatch):
 
 def test_every_refusal_says_what_it_needs():
     from amzeta.arrangement import count_complement_Fq
-    from amzeta.hypertoric import count_moment_fiber
-    from amzeta.quiver_reps import brute_force_indec
+    from amzeta.quiver_reps import _brute_force_raw, brute_force_indec
     from amzeta.reference import cycle_quiver
-    arr, lat = with_lattice(triangle())
+    arr, _ = with_lattice(triangle())
     for refused in [
             lambda: build_lattice(arr, max_flats=1),
             lambda: count_complement_Fq(arr, 5, budget=1),
-            lambda: count_moment_fiber(arr, lat, 5, (1, 2), budget=1,
-                                       method="direct"),
-            lambda: count_solutions_mod(arr, 5, 1, budget=1,
-                                        method="direct"),
+            lambda: _count_direct(arr.normals, 5, 1, (1, 2), 1),
+            lambda: _count_direct(arr.normals, 5, 1, (0, 0), 1),
             lambda: count_solutions_mod(arr, 5, 1, budget=1),
             lambda: brute_force_indec(cycle_quiver(3), 3, 1, budget=1),
-            lambda: brute_force_indec(cycle_quiver(3), 3, 1, method="raw",
-                                      budget=1)]:
+            lambda: _brute_force_raw(cycle_quiver(3), 3, 1, 1)]:
         with pytest.raises(BudgetExceededError,
                            match=r"needs \d+ steps, budget allows 1$"):
             refused()

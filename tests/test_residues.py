@@ -78,6 +78,11 @@ def test_bmu_via_residue_matches():
         lat = build_lattice(arr)
         zeta = igusa_chain(arr, lat)
         assert b_mu_via_residue(zeta, arr.m) == b_mu(arr, lat)
+    # the recursion's residue reaches B_mu without the shared clear
+    for arr in [graphic_arrangement(complete_quiver(5)), seeded_rank3()]:
+        lat = build_lattice(arr)
+        zeta = igusa_recursion(arr, lat)
+        assert b_mu_via_residue(zeta, arr.m) == b_mu(arr, lat)
 
 
 def test_bmu_reduces_once(monkeypatch):
