@@ -120,13 +120,15 @@ def _budget(args, kind: str = "states"):
 def cmd_lattice(args):
     arr = _arrangement(args.input)
     lat = build_lattice(arr, max_flats=_budget(args, "flats"))
+    flags = structural_flags(arr, "unimodular", "max_abs_minor",
+                             budget=_budget(args))
     _emit({
         "flats": [_flat_json(f) for f in lat.flats],
         "ranks": list(lat.ranks),
         "deltas": [lat.delta(i) for i in range(len(lat.flats))],
         "mobius_to_top": [str(lat.mobius(i, lat.top))
                           for i in range(len(lat.flats))],
-        "flags": structural_flags(arr, "unimodular", "max_abs_minor"),
+        "flags": flags,
     })
 
 
@@ -152,7 +154,7 @@ def cmd_mobius(args):
 def cmd_hypertoric(args):
     arr = _arrangement(args.input)
     lat = build_lattice(arr, max_flats=_budget(args, "flats"))
-    cls = hypertoric_class(arr, lat)
+    cls = hypertoric_class(arr, lat, _budget(args))
     payload = {"class": cls.value.to_json(), "formal": cls.formal,
                "unimodular": cls.unimodular}
     if cls.value.is_polynomial():

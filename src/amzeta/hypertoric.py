@@ -37,9 +37,10 @@ class HypertoricClass:
         self.formal = not unimodular
 
 
-def hypertoric_class(arrangement: Arrangement,
-                     lat: FlatLattice) -> HypertoricClass:
-    flags = _require_essential(arrangement, "unimodular")
+def hypertoric_class(arrangement: Arrangement, lat: FlatLattice,
+                     budget: int = 10 ** 9) -> HypertoricClass:
+    """``budget`` bounds the scan of maximal minors for unimodularity."""
+    flags = _require_essential(arrangement, "unimodular", budget=budget)
     n, m = arrangement.n, arrangement.m
     coeffs = {}
     for i, f in enumerate(lat.flats):

@@ -1,4 +1,7 @@
+import itertools
+import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -11,6 +14,7 @@ from amzeta.arrangement import (
     count_complement_Fq,
     deletion,
     graphic_arrangement,
+    int_det,
     localization,
     restriction,
     structural_flags,
@@ -147,6 +151,115 @@ def test_flags_single_hyperplane_rank2():
 def test_flags_coloops():
     assert structural_flags(Arrangement([(1,), (1,)]))["coloop_free"]
     assert not structural_flags(Arrangement([(1,)]))["coloop_free"]
+
+
+def fraction_det(rows):
+    """Determinant by Gaussian elimination over Q."""
+    M = [[Fraction(x) for x in r] for r in rows]
+    det = Fraction(1)
+    for c in range(len(M)):
+        pivot = next((i for i in range(c, len(M)) if M[i][c]), None)
+        if pivot is None:
+            return 0
+        if pivot != c:
+            M[c], M[pivot] = M[pivot], M[c]
+            det = -det
+        det *= M[c][c]
+        for i in range(c + 1, len(M)):
+            f = M[i][c] / M[c][c]
+            M[i] = [x - f * y for x, y in zip(M[i], M[c])]
+    return det
+
+
+ENTRIES = (0, 0, 0, 1, -1, 2, -2, 9, -9)
+
+
+def flag_matrices(count=320):
+    """Seeded n x m normal matrices, n in 1..8 and m in 1..5, cycling
+    through four shapes: plain, a zero column, a repeated row and rows
+    parallel to one another."""
+    rng = random.Random(DEFAULT_SEED + 14)
+    out = []
+    while len(out) < count:
+        n, m = rng.randint(1, 8), rng.randint(1, 5)
+        shape = len(out) % 4
+        if shape == 3:
+            base = [rng.choice((0, 1, -1)) for _ in range(m)]
+            rows = [[rng.choice((1, -1, 2, -2, 9, -9)) * x for x in base]
+                    for _ in range(n)]
+        else:
+            rows = [[rng.choice(ENTRIES) for _ in range(m)]
+                    for _ in range(n)]
+        if shape == 1:
+            j = rng.randrange(m)
+            for r in rows:
+                r[j] = 0
+        elif shape == 2:
+            rows[rng.randrange(n)] = list(rows[rng.randrange(n)])
+        if all(any(r) for r in rows):
+            out.append(Arrangement(rows))
+    return out
+
+
+def test_flags_equal_a_fraction_scan_of_every_minor(monkeypatch):
+    seen = []
+
+    def record(rows):
+        seen.append(rows)
+        return int_det(rows)
+
+    monkeypatch.setattr(arrangement_module, "_FLAGS_CACHE", {})
+    monkeypatch.setattr(arrangement_module, "int_det", record)
+    for arr in flag_matrices():
+        n, m = arr.n, arr.m
+        dets = {k: [fraction_det([[r[c] for c in cols] for r in rows])
+                    for rows in itertools.combinations(arr.normals, k)
+                    for cols in itertools.combinations(range(m), k)]
+                for k in range(1, min(n, m) + 1)}
+        expected = {"unimodular": all(abs(d) <= 1 for d in dets.get(m, [])),
+                    "max_abs_minor": max((abs(d) for ds in dets.values()
+                                          for d in ds), default=0)}
+        flags = structural_flags(arr, "unimodular", "max_abs_minor")
+        assert {key: flags[key] for key in expected} == expected, arr
+    # the scans skip every submatrix with an all-zero column
+    assert all(any(r[c] for r in rows)
+               for rows in seen for c in range(len(rows)))
+
+
+def test_int_det_equals_fraction_det_with_row_swaps():
+    rng = random.Random(DEFAULT_SEED + 15)
+    swaps = 0
+    for _ in range(500):
+        size = rng.randint(0, 7)
+        M = [[rng.choice(ENTRIES) for _ in range(size)] for _ in range(size)]
+        if size > 1:
+            # the first pivot sits below the diagonal
+            M[0][0] = 0
+            M[rng.randrange(1, size)][0] = rng.choice((1, -2, 9))
+            swaps += 1
+        assert int_det(M) == fraction_det(M), M
+    assert swaps >= 300
+
+
+def test_unimodular_scan_at_rank_six_skips_zero_columns(monkeypatch):
+    # K7: 54,264 maximal minors, of which those whose 6 edges touch each of
+    # the vertices 1-6 (vertex 7 is the dropped coordinate) can be nonzero;
+    # by inclusion-exclusion over the untouched vertices there are 27,364
+    seen = []
+
+    def record(rows):
+        seen.append(rows)
+        return int_det(rows)
+
+    monkeypatch.setattr(arrangement_module, "_FLAGS_CACHE", {})
+    monkeypatch.setattr(arrangement_module, "int_det", record)
+    arr = graphic_arrangement(complete_quiver(7))
+    assert arr.m == 6
+    assert structural_flags(arr, "unimodular")["unimodular"]
+    assert all(any(r[c] for r in rows) for rows in seen for c in range(6))
+    assert len(seen) == sum((-1) ** j * math.comb(6, j)
+                            * math.comb(math.comb(7 - j, 2), 6)
+                            for j in range(7)) == 27364
 
 
 # ---------------------------------------------------------------------------

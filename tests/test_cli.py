@@ -267,6 +267,20 @@ def test_budget_refusal_says_what_it_needs(capsys, triangle_file, monkeypatch,
     assert "needs" in err and "budget allows 1" in err
 
 
+def test_minor_scans_draw_on_the_budget(capsys, triangle_file, monkeypatch):
+    # the triangle (n = 3, m = 2): the maximal minors are charged
+    # C(3, 2) * 2^3 = 24 steps, the minors of every size 3 * 2 + 24 = 30
+    from amzeta import arrangement
+    monkeypatch.setattr(arrangement, "_FLAGS_CACHE", {})
+    for argv, needs in ((["--budget", "23", "hypertoric"], "unimodular"),
+                        (["--budget", "29", "lattice"], "max_abs_minor")):
+        code, out, err = run(capsys, *argv, triangle_file)
+        assert code == 3 and out == ""
+        assert f"{needs} needs" in err and "budget allows" in err
+    code, out, _ = run(capsys, "--budget", "30", "lattice", triangle_file)
+    assert code == 0 and json.loads(out)["flags"]["max_abs_minor"] == 1
+
+
 def test_unknown_option_rejected(capsys, triangle_file):
     code, _, _ = run(capsys, "igusa", triangle_file, "--bogus")
     assert code == 1

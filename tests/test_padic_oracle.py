@@ -90,14 +90,22 @@ def test_table_is_charged_before_it_is_built(monkeypatch):
         count_solutions_mod(n_origins(1), 5, 6)
 
 
-def test_every_refusal_says_what_it_needs():
-    from amzeta.arrangement import count_complement_Fq
+def test_every_refusal_says_what_it_needs(monkeypatch):
+    from amzeta import arrangement
+    from amzeta.arrangement import count_complement_Fq, structural_flags
+    from amzeta.hypertoric import count_moment_fiber, hypertoric_class
     from amzeta.quiver_reps import _brute_force_raw, brute_force_indec
     from amzeta.reference import cycle_quiver
-    arr, _ = with_lattice(triangle())
+    # a cold cache, so that the minor scans are charged before they run
+    monkeypatch.setattr(arrangement, "_FLAGS_CACHE", {})
+    arr, lat = with_lattice(triangle())
     for refused in [
+            lambda: structural_flags(arr, "unimodular", budget=1),
+            lambda: structural_flags(arr, "max_abs_minor", budget=1),
+            lambda: hypertoric_class(arr, lat, budget=1),
             lambda: build_lattice(arr, max_flats=1),
             lambda: count_complement_Fq(arr, 5, budget=1),
+            lambda: count_moment_fiber(arr, lat, 5, (1, 2), budget=1),
             lambda: _count_direct(arr.normals, 5, 1, (1, 2), 1),
             lambda: _count_direct(arr.normals, 5, 1, (0, 0), 1),
             lambda: count_solutions_mod(arr, 5, 1, budget=1),
