@@ -547,6 +547,49 @@ def count_complement_Fq(arrangement: Arrangement, p: int,
     return count
 
 
+def product_count_table(p: int, alpha: int):
+    """N[lam] = |{(z, w) in (Z/p^alpha)^2 : z w = lam}| by direct
+    tabulation over all p^(2 alpha) pairs."""
+    mod = p ** alpha
+    table = [0] * mod
+    for z in range(mod):
+        for w in range(mod):
+            table[z * w % mod] += 1
+    return table
+
+
+def _row_sums(rows, table, mod, m):
+    """{s: sum of prod table[lam_i] over the lam with sum lam_i a_i = s}
+    over the states s in (Z/mod)^m, for the rows a_i."""
+    states = {(0,) * m: 1}
+    for row in rows:
+        nxt = {}
+        for state, ways in states.items():
+            for lam in range(mod):
+                new = tuple((s + lam * a) % mod for s, a in zip(state, row))
+                nxt[new] = nxt.get(new, 0) + ways * table[lam]
+        states = nxt
+    return states
+
+
+def _meet_in_middle(normals, p, alpha, target, budget):
+    """|{(x, y) in (Z/p^alpha)^2n : sum x_i y_i a_i = target}| as
+    sum_s F(s) G(target - s), with F, G the row sums of the two halves of
+    the normals.  Charged before any work: the p^(2 alpha) pairs of the
+    product table plus each half's (state, lam) steps, at most
+    mod^min(i, m) states entering its i-th row.  The congruence oracle
+    and the moment-fiber count share it, so it sits below both."""
+    mod, m, h = p ** alpha, len(target), (len(normals) + 1) // 2
+    halves = (normals[:h], normals[h:])
+    steps = mod * mod + sum(mod ** (min(i, m) + 1)
+                            for half in halves for i in range(len(half)))
+    charge("convolution count", steps, budget)
+    table = product_count_table(p, alpha)
+    f, g = sorted((_row_sums(half, table, mod, m) for half in halves), key=len)
+    return sum(w * g.get(tuple((t - s) % mod for t, s in zip(target, st)), 0)
+               for st, w in f.items())
+
+
 # ---------------------------------------------------------------------------
 # sub-arrangements
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ conjecture returns ``(cases seen, violations)`` and never fails the run.
 
 from __future__ import annotations
 
-import math
 import random
 
 from .arrangement import (
@@ -23,7 +22,7 @@ from .arrangement import (
     restriction,
     structural_flags,
 )
-from .errors import InvariantError
+from .errors import InvariantError, is_prime
 from .exact_algebra import LaurentPoly
 from .hypertoric import hypertoric_class
 from .igusa import (
@@ -73,10 +72,6 @@ def random_arrangement(rng, require_essential=False):
         if require_essential and arr.rank() != m:
             continue
         return arr
-
-
-def is_prime(p):
-    return p > 1 and all(p % d for d in range(2, math.isqrt(p) + 1))
 
 
 def next_prime_above(bound):

@@ -4,6 +4,11 @@ One subcommand per computation; JSON on stdout (deterministic: sorted
 keys, coefficients as decimal strings), human-oriented notes on stderr.
 Exit codes: 0 ok, 1 parse error, 2 precondition violation, 3 budget
 exceeded, 4 internal invariant violation / failed verification.
+
+Only ``errors`` and ``arrangement`` are imported at module level; each
+handler imports its own layer when called, as every call is a fresh
+process that compiles what it imports: ``amz igusa`` loads no quiver or
+oracle layer, and only ``verify`` loads the whole package.
 """
 
 from __future__ import annotations
@@ -19,25 +24,7 @@ from .arrangement import (
     build_lattice,
     structural_flags,
 )
-from .checks import DEFAULT_SEED, SUITES, is_prime
-from .errors import AmzError, InvariantError, ParseError, parse_int
-from .hypertoric import e_polynomial, hypertoric_class
-from .igusa import (
-    functional_equation_check,
-    igusa_chain,
-    igusa_recursion,
-    pole_report,
-)
-from .open_derham import OdrInput, odr_class
-from .padic_oracle import depth_counts, limit_probe
-from .quiver_reps import (
-    a_gamma_alpha,
-    a_gamma_limit,
-    brute_force_indec,
-    check_lastone,
-)
-from .quiver_varieties import Quiver, nakajima_gf
-from .residues import b_mu, b_prime
+from .errors import AmzError, InvariantError, ParseError, is_prime, parse_int
 
 DEFAULT_BUDGET = 10 ** 9
 
@@ -69,7 +56,8 @@ def _arrangement(path) -> Arrangement:
     return Arrangement.from_json(_load_json(path))
 
 
-def _quiver(path) -> Quiver:
+def _quiver(path):
+    from .quiver_varieties import Quiver
     return Quiver.from_json(_load_json(path))
 
 
@@ -152,6 +140,7 @@ def cmd_mobius(args):
 
 
 def cmd_hypertoric(args):
+    from .hypertoric import e_polynomial, hypertoric_class
     arr = _arrangement(args.input)
     lat = build_lattice(arr, max_flats=_budget(args, "flats"))
     cls = hypertoric_class(arr, lat, _budget(args))
@@ -163,6 +152,7 @@ def cmd_hypertoric(args):
 
 
 def cmd_nakajima(args):
+    from .quiver_varieties import nakajima_gf
     quiver = _quiver(args.input)
     w = _int_list(args.w, "--w")
     gf = nakajima_gf(quiver, w, args.depth)
@@ -171,6 +161,7 @@ def cmd_nakajima(args):
 
 
 def cmd_odr(args):
+    from .open_derham import OdrInput, odr_class
     orders = _int_list(args.orders, "--orders")
     cls = odr_class(OdrInput(args.n, orders))
     _emit({"class": cls.value.to_json(),
@@ -179,10 +170,11 @@ def cmd_odr(args):
 
 
 def cmd_igusa(args):
+    from .igusa import igusa_chain, igusa_recursion
     arr = _arrangement(args.input)
     lat = build_lattice(arr, max_flats=_budget(args, "flats"))
-    compute = igusa_recursion if args.method == "recursion" else igusa_chain
-    zeta = compute(arr, lat)
+    zeta = (igusa_recursion(arr, lat, _budget(args, "flats"))
+            if args.method == "recursion" else igusa_chain(arr, lat))
     if args.format == "latex":
         print(zeta.value.to_latex())
     elif args.format == "plain":
@@ -192,6 +184,7 @@ def cmd_igusa(args):
 
 
 def cmd_poles(args):
+    from .igusa import functional_equation_check, igusa_chain, pole_report
     arr = _arrangement(args.input)
     lat = build_lattice(arr, max_flats=_budget(args, "flats"))
     zeta = igusa_chain(arr, lat)
@@ -202,6 +195,7 @@ def cmd_poles(args):
 
 
 def cmd_bmu(args):
+    from .residues import b_mu
     arr = _arrangement(args.input)
     lat = build_lattice(arr, max_flats=_budget(args, "flats"))
     value = b_mu(arr, lat)
@@ -212,6 +206,7 @@ def cmd_bmu(args):
 
 
 def cmd_bprime(args):
+    from .residues import b_prime
     arr = _arrangement(args.input)
     lat = build_lattice(arr, max_flats=_budget(args, "flats"))
     data = b_prime(arr, lat)
@@ -229,6 +224,7 @@ def cmd_bprime(args):
 
 
 def cmd_quiver_indec(args):
+    from .quiver_reps import a_gamma_alpha, brute_force_indec
     quiver = _quiver(args.input)
     poly = a_gamma_alpha(quiver, args.alpha, _budget(args))
     payload = {"poly": poly.to_json(), "alpha": args.alpha}
@@ -242,6 +238,7 @@ def cmd_quiver_indec(args):
 
 
 def cmd_quiver_limit(args):
+    from .quiver_reps import a_gamma_limit
     quiver = _quiver(args.input)
     value = a_gamma_limit(quiver, _budget(args))
     if args.format == "plain":
@@ -251,6 +248,7 @@ def cmd_quiver_limit(args):
 
 
 def cmd_check_lastone(args):
+    from .quiver_reps import check_lastone
     quiver = _quiver(args.input)
     report = check_lastone(quiver, _budget(args))
     _emit({
@@ -262,6 +260,7 @@ def cmd_check_lastone(args):
 
 
 def cmd_oracle(args):
+    from .padic_oracle import depth_counts, limit_probe
     arr = _arrangement(args.input)
     lat = build_lattice(arr, max_flats=_budget(args, "flats"))
     counts = depth_counts(arr, args.p, args.alpha, budget=_budget(args))
@@ -279,6 +278,10 @@ def cmd_oracle(args):
 
 
 def cmd_verify(args):
+    from .checks import DEFAULT_SEED, SUITES
+    if args.suite not in SUITES:
+        raise ParseError(f"--suite: {args.suite!r} is not in {list(SUITES)}")
+    args.seed = DEFAULT_SEED if args.seed is None else args.seed
     checks, conjectures = SUITES[args.suite](args)
     lines = []
     failed = 0
@@ -310,7 +313,8 @@ def cmd_verify(args):
 # ---------------------------------------------------------------------------
 
 def build_parser() -> _Parser:
-    parser = _Parser(prog="amz", description=__doc__)
+    # the docstring's last paragraph, the import rule, is for developers
+    parser = _Parser(prog="amz", description=__doc__.rsplit("\n\n", 1)[0])
     parser.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                         help="work budget for enumerations; the AMZ_BUDGET "
                              "environment variable overrides this")
@@ -385,14 +389,13 @@ def build_parser() -> _Parser:
     p.add_argument("--alpha", type=int, required=True)
 
     p = add("verify", cmd_verify, help="run a verification suite")
-    p.add_argument("--suite", choices=list(SUITES),
-                   required=True,
+    p.add_argument("--suite", required=True,
                    help="paper: transcribed reference values; oracle: "
                         "series vs brute-force counts; properties: "
                         "invariants on random arrangements")
     p.add_argument("--p", type=_prime)
     p.add_argument("--alpha", type=int)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=int)
 
     return parser
 

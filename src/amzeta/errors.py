@@ -5,6 +5,8 @@ precondition violations exit 2, exhausted budgets exit 3 and internal
 invariant violations exit 4.
 """
 
+import math
+
 
 class AmzError(Exception):
     """Base class for all package errors."""
@@ -28,6 +30,10 @@ def parse_int(value, what: str) -> int:
         except ValueError:
             pass
     raise ParseError(f"{what}: {value!r} is not an integer")
+
+
+def is_prime(p: int) -> bool:
+    return p > 1 and all(p % d for d in range(2, math.isqrt(p) + 1))
 
 
 def parse_list(value, what: str) -> list:

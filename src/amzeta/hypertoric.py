@@ -15,13 +15,13 @@ import itertools
 from .arrangement import (
     Arrangement,
     FlatLattice,
+    _meet_in_middle,
     _require_essential,
     rank_mod_p,
     require_prime_above_minors,
 )
 from .errors import InvariantError, NotDivisibleError, PreconditionError
 from .exact_algebra import LaurentPoly, exact_div
-from .padic_oracle import _meet_in_middle
 
 
 class HypertoricClass:

@@ -21,13 +21,14 @@ factor (q^a - t) of multiplicity mu is a pole of order mu at s = -a.
 from __future__ import annotations
 
 from .arrangement import (
+    DEFAULT_FLAT_BUDGET,
     Arrangement,
     FlatLattice,
     _require_essential,
     build_lattice,
     localization,
 )
-from .errors import InvariantError
+from .errors import InvariantError, charge
 from .exact_algebra import BiRational, _clear
 
 
@@ -110,7 +111,8 @@ def igusa_chain(arrangement: Arrangement, lat: FlatLattice) -> IgusaZeta:
     return IgusaZeta(arrangement, lat, value)
 
 
-def igusa_recursion(arrangement: Arrangement, lat: FlatLattice) -> IgusaZeta:
+def igusa_recursion(arrangement: Arrangement, lat: FlatLattice,
+                    budget: int = DEFAULT_FLAT_BUDGET) -> IgusaZeta:
     """Localization recursion; an independent derivation of the same value.
 
     For the arrangement attached to a flat F (its hyperplanes in their own
@@ -124,9 +126,13 @@ def igusa_recursion(arrangement: Arrangement, lat: FlatLattice) -> IgusaZeta:
       I = (q^m-1)/(q^m-t) + q^(2m) (t-1)/(t (q^m-t)) * J'(top).
 
     The localization arrangements are materialized explicitly and their
-    lattices are checked against the corresponding order ideals.
+    lattices are checked against the corresponding order ideals; their
+    flats, sum over nonempty F of #[empty, F], are charged to ``budget``
+    before any is built.
     """
     _require_essential(arrangement)
+    charge("localization lattices",
+           sum(down.bit_count() for down in lat.down) - 1, budget)
     m = arrangement.m
     order = sorted(range(len(lat.flats)), key=lambda i: len(lat.flats[i]))
     jprime = {}

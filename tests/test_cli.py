@@ -1,13 +1,16 @@
+import argparse
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 
 import pytest
 
 import amzeta
-from amzeta.cli import main
+from amzeta.cli import build_parser, main
 from amzeta.reference import (
+    complete_quiver,
     cycle_quiver,
     n_origins,
     triangle,
@@ -204,6 +207,20 @@ def test_quiver_walks_draw_on_the_budget(capsys, tmp_path, monkeypatch):
         assert "budget allows 100" in err
 
 
+def test_recursion_draws_on_the_flat_budget(capsys, tmp_path, monkeypatch):
+    # K5: 52 flats, and its localizations 357 sub-lattice flats in all
+    from amzeta.arrangement import graphic_arrangement
+    k5 = tmp_path / "k5.json"
+    k5.write_text(json.dumps(
+        graphic_arrangement(complete_quiver(5)).to_json()))
+    monkeypatch.setenv("AMZ_BUDGET", "100")
+    code, out, err = run(capsys, "igusa", "--method", "recursion", str(k5))
+    assert code == 3 and out == ""
+    assert "needs 357 steps, budget allows 100" in err
+    code, out, _ = run(capsys, "igusa", str(k5))
+    assert code == 0 and out
+
+
 def test_exit_code_parse_error(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -352,3 +369,60 @@ def test_verify_fails_under_optimize():
     failed = [c for c in payload["checks"] if c["status"] == "FAIL"]
     assert failed == [{"check": "indecomposable count limits",
                        "status": "FAIL", "detail": "limit of the 3-cycle"}]
+
+
+# Each subcommand once in a fresh interpreter, with the amzeta modules it
+# loaded: pytest has imported every module already, so only a new process
+# shows a handler's missing import, an import cycle, or a layer loaded that
+# the call does not run.  Only verify loads the whole package.
+BASE_MODULES = {"arrangement", "cli", "errors", "exact_algebra"}
+ALL_MODULES = {name for _, name, _ in pkgutil.iter_modules(amzeta.__path__)}
+QUIVER = {"quiver_reps", "quiver_varieties"}
+FRESH_CALLS = [
+    (["lattice", "tri.json"], 0, set()),
+    (["chi", "tri.json"], 0, set()),
+    (["mobius", "tri.json"], 0, set()),
+    (["hypertoric", "tri.json"], 0, {"hypertoric"}),
+    (["nakajima", "c3.json", "--w", "1,0,0", "--depth", "1"], 0,
+     {"quiver_varieties"}),
+    (["odr", "--n", "2", "--orders", "2,2"], 0,
+     {"open_derham", "quiver_varieties"}),
+    (["igusa", "tri.json"], 0, {"igusa"}),
+    (["poles", "tri.json"], 0, {"igusa"}),
+    (["bmu", "tri.json"], 0, {"igusa", "residues"}),
+    (["bprime", "tri.json"], 0, {"igusa", "residues"}),
+    (["quiver-indec", "c3.json", "--alpha", "1", "--p", "3"], 0, QUIVER),
+    (["quiver-limit", "c3.json"], 0, QUIVER),
+    (["check-lastone", "c3.json"], 0, QUIVER | {"igusa", "residues"}),
+    (["oracle", "tri.json", "--p", "5", "--alpha", "1"], 0,
+     {"igusa", "padic_oracle", "residues"}),
+    (["verify", "--suite", "paper"], 0, ALL_MODULES),
+    (["verify", "--suite", "nope"], 1, ALL_MODULES),
+]
+_CHILD = (
+    "import json, sys\n"
+    "from amzeta.cli import main\n"
+    "code = main(sys.argv[1:])\n"
+    "print(json.dumps(sorted(m[7:] for m in sys.modules\n"
+    "                        if m.startswith('amzeta.'))), file=sys.stderr)\n"
+    "sys.exit(code)\n")
+
+
+def test_fresh_calls_cover_every_subcommand():
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert {argv[0] for argv, _, _ in FRESH_CALLS} == set(sub.choices)
+
+
+@pytest.mark.parametrize("argv, code, layers", FRESH_CALLS,
+                         ids=[" ".join(c[0][:3]) for c in FRESH_CALLS])
+def test_fresh_call_loads_only_its_layers(tmp_path, argv, code, layers):
+    (tmp_path / "tri.json").write_text(json.dumps(triangle().to_json()))
+    (tmp_path / "c3.json").write_text(json.dumps(cycle_quiver(3).to_json()))
+    src = os.path.dirname(os.path.dirname(amzeta.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", _CHILD, *argv], env=env,
+                          cwd=tmp_path, capture_output=True, text=True)
+    assert proc.returncode == code, proc.stderr
+    assert (set(json.loads(proc.stderr.splitlines()[-1]))
+            == BASE_MODULES | layers)

@@ -2,8 +2,12 @@ from fractions import Fraction
 
 import pytest
 
-from amzeta import padic_oracle
-from amzeta.arrangement import build_lattice, graphic_arrangement
+from amzeta import arrangement
+from amzeta.arrangement import (
+    build_lattice,
+    graphic_arrangement,
+    product_count_table,
+)
 from amzeta.errors import BudgetExceededError, PreconditionError
 from amzeta.padic_oracle import (
     _count_direct,
@@ -11,7 +15,6 @@ from amzeta.padic_oracle import (
     depth_counts,
     limit_probe,
     poincare_check,
-    product_count_table,
     series_counts_from_zeta,
 )
 from amzeta.igusa import igusa_chain
@@ -85,13 +88,12 @@ def test_table_is_charged_before_it_is_built(monkeypatch):
     # table pairs, so the default budget refuses before any tabulation
     def refuse(p, alpha):
         raise AssertionError("product table built past the budget")
-    monkeypatch.setattr(padic_oracle, "product_count_table", refuse)
+    monkeypatch.setattr(arrangement, "product_count_table", refuse)
     with pytest.raises(BudgetExceededError):
         count_solutions_mod(n_origins(1), 5, 6)
 
 
 def test_every_refusal_says_what_it_needs(monkeypatch):
-    from amzeta import arrangement
     from amzeta.arrangement import count_complement_Fq, structural_flags
     from amzeta.hypertoric import count_moment_fiber, hypertoric_class
     from amzeta.quiver_reps import _brute_force_raw, brute_force_indec
