@@ -547,47 +547,42 @@ def count_complement_Fq(arrangement: Arrangement, p: int,
     return count
 
 
-def product_count_table(p: int, alpha: int):
-    """N[lam] = |{(z, w) in (Z/p^alpha)^2 : z w = lam}| by direct
-    tabulation over all p^(2 alpha) pairs."""
-    mod = p ** alpha
-    table = [0] * mod
-    for z in range(mod):
-        for w in range(mod):
-            table[z * w % mod] += 1
-    return table
+def _orbit_representatives(p, depth, m):
+    """One primitive xi in (Z/p^depth)^m per orbit of unit scaling: those
+    whose first unit coordinate is 1, the earlier ones lying in pZ."""
+    mod = p ** depth
+    for k in range(m):
+        yield from itertools.product(*[range(0, mod, p)] * k, (1,),
+                                     *[range(mod)] * (m - k - 1))
 
 
-def _row_sums(rows, table, mod, m):
-    """{s: sum of prod table[lam_i] over the lam with sum lam_i a_i = s}
-    over the states s in (Z/mod)^m, for the rows a_i."""
-    states = {(0,) * m: 1}
-    for row in rows:
-        nxt = {}
-        for state, ways in states.items():
-            for lam in range(mod):
-                new = tuple((s + lam * a) % mod for s, a in zip(state, row))
-                nxt[new] = nxt.get(new, 0) + ways * table[lam]
-        states = nxt
-    return states
-
-
-def _meet_in_middle(normals, p, alpha, target, budget):
-    """|{(x, y) in (Z/p^alpha)^2n : sum x_i y_i a_i = target}| as
-    sum_s F(s) G(target - s), with F, G the row sums of the two halves of
-    the normals.  Charged before any work: the p^(2 alpha) pairs of the
-    product table plus each half's (state, lam) steps, at most
-    mod^min(i, m) states entering its i-th row.  The congruence oracle
-    and the moment-fiber count share it, so it sits below both."""
-    mod, m, h = p ** alpha, len(target), (len(normals) + 1) // 2
-    halves = (normals[:h], normals[h:])
-    steps = mod * mod + sum(mod ** (min(i, m) + 1)
-                            for half in halves for i in range(len(half)))
-    charge("convolution count", steps, budget)
-    table = product_count_table(p, alpha)
-    f, g = sorted((_row_sums(half, table, mod, m) for half in halves), key=len)
-    return sum(w * g.get(tuple((t - s) % mod for t, s in zip(target, st)), 0)
-               for st, w in f.items())
+def _character_count(normals, p, alpha, target, budget):
+    """|{(x, y) in (Z/p^alpha)^2n : sum x_i y_i a_i = target}| by additive
+    characters.  Since sum_{x,y} e(x y c / p^alpha) = p^alpha gcd(c, p^alpha),
+    the count is p^(alpha (n - m)) sum_xi e(-<target, xi> / p^alpha) w(xi)
+    over xi in (Z/p^alpha)^m, with w(xi) = prod_i gcd(<a_i, xi>, p^alpha).
+    The xi in p(Z/p^alpha)^m contribute p^n times the sum at depth
+    alpha - 1, so the depths d = 1..alpha are summed by Horner from depth
+    0's 1.  Unit scaling of a primitive xi fixes w, so each orbit is walked
+    once, weighted by its Ramanujan sum sum_u e(u k / p^d) with
+    k = <target, xi>: p^d [p^d | k] - p^(d-1) [p^(d-1) | k].  Charged
+    before any work: n inner products per representative.  The congruence
+    oracle and the moment-fiber count share it."""
+    n, m = len(normals), len(target)
+    reps = sum((p ** (d * m) - p ** (d * m - m)) // (p ** d - p ** (d - 1))
+               for d in range(1, alpha + 1))
+    charge("character sum", n * reps, budget)
+    total = 1
+    for d in range(1, alpha + 1):
+        mod, unit = p ** d, p ** (d - 1)
+        total *= p ** n
+        for xi in _orbit_representatives(p, d, m):
+            k = sum(map(mul, target, xi))
+            orbit = (k % mod == 0) * mod - (k % unit == 0) * unit
+            if orbit:
+                total += orbit * math.prod(
+                    math.gcd(sum(map(mul, a, xi)), mod) for a in normals)
+    return p ** (alpha * n) * total // p ** (alpha * m)
 
 
 # ---------------------------------------------------------------------------

@@ -243,7 +243,9 @@ def _suite_oracle(args):
         arr = reference.triangle()
         probe = limit_probe(arr, build_lattice(arr),
                             depth_counts(arr, p, alpha))
-        require(probe.converges and probe.distances[-1] < probe.distances[0],
+        # one depth gives one distance, so there is nothing to compare
+        require(probe.converges and (alpha == 1 or probe.distances[-1]
+                                     < probe.distances[0]),
                 "limit probe does not converge")
     checks.append((f"normalized limit probe, triangle, p={p}", probes))
 

@@ -15,7 +15,7 @@ import itertools
 from .arrangement import (
     Arrangement,
     FlatLattice,
-    _meet_in_middle,
+    _character_count,
     _require_essential,
     rank_mod_p,
     require_prime_above_minors,
@@ -98,6 +98,4 @@ def count_moment_fiber(arrangement: Arrangement, lat: FlatLattice, p: int,
     require_prime_above_minors(arrangement, p)
     if not xi_is_generic(arrangement, lat, p, xi):
         raise PreconditionError(f"{tuple(xi)} is not generic mod {p}")
-    xi = tuple(x % p for x in xi)
-    # v_i w_i takes 0 with weight 2p-1, each unit with weight p-1
-    return _meet_in_middle(arrangement.normals, p, 1, xi, budget)
+    return _character_count(arrangement.normals, p, 1, xi, budget)

@@ -20,7 +20,7 @@ from fractions import Fraction
 from .arrangement import (
     Arrangement,
     FlatLattice,
-    _meet_in_middle,
+    _character_count,
     require_prime_above_minors,
     structural_flags,
 )
@@ -47,15 +47,15 @@ def count_solutions_mod(arrangement: Arrangement, p: int, alpha: int,
     require_prime_above_minors(arrangement, p)
     if alpha < 1:
         raise PreconditionError("depth must be >= 1")
-    return OracleCount(arrangement, p, alpha, _meet_in_middle(
+    return OracleCount(arrangement, p, alpha, _character_count(
         arrangement.normals, p, alpha, (0,) * arrangement.m, budget))
 
 
 def _count_direct(normals, p, alpha, target, budget):
     """|{(x, y) in (Z/p^alpha)^2n : sum x_i y_i a_i = target}| by
-    enumerating all p^(2 n alpha) pairs: the reference that
-    ``_meet_in_middle`` is tested against, for the fiber count (alpha = 1,
-    target xi) and the congruence count (target 0) alike."""
+    enumerating all p^(2 n alpha) pairs: the reference that the character
+    sum ``_character_count`` is tested against, for the fiber count
+    (alpha = 1, target xi) and the congruence count (target 0) alike."""
     n, mod = len(normals), p ** alpha
     charge("direct enumeration", mod ** (2 * n), budget)
     target = tuple(t % mod for t in target)

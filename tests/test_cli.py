@@ -159,9 +159,8 @@ def test_oracle_subcommand(capsys, tmp_path):
 
 def test_oracle_triangle_counts_each_depth_once(capsys, triangle_file,
                                                monkeypatch):
-    # the convolution is charged its table pairs and the steps of both
-    # halves, so p = 5, alpha = 3 (31,500 steps) runs inside the default
-    # budget
+    # the character sum is charged three inner products for each of the
+    # 186 orbit representatives of depths 1-3 at p = 5
     from fractions import Fraction
     from amzeta import padic_oracle
     from amzeta.igusa import IgusaZeta
@@ -337,6 +336,14 @@ def test_verify_oracle_suite(capsys):
 def test_verify_oracle_suite_p7(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "oracle",
                        "--p", "7", "--alpha", "2")
+    assert code == 0
+    assert json.loads(out)["failed"] == 0
+
+
+def test_verify_oracle_suite_depth_one(capsys):
+    # the limit probe has a single distance at alpha = 1
+    code, out, _ = run(capsys, "verify", "--suite", "oracle",
+                       "--p", "5", "--alpha", "1")
     assert code == 0
     assert json.loads(out)["failed"] == 0
 

@@ -131,12 +131,12 @@ def test_genericity_rejects_bad_xi():
 
 
 def test_fiber_budget_charges_the_convolution_steps():
-    # K5 at p = 5 (m = 4) is charged the 25 pairs of the product table plus,
-    # in each half of five normals, 5 + 25 + 125 + 625 + 3125 steps
+    # K5 at p = 5 (m = 4) is charged ten inner products for each of the
+    # (5^4 - 1) / 4 = 156 unit-scaling orbits of nonzero xi in F_5^4
     arr = graphic_arrangement(complete_quiver(5))
     cls, lat = class_of(arr)
     xi = find_generic_xi(arr, lat, 5)
-    count = count_moment_fiber(arr, lat, 5, xi, budget=7835)
+    count = count_moment_fiber(arr, lat, 5, xi, budget=1560)
     assert count == 151316000000 == cls.value.evaluate(5) * 4 ** 4
     with pytest.raises(BudgetExceededError):
-        count_moment_fiber(arr, lat, 5, xi, budget=7834)
+        count_moment_fiber(arr, lat, 5, xi, budget=1559)

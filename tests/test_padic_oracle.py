@@ -3,11 +3,7 @@ from fractions import Fraction
 import pytest
 
 from amzeta import arrangement
-from amzeta.arrangement import (
-    build_lattice,
-    graphic_arrangement,
-    product_count_table,
-)
+from amzeta.arrangement import build_lattice, graphic_arrangement
 from amzeta.errors import BudgetExceededError, PreconditionError
 from amzeta.padic_oracle import (
     _count_direct,
@@ -43,22 +39,6 @@ def test_single_origin_counts():
                 == closed_form_single_origin(5, alpha))
 
 
-def test_product_table_closed_form():
-    # valuation beta < alpha: (beta+1)(q-1)q^(alpha-1); zero: the divisor form
-    for p, alpha in [(3, 2), (5, 2), (3, 3)]:
-        table = product_count_table(p, alpha)
-        mod = p ** alpha
-        for lam in range(mod):
-            if lam == 0:
-                expected = closed_form_single_origin(p, alpha)
-            else:
-                beta = 0
-                while lam % p ** (beta + 1) == 0:
-                    beta += 1
-                expected = (beta + 1) * (p - 1) * p ** (alpha - 1)
-            assert table[lam] == expected
-
-
 def test_direct_equals_convolution_depth_one():
     for arr in [n_origins(2), triangle()]:
         direct = _count_direct(arr.normals, 5, 1, (0,) * arr.m, 10 ** 8)
@@ -67,30 +47,30 @@ def test_direct_equals_convolution_depth_one():
 
 
 def test_direct_equals_convolution_depth_two():
-    # the halves meet at a nonzero state once alpha > 1
+    # at alpha > 1 the multiples of p enter through the depth-1 sum
     for arr, p in [(n_origins(2), 5), (triangle(), 3)]:
         direct = _count_direct(arr.normals, p, 2, (0,) * arr.m, 10 ** 8)
         assert count_solutions_mod(arr, p, 2).count == direct
 
 
 def test_budget_charges_table_and_both_halves():
-    # triangle at p = 5, alpha = 3 (mod 125, m = 2): the 125^2 pairs of the
-    # product table, 125 + 125^2 steps for the first two normals and 125
-    # for the third
+    # triangle at p = 5, alpha = 3 (m = 2): 6 + 30 + 150 unit-scaling orbit
+    # representatives at depths 1, 2, 3, three inner products each
     arr = triangle()
-    assert count_solutions_mod(arr, 5, 3, budget=31500).count == 444765625
+    assert count_solutions_mod(arr, 5, 3, budget=558).count == 444765625
     with pytest.raises(BudgetExceededError):
-        count_solutions_mod(arr, 5, 3, budget=31499)
+        count_solutions_mod(arr, 5, 3, budget=557)
 
 
 def test_table_is_charged_before_it_is_built(monkeypatch):
-    # one normal at p = 5, alpha = 6: 15625 (state, lam) steps but 5^12
-    # table pairs, so the default budget refuses before any tabulation
-    def refuse(p, alpha):
-        raise AssertionError("product table built past the budget")
-    monkeypatch.setattr(arrangement, "product_count_table", refuse)
-    with pytest.raises(BudgetExceededError):
-        count_solutions_mod(n_origins(1), 5, 6)
+    # K5 at p = 3, alpha = 3 is charged 10 * (40 + 1080 + 29160) steps;
+    # one step short is refused before any representative is walked
+    def refuse(p, depth, m):
+        raise AssertionError("orbit representatives walked past the budget")
+    monkeypatch.setattr(arrangement, "_orbit_representatives", refuse)
+    arr = graphic_arrangement(complete_quiver(5))
+    with pytest.raises(BudgetExceededError, match="needs 302800 steps"):
+        count_solutions_mod(arr, 3, 3, budget=302799)
 
 
 def test_every_refusal_says_what_it_needs(monkeypatch):
@@ -161,6 +141,47 @@ def test_poincare_triangle():
 ], ids=["K4-p5-a2", "six-p5-a2", "K4-p3-a3", "triangle-p5-a4"])
 def test_poincare_at_depth(arr, p, alpha):
     poincare_check(arr, build_lattice(arr), p, alpha)
+
+
+@pytest.mark.parametrize("k, alpha, counts", [
+    (6, 2, [895778349165, 759497186917907469429021]),
+    (5, 3, [50132601, 2170834129994841, 93467602977650562739041]),
+], ids=["K6-p3-a2", "K5-p3-a3"])
+def test_poincare_at_rank_four_and_five(k, alpha, counts):
+    # certificates where the lattice is large: rank 5 with 203 flats, and
+    # rank 4 with 52 flats at depth 3
+    arr = graphic_arrangement(complete_quiver(k))
+    report = poincare_check(arr, build_lattice(arr), 3, alpha)
+    assert [c.count for c in report.counts] == counts
+
+
+def test_character_sum_matches_direct_count_on_random_arrangements():
+    # seeded draws of three normals of rank 1-2 with entries in {-1, 0, 1}:
+    # the fiber count at a generic target mod 5 for each draw, and the
+    # congruence count mod 4 wherever 2 passes the prime guard, both
+    # against direct enumeration
+    import random
+
+    from amzeta.arrangement import Arrangement, structural_flags
+    from amzeta.hypertoric import count_moment_fiber, find_generic_xi
+
+    rng = random.Random(16)
+    fibers = depth_two = 0
+    while fibers < 8 or depth_two < 4:
+        m = rng.randint(1, 2)
+        rows = [tuple(rng.randint(-1, 1) for _ in range(m)) for _ in range(3)]
+        if not all(map(any, rows)) or Arrangement(rows).rank() != m:
+            continue
+        arr = Arrangement(rows)
+        lat = build_lattice(arr)
+        xi = find_generic_xi(arr, lat, 5)
+        assert (count_moment_fiber(arr, lat, 5, xi)
+                == _count_direct(arr.normals, 5, 1, xi, 10 ** 5))
+        fibers += 1
+        if structural_flags(arr, "max_abs_minor")["max_abs_minor"] < 2:
+            assert (count_solutions_mod(arr, 2, 2).count
+                    == _count_direct(arr.normals, 2, 2, (0,) * m, 10 ** 5))
+            depth_two += 1
 
 
 def test_poincare_random_arrangements():
