@@ -26,6 +26,7 @@ import math
 from operator import mul
 
 from .errors import (
+    DEFAULT_BUDGET,
     ParseError,
     PreconditionError,
     charge,
@@ -33,8 +34,6 @@ from .errors import (
     parse_list,
 )
 from .exact_algebra import LaurentPoly
-
-DEFAULT_FLAT_BUDGET = 10 ** 6
 
 
 # ---------------------------------------------------------------------------
@@ -382,16 +381,18 @@ def _direction(vec) -> tuple:
 
 
 def build_lattice(arrangement: Arrangement,
-                  max_flats: int = DEFAULT_FLAT_BUDGET) -> FlatLattice:
+                  budget: int = DEFAULT_BUDGET) -> FlatLattice:
     """Enumerate all flats by a search over covers from the empty flat.
 
     Each flat F gets one integer kernel basis K of its normals.  A normal
     a_j outside F pairs with K to a nonzero vector, and a_j lies in the
     span of F and a_i iff the pairings of i and j are parallel.  So the
     flats covering F are F joined with each class of parallel pairings,
-    each one rank above F.
+    each one rank above F.  Each flat found is charged n * m steps, a
+    bound on its inner products: K7 costs 110,502, K11 373,213,500.
     """
     normals, m = arrangement.normals, arrangement.m
+    per_flat = arrangement.n * m
     everything = (1 << arrangement.n) - 1
     ranks = {0: 0}
     covers = {}
@@ -407,7 +408,7 @@ def build_lattice(arrangement: Arrangement,
         for g in covers[f]:
             if g not in ranks:
                 ranks[g] = ranks[f] + 1
-                charge("lattice of flats", len(ranks), max_flats)
+                charge("lattice of flats", per_flat * len(ranks), budget)
                 queue.append(g)
     masks = sorted(ranks, key=lambda f: (f.bit_count(), _bits(f)))
     index = {f: i for i, f in enumerate(masks)}
@@ -469,7 +470,7 @@ _FLAGS_CACHE: dict = {}
 
 
 def structural_flags(arrangement: Arrangement, *extra,
-                     budget: int = 10 ** 9) -> dict:
+                     budget: int = DEFAULT_BUDGET) -> dict:
     """Exact structural predicates; each is computed only when asked for.
 
     ``essential`` and ``coloop_free`` always, from n + 1 ranks.  ``extra``
@@ -509,8 +510,8 @@ def structural_flags(arrangement: Arrangement, *extra,
     return {key: cached[key] for key in ("essential", "coloop_free") + extra}
 
 
-def _require_essential(arrangement: Arrangement, *extra,
-                       coloop_free=False, budget: int = 10 ** 9) -> dict:
+def _require_essential(arrangement: Arrangement, *extra, coloop_free=False,
+                       budget: int = DEFAULT_BUDGET) -> dict:
     """``structural_flags(arrangement, *extra, budget=budget)``, refusing
     an arrangement that is not essential or, when ``coloop_free`` is asked
     for, has a coloop."""
@@ -525,18 +526,20 @@ def _require_essential(arrangement: Arrangement, *extra,
     return flags
 
 
-def require_prime_above_minors(arrangement: Arrangement, p: int):
+def require_prime_above_minors(arrangement: Arrangement, p: int,
+                               budget: int = DEFAULT_BUDGET):
     """The counting oracles need p larger than every |minor|."""
-    bound = structural_flags(arrangement, "max_abs_minor")["max_abs_minor"]
+    bound = structural_flags(arrangement, "max_abs_minor",
+                             budget=budget)["max_abs_minor"]
     if p <= bound:
         raise PreconditionError(
             f"prime {p} not larger than max |minor| {bound}")
 
 
 def count_complement_Fq(arrangement: Arrangement, p: int,
-                        budget: int = 10 ** 7) -> int:
+                        budget: int = DEFAULT_BUDGET) -> int:
     """Points of F_p^m lying on none of the hyperplanes (brute force)."""
-    require_prime_above_minors(arrangement, p)
+    require_prime_above_minors(arrangement, p, budget)
     m = arrangement.m
     charge(f"complement count over F_{p}^{m}", p ** m, budget)
     count = 0
@@ -557,22 +560,21 @@ def _orbit_representatives(p, depth, m):
 
 
 def _character_count(normals, p, alpha, target, budget):
-    """|{(x, y) in (Z/p^alpha)^2n : sum x_i y_i a_i = target}| by additive
-    characters.  Since sum_{x,y} e(x y c / p^alpha) = p^alpha gcd(c, p^alpha),
-    the count is p^(alpha (n - m)) sum_xi e(-<target, xi> / p^alpha) w(xi)
-    over xi in (Z/p^alpha)^m, with w(xi) = prod_i gcd(<a_i, xi>, p^alpha).
-    The xi in p(Z/p^alpha)^m contribute p^n times the sum at depth
-    alpha - 1, so the depths d = 1..alpha are summed by Horner from depth
-    0's 1.  Unit scaling of a primitive xi fixes w, so each orbit is walked
-    once, weighted by its Ramanujan sum sum_u e(u k / p^d) with
-    k = <target, xi>: p^d [p^d | k] - p^(d-1) [p^(d-1) | k].  Charged
-    before any work: n inner products per representative.  The congruence
-    oracle and the moment-fiber count share it."""
+    """[|{(x, y) in (Z/p^d)^2n : sum x_i y_i a_i = target}| for d = 1..alpha]
+    by additive characters.  Since sum_{x,y} e(x y c / p^d) = p^d gcd(c, p^d),
+    the count is p^(d (n - m)) sum_xi e(-<target, xi> / p^d) w(xi) over
+    xi in (Z/p^d)^m, with w(xi) = prod_i gcd(<a_i, xi>, p^d).  The xi in
+    p(Z/p^d)^m contribute p^n times the sum at depth d - 1, so one Horner
+    pass from depth 0's 1 sums every depth.  Unit scaling of a primitive xi
+    fixes w, so each orbit is walked once, weighted by its Ramanujan sum
+    sum_u e(u k / p^d) = p^d [p^d | k] - p^(d-1) [p^(d-1) | k], where
+    k = <target, xi>.  Charged before any work: n inner products per
+    representative.  The congruence oracle and the fiber count share it."""
     n, m = len(normals), len(target)
     reps = sum((p ** (d * m) - p ** (d * m - m)) // (p ** d - p ** (d - 1))
                for d in range(1, alpha + 1))
     charge("character sum", n * reps, budget)
-    total = 1
+    total, counts = 1, []
     for d in range(1, alpha + 1):
         mod, unit = p ** d, p ** (d - 1)
         total *= p ** n
@@ -582,7 +584,8 @@ def _character_count(normals, p, alpha, target, budget):
             if orbit:
                 total += orbit * math.prod(
                     math.gcd(sum(map(mul, a, xi)), mod) for a in normals)
-    return p ** (alpha * n) * total // p ** (alpha * m)
+        counts.append(p ** (d * n) * total // p ** (d * m))
+    return counts
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 One subcommand per computation; JSON on stdout (deterministic: sorted
 keys, coefficients as decimal strings), human-oriented notes on stderr.
+Every stage charges its steps to the one --budget, 10^9 by default.
 Exit codes: 0 ok, 1 parse error, 2 precondition violation, 3 budget
 exceeded, 4 internal invariant violation / failed verification.
 
@@ -15,18 +16,17 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
-from .arrangement import (
-    DEFAULT_FLAT_BUDGET,
-    Arrangement,
-    build_lattice,
-    structural_flags,
+from .arrangement import Arrangement, build_lattice, structural_flags
+from .errors import (
+    DEFAULT_BUDGET,
+    AmzError,
+    InvariantError,
+    ParseError,
+    is_prime,
+    parse_int,
 )
-from .errors import AmzError, InvariantError, ParseError, is_prime, parse_int
-
-DEFAULT_BUDGET = 10 ** 9
 
 
 class _Parser(argparse.ArgumentParser):
@@ -87,29 +87,15 @@ def _int_list(text, option):
     return [parse_int(x, option) for x in text.split(",")]
 
 
-def _budget(args, kind: str = "states"):
-    """Work budget: flats default 10^6, brute-force states default 10^9;
-    AMZ_BUDGET overrides both, --budget overrides the states budget."""
-    env = os.environ.get("AMZ_BUDGET")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise ParseError(f"AMZ_BUDGET={env!r} is not an integer") from exc
-    if kind == "flats":
-        return DEFAULT_FLAT_BUDGET
-    return args.budget
-
-
 # ---------------------------------------------------------------------------
 # subcommand handlers
 # ---------------------------------------------------------------------------
 
 def cmd_lattice(args):
     arr = _arrangement(args.input)
-    lat = build_lattice(arr, max_flats=_budget(args, "flats"))
+    lat = build_lattice(arr, args.budget)
     flags = structural_flags(arr, "unimodular", "max_abs_minor",
-                             budget=_budget(args))
+                             budget=args.budget)
     _emit({
         "flats": [_flat_json(f) for f in lat.flats],
         "ranks": list(lat.ranks),
@@ -122,7 +108,7 @@ def cmd_lattice(args):
 
 def cmd_chi(args):
     arr = _arrangement(args.input)
-    lat = build_lattice(arr, max_flats=_budget(args, "flats"))
+    lat = build_lattice(arr, args.budget)
     chi = lat.char_poly()
     if args.format == "plain":
         print(chi.to_str())
@@ -132,7 +118,7 @@ def cmd_chi(args):
 
 def cmd_mobius(args):
     arr = _arrangement(args.input)
-    lat = build_lattice(arr, max_flats=_budget(args, "flats"))
+    lat = build_lattice(arr, args.budget)
     lower = _parse_flat(args.lower, arr.n)
     upper = _parse_flat(args.upper, arr.n)
     _emit({"lower": _flat_json(lower), "upper": _flat_json(upper),
@@ -142,8 +128,8 @@ def cmd_mobius(args):
 def cmd_hypertoric(args):
     from .hypertoric import e_polynomial, hypertoric_class
     arr = _arrangement(args.input)
-    lat = build_lattice(arr, max_flats=_budget(args, "flats"))
-    cls = hypertoric_class(arr, lat, _budget(args))
+    lat = build_lattice(arr, args.budget)
+    cls = hypertoric_class(arr, lat, args.budget)
     payload = {"class": cls.value.to_json(), "formal": cls.formal,
                "unimodular": cls.unimodular}
     if cls.value.is_polynomial():
@@ -172,8 +158,8 @@ def cmd_odr(args):
 def cmd_igusa(args):
     from .igusa import igusa_chain, igusa_recursion
     arr = _arrangement(args.input)
-    lat = build_lattice(arr, max_flats=_budget(args, "flats"))
-    zeta = (igusa_recursion(arr, lat, _budget(args, "flats"))
+    lat = build_lattice(arr, args.budget)
+    zeta = (igusa_recursion(arr, lat, args.budget)
             if args.method == "recursion" else igusa_chain(arr, lat))
     if args.format == "latex":
         print(zeta.value.to_latex())
@@ -186,7 +172,7 @@ def cmd_igusa(args):
 def cmd_poles(args):
     from .igusa import functional_equation_check, igusa_chain, pole_report
     arr = _arrangement(args.input)
-    lat = build_lattice(arr, max_flats=_budget(args, "flats"))
+    lat = build_lattice(arr, args.budget)
     zeta = igusa_chain(arr, lat)
     report = pole_report(zeta, arr, lat)
     payload = report.to_json()
@@ -197,7 +183,7 @@ def cmd_poles(args):
 def cmd_bmu(args):
     from .residues import b_mu
     arr = _arrangement(args.input)
-    lat = build_lattice(arr, max_flats=_budget(args, "flats"))
+    lat = build_lattice(arr, args.budget)
     value = b_mu(arr, lat)
     if args.format == "plain":
         print(value.to_str())
@@ -208,7 +194,7 @@ def cmd_bmu(args):
 def cmd_bprime(args):
     from .residues import b_prime
     arr = _arrangement(args.input)
-    lat = build_lattice(arr, max_flats=_budget(args, "flats"))
+    lat = build_lattice(arr, args.budget)
     data = b_prime(arr, lat)
     if args.format == "plain":
         print(data.b_prime.to_str())
@@ -226,11 +212,11 @@ def cmd_bprime(args):
 def cmd_quiver_indec(args):
     from .quiver_reps import a_gamma_alpha, brute_force_indec
     quiver = _quiver(args.input)
-    poly = a_gamma_alpha(quiver, args.alpha, _budget(args))
+    poly = a_gamma_alpha(quiver, args.alpha, args.budget)
     payload = {"poly": poly.to_json(), "alpha": args.alpha}
     if args.p is not None:
         count = brute_force_indec(quiver, args.p, args.alpha,
-                                  budget=_budget(args))
+                                  budget=args.budget)
         payload["brute_force"] = {"p": args.p, "count": str(count)}
         if count != poly.evaluate(args.p):
             raise InvariantError("brute force disagrees with the polynomial")
@@ -240,7 +226,7 @@ def cmd_quiver_indec(args):
 def cmd_quiver_limit(args):
     from .quiver_reps import a_gamma_limit
     quiver = _quiver(args.input)
-    value = a_gamma_limit(quiver, _budget(args))
+    value = a_gamma_limit(quiver, args.budget)
     if args.format == "plain":
         print(value.to_str())
     else:
@@ -250,7 +236,7 @@ def cmd_quiver_limit(args):
 def cmd_check_lastone(args):
     from .quiver_reps import check_lastone
     quiver = _quiver(args.input)
-    report = check_lastone(quiver, _budget(args))
+    report = check_lastone(quiver, args.budget)
     _emit({
         "equal": report.equal,
         "lhs": report.lhs.to_json(),
@@ -262,8 +248,8 @@ def cmd_check_lastone(args):
 def cmd_oracle(args):
     from .padic_oracle import depth_counts, limit_probe
     arr = _arrangement(args.input)
-    lat = build_lattice(arr, max_flats=_budget(args, "flats"))
-    counts = depth_counts(arr, args.p, args.alpha, budget=_budget(args))
+    lat = build_lattice(arr, args.budget)
+    counts = depth_counts(arr, args.p, args.alpha, budget=args.budget)
     probe = limit_probe(arr, lat, counts)
     payload = {
         "p": args.p,
@@ -316,8 +302,8 @@ def build_parser() -> _Parser:
     # the docstring's last paragraph, the import rule, is for developers
     parser = _Parser(prog="amz", description=__doc__.rsplit("\n\n", 1)[0])
     parser.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                        help="work budget for enumerations; the AMZ_BUDGET "
-                             "environment variable overrides this")
+                        help="work budget in steps, which every stage of "
+                             "the call charges (default 10^9)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, fn, **kwargs):

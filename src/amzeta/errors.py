@@ -57,6 +57,10 @@ class BudgetExceededError(AmzError):
     exit_code = 3
 
 
+# the one work budget: every stage of a call charges its steps against it
+DEFAULT_BUDGET = 10 ** 9
+
+
 def charge(what: str, steps: int, budget: int):
     """Refuse, before any work, an enumeration of more steps than budget."""
     if steps > budget:

@@ -20,7 +20,12 @@ from .arrangement import (
     rank_mod_p,
     require_prime_above_minors,
 )
-from .errors import InvariantError, NotDivisibleError, PreconditionError
+from .errors import (
+    DEFAULT_BUDGET,
+    InvariantError,
+    NotDivisibleError,
+    PreconditionError,
+)
 from .exact_algebra import LaurentPoly, exact_div
 
 
@@ -38,7 +43,7 @@ class HypertoricClass:
 
 
 def hypertoric_class(arrangement: Arrangement, lat: FlatLattice,
-                     budget: int = 10 ** 9) -> HypertoricClass:
+                     budget: int = DEFAULT_BUDGET) -> HypertoricClass:
     """``budget`` bounds the scan of maximal minors for unimodularity."""
     flags = _require_essential(arrangement, "unimodular", budget=budget)
     n, m = arrangement.n, arrangement.m
@@ -93,9 +98,9 @@ def find_generic_xi(arrangement: Arrangement, lat: FlatLattice, p: int):
 
 
 def count_moment_fiber(arrangement: Arrangement, lat: FlatLattice, p: int,
-                       xi, budget: int = 10 ** 8) -> int:
+                       xi, budget: int = DEFAULT_BUDGET) -> int:
     """|{(v, w) in F_p^2n : sum v_i w_i a_i = xi}| for generic xi."""
-    require_prime_above_minors(arrangement, p)
+    require_prime_above_minors(arrangement, p, budget)
     if not xi_is_generic(arrangement, lat, p, xi):
         raise PreconditionError(f"{tuple(xi)} is not generic mod {p}")
-    return _character_count(arrangement.normals, p, 1, xi, budget)
+    return _character_count(arrangement.normals, p, 1, xi, budget)[0]

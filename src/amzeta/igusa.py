@@ -21,14 +21,13 @@ factor (q^a - t) of multiplicity mu is a pole of order mu at s = -a.
 from __future__ import annotations
 
 from .arrangement import (
-    DEFAULT_FLAT_BUDGET,
     Arrangement,
     FlatLattice,
     _require_essential,
     build_lattice,
     localization,
 )
-from .errors import InvariantError, charge
+from .errors import DEFAULT_BUDGET, InvariantError, charge
 from .exact_algebra import BiRational, _clear
 
 
@@ -112,7 +111,7 @@ def igusa_chain(arrangement: Arrangement, lat: FlatLattice) -> IgusaZeta:
 
 
 def igusa_recursion(arrangement: Arrangement, lat: FlatLattice,
-                    budget: int = DEFAULT_FLAT_BUDGET) -> IgusaZeta:
+                    budget: int = DEFAULT_BUDGET) -> IgusaZeta:
     """Localization recursion; an independent derivation of the same value.
 
     For the arrangement attached to a flat F (its hyperplanes in their own
@@ -126,13 +125,14 @@ def igusa_recursion(arrangement: Arrangement, lat: FlatLattice,
       I = (q^m-1)/(q^m-t) + q^(2m) (t-1)/(t (q^m-t)) * J'(top).
 
     The localization arrangements are materialized explicitly and their
-    lattices are checked against the corresponding order ideals; their
-    flats, sum over nonempty F of #[empty, F], are charged to ``budget``
-    before any is built.
+    lattices are checked against the corresponding order ideals.  Before
+    any is built they are charged to ``budget`` as ``build_lattice``
+    charges each: |F| * rk F steps for each of the #[empty, F] flats.
     """
     _require_essential(arrangement)
-    charge("localization lattices",
-           sum(down.bit_count() for down in lat.down) - 1, budget)
+    charge("localization lattices", sum(
+        len(flat) * rk * down.bit_count()
+        for flat, rk, down in zip(lat.flats, lat.ranks, lat.down)), budget)
     m = arrangement.m
     order = sorted(range(len(lat.flats)), key=lambda i: len(lat.flats[i]))
     jprime = {}
@@ -144,7 +144,7 @@ def igusa_recursion(arrangement: Arrangement, lat: FlatLattice,
         loc, idx = localization(arrangement, flat)
         if loc.rank() != lat.ranks[i] or loc.n != len(flat):
             raise InvariantError("localization shape mismatch")
-        sub = build_lattice(loc)
+        sub = build_lattice(loc, budget)
         mapped = {frozenset(idx[k] for k in g) for g in sub.flats}
         if mapped != {g for g in lat.flats if g <= flat}:
             raise InvariantError(

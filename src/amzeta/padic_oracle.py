@@ -24,7 +24,7 @@ from .arrangement import (
     require_prime_above_minors,
     structural_flags,
 )
-from .errors import InvariantError, PreconditionError, charge
+from .errors import DEFAULT_BUDGET, InvariantError, PreconditionError, charge
 from .igusa import IgusaZeta, igusa_chain
 from .residues import b_mu
 
@@ -42,13 +42,9 @@ class OracleCount:
 
 
 def count_solutions_mod(arrangement: Arrangement, p: int, alpha: int,
-                        budget: int = 10 ** 8) -> OracleCount:
+                        budget: int = DEFAULT_BUDGET) -> OracleCount:
     """Solutions of sum x_i y_i a_i = 0 in (Z/p^alpha)^(2n)."""
-    require_prime_above_minors(arrangement, p)
-    if alpha < 1:
-        raise PreconditionError("depth must be >= 1")
-    return OracleCount(arrangement, p, alpha, _character_count(
-        arrangement.normals, p, alpha, (0,) * arrangement.m, budget))
+    return depth_counts(arrangement, p, alpha, budget)[-1]
 
 
 def _count_direct(normals, p, alpha, target, budget):
@@ -66,12 +62,15 @@ def _count_direct(normals, p, alpha, target, budget):
 
 
 def depth_counts(arrangement: Arrangement, p: int, alpha_max: int,
-                 budget: int = 10 ** 8):
-    """OracleCounts of depths 1..alpha_max at the prime p."""
+                 budget: int = DEFAULT_BUDGET):
+    """OracleCounts of depths 1..alpha_max at the prime p, from one walk."""
+    require_prime_above_minors(arrangement, p, budget)
     if alpha_max < 1:
         raise PreconditionError("depth must be >= 1")
-    return [count_solutions_mod(arrangement, p, alpha, budget)
-            for alpha in range(1, alpha_max + 1)]
+    counts = _character_count(arrangement.normals, p, alpha_max,
+                              (0,) * arrangement.m, budget)
+    return [OracleCount(arrangement, p, alpha, count)
+            for alpha, count in enumerate(counts, 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -98,7 +97,8 @@ def series_counts_from_zeta(zeta: IgusaZeta, p: int, alpha_max: int):
 
 
 def poincare_check(arrangement: Arrangement, lat: FlatLattice, p: int,
-                   alpha_max: int, budget: int = 10 ** 8) -> PoincareReport:
+                   alpha_max: int,
+                   budget: int = DEFAULT_BUDGET) -> PoincareReport:
     """Exact equality of the series coefficients with the brute-force
     normalized counts, for every depth up to alpha_max; a mismatch
     raises."""

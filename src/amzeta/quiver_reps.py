@@ -28,7 +28,7 @@ import itertools
 from fractions import Fraction
 
 from .arrangement import build_lattice, graphic_arrangement
-from .errors import InvariantError, PreconditionError, charge
+from .errors import DEFAULT_BUDGET, InvariantError, PreconditionError, charge
 from .exact_algebra import (
     BiRational,
     LaurentPoly,
@@ -84,7 +84,7 @@ def is_two_edge_connected(quiver: Quiver) -> bool:
 # ---------------------------------------------------------------------------
 
 def a_gamma_alpha(quiver: Quiver, alpha: int,
-                  budget: int = 10 ** 9) -> LaurentPoly:
+                  budget: int = DEFAULT_BUDGET) -> LaurentPoly:
     """Polynomial count of indecomposable classes at depth alpha.
 
     Each level is one subset-sum (zeta) transform over the 2^E edge masks,
@@ -121,7 +121,8 @@ def a_gamma_alpha(quiver: Quiver, alpha: int,
     return total
 
 
-def a_gamma_limit(quiver: Quiver, budget: int = 10 ** 9) -> RationalUni:
+def a_gamma_limit(quiver: Quiver,
+                  budget: int = DEFAULT_BUDGET) -> RationalUni:
     """Normalized limit of q^(-alpha b) A(alpha) for 2-edge-connected graphs.
 
     Every chain weight is u_k = 1/(q^k - 1) with k = b(G) - b(G'_j) in
@@ -172,7 +173,7 @@ def _unit_weights(p: int, alpha: int):
 
 
 def brute_force_indec(quiver: Quiver, p: int, alpha: int,
-                      budget: int = 10 ** 7) -> int:
+                      budget: int = DEFAULT_BUDGET) -> int:
     """Number of isomorphism classes of indecomposable all-ones
     representations over Z/p^alpha: edge valuation patterns, each weighted
     by the automorphism count (q-1)^c_alpha q^(sum c_k) via the
@@ -253,16 +254,17 @@ class LastOneReport:
         self.equal = equal
 
 
-def check_lastone(quiver: Quiver, budget: int = 10 ** 9) -> LastOneReport:
+def check_lastone(quiver: Quiver,
+                  budget: int = DEFAULT_BUDGET) -> LastOneReport:
     """Compare (q^b - 1)^(V-1) * A(q) with the numerator polynomial of the
-    graphic arrangement.  A mismatch is reported, never raised: the
-    equality is conjectural."""
+    graphic arrangement, whose lattice draws on ``budget`` too.  A mismatch
+    is reported, never raised: the equality is conjectural."""
     limit = a_gamma_limit(quiver, budget)
     b_top = betti(quiver, (1 << len(quiver.edges)) - 1)
     lhs = RationalUni(limit.num * LaurentPoly("q", {b_top: 1, 0: -1})
                       ** (quiver.vertices - 1), limit.den)
     arr = graphic_arrangement(quiver)
     from .residues import b_prime
-    rhs = b_prime(arr, build_lattice(arr)).b_prime
+    rhs = b_prime(arr, build_lattice(arr, budget)).b_prime
     equal = lhs.den.is_one() and lhs.num == rhs
     return LastOneReport(quiver, lhs, rhs, equal)

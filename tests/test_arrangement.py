@@ -79,9 +79,12 @@ def test_zero_row_rejected():
 
 
 def test_flat_budget_enforced():
+    # the triangle (n = 3, m = 2): 5 flats at n * m = 6 steps each
     from amzeta.errors import BudgetExceededError
-    with pytest.raises(BudgetExceededError):
-        build_lattice(triangle(), max_flats=2)
+    with pytest.raises(BudgetExceededError,
+                       match="lattice of flats needs 30 steps"):
+        build_lattice(triangle(), 29)
+    assert len(build_lattice(triangle(), 30).flats) == 5
 
 
 # ---------------------------------------------------------------------------

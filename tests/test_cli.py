@@ -13,6 +13,7 @@ from amzeta.reference import (
     complete_quiver,
     cycle_quiver,
     n_origins,
+    six_normals_rank3,
     triangle,
 )
 
@@ -21,6 +22,13 @@ from amzeta.reference import (
 def triangle_file(tmp_path):
     path = tmp_path / "triangle.json"
     path.write_text(json.dumps(triangle().to_json()))
+    return str(path)
+
+
+@pytest.fixture()
+def six_file(tmp_path):
+    path = tmp_path / "six.json"
+    path.write_text(json.dumps(six_normals_rank3().to_json()))
     return str(path)
 
 
@@ -159,23 +167,23 @@ def test_oracle_subcommand(capsys, tmp_path):
 
 def test_oracle_triangle_counts_each_depth_once(capsys, triangle_file,
                                                monkeypatch):
-    # the character sum is charged three inner products for each of the
-    # 186 orbit representatives of depths 1-3 at p = 5
+    # one character sum walks the 186 orbit representatives of depths 1-3
+    # at p = 5 once, and its Horner pass yields the count of every depth
     from fractions import Fraction
     from amzeta import padic_oracle
     from amzeta.igusa import IgusaZeta
     from amzeta.reference import zeta_triangle
-    depths = []
-    count = padic_oracle.count_solutions_mod
+    walks = []
+    count = padic_oracle._character_count
 
-    def counted(arr, p, alpha, *args, **kwargs):
-        depths.append(alpha)
-        return count(arr, p, alpha, *args, **kwargs)
-    monkeypatch.setattr(padic_oracle, "count_solutions_mod", counted)
+    def counted(normals, p, alpha, *args):
+        walks.append(alpha)
+        return count(normals, p, alpha, *args)
+    monkeypatch.setattr(padic_oracle, "_character_count", counted)
     code, out, _ = run(capsys, "oracle", triangle_file, "--p", "5",
                        "--alpha", "3")
     assert code == 0
-    assert depths == [1, 2, 3]
+    assert walks == [3]
     payload = json.loads(out)
     expected = padic_oracle.series_counts_from_zeta(
         IgusaZeta(triangle(), None, zeta_triangle()), 5, 3)
@@ -188,7 +196,7 @@ def test_oracle_triangle_counts_each_depth_once(capsys, triangle_file,
     assert code == 2 and out == ""
 
 
-def test_quiver_walks_draw_on_the_budget(capsys, tmp_path, monkeypatch):
+def test_quiver_walks_draw_on_the_budget(capsys, tmp_path):
     from amzeta.exact_algebra import RationalUni
     from amzeta.reference import a_limit_cycle
     c5 = tmp_path / "c5.json"
@@ -198,26 +206,32 @@ def test_quiver_walks_draw_on_the_budget(capsys, tmp_path, monkeypatch):
     code, out, _ = run(capsys, "quiver-limit", str(c8))
     assert code == 0
     assert RationalUni.from_json(json.loads(out)) == a_limit_cycle(8)
-    monkeypatch.setenv("AMZ_BUDGET", "100")
     for argv in (["quiver-limit", str(c5)], ["check-lastone", str(c5)],
                  ["quiver-indec", str(c5), "--alpha", "2"]):
-        code, out, err = run(capsys, *argv)
+        code, out, err = run(capsys, "--budget", "100", *argv)
         assert code == 3 and out == ""
         assert "budget allows 100" in err
 
 
-def test_recursion_draws_on_the_flat_budget(capsys, tmp_path, monkeypatch):
-    # K5: 52 flats, and its localizations 357 sub-lattice flats in all
+def test_recursion_charges_its_localization_lattices(capsys, tmp_path,
+                                                      monkeypatch):
+    # K5 (n = 10, m = 4): 52 flats cost 40 steps each, 2,080 in all; the
+    # localization lattices cost |F| * rk F for each of the #[empty, F]
+    # flats, 5,190 summed over the flats F
     from amzeta.arrangement import graphic_arrangement
     k5 = tmp_path / "k5.json"
     k5.write_text(json.dumps(
         graphic_arrangement(complete_quiver(5)).to_json()))
-    monkeypatch.setenv("AMZ_BUDGET", "100")
-    code, out, err = run(capsys, "igusa", "--method", "recursion", str(k5))
+    argv = ("igusa", "--method", "recursion", str(k5))
+    code, out, err = run(capsys, "--budget", "5189", *argv)
     assert code == 3 and out == ""
-    assert "needs 357 steps, budget allows 100" in err
-    code, out, _ = run(capsys, "igusa", str(k5))
-    assert code == 0 and out
+    assert "localization lattices needs 5190 steps, budget allows 5189" in err
+    code, chain, _ = run(capsys, "--budget", "2080", "igusa", str(k5))
+    assert code == 0 and chain
+    # the environment has no say: only --budget sets the budget
+    monkeypatch.setenv("AMZ_BUDGET", "100")
+    code, out, _ = run(capsys, "--budget", "5190", *argv)
+    assert code == 0 and out == chain
 
 
 def test_exit_code_parse_error(capsys, tmp_path):
@@ -265,36 +279,105 @@ def test_exit_code_precondition(capsys, tmp_path):
     assert code == 2
 
 
-def test_exit_code_budget(capsys, triangle_file, monkeypatch):
-    monkeypatch.setenv("AMZ_BUDGET", "1")
-    code, _, _ = run(capsys, "oracle", triangle_file, "--p", "5",
-                     "--alpha", "1")
+def test_exit_code_budget(capsys, triangle_file):
+    code, _, _ = run(capsys, "--budget", "1", "oracle", triangle_file,
+                     "--p", "5", "--alpha", "1")
     assert code == 3
 
 
 @pytest.mark.parametrize("argv", [["lattice"],
                                   ["oracle", "--p", "5", "--alpha", "1"]],
                          ids=["lattice", "oracle"])
-def test_budget_refusal_says_what_it_needs(capsys, triangle_file, monkeypatch,
-                                           argv):
-    monkeypatch.setenv("AMZ_BUDGET", "1")
-    code, out, err = run(capsys, argv[0], triangle_file, *argv[1:])
+def test_budget_refusal_says_what_it_needs(capsys, triangle_file, argv):
+    code, out, err = run(capsys, "--budget", "1", argv[0], triangle_file,
+                         *argv[1:])
     assert code == 3 and out == ""
     assert "needs" in err and "budget allows 1" in err
 
 
-def test_minor_scans_draw_on_the_budget(capsys, triangle_file, monkeypatch):
-    # the triangle (n = 3, m = 2): the maximal minors are charged
-    # C(3, 2) * 2^3 = 24 steps, the minors of every size 3 * 2 + 24 = 30
+def test_minor_scans_draw_on_the_budget(capsys, six_file, monkeypatch):
+    # six normals in rank 3: the lattice costs 15 flats * 18 = 270 steps,
+    # the maximal minors C(6, 3) * 3^3 = 540, those of every size
+    # 6 * 3 + 15 * 3 * 2^3 + 540 = 918
     from amzeta import arrangement
     monkeypatch.setattr(arrangement, "_FLAGS_CACHE", {})
-    for argv, needs in ((["--budget", "23", "hypertoric"], "unimodular"),
-                        (["--budget", "29", "lattice"], "max_abs_minor")):
-        code, out, err = run(capsys, *argv, triangle_file)
+    for argv, needs in ((["--budget", "539", "hypertoric"],
+                         "unimodular needs 540 steps"),
+                        (["--budget", "917", "lattice"],
+                         "max_abs_minor needs 918 steps")):
+        code, out, err = run(capsys, *argv, six_file)
         assert code == 3 and out == ""
-        assert f"{needs} needs" in err and "budget allows" in err
-    code, out, _ = run(capsys, "--budget", "30", "lattice", triangle_file)
-    assert code == 0 and json.loads(out)["flags"]["max_abs_minor"] == 1
+        assert needs in err and "budget allows" in err
+    code, out, _ = run(capsys, "--budget", "918", "lattice", six_file)
+    assert code == 0 and json.loads(out)["flags"]["max_abs_minor"] == 2
+
+
+def test_every_budget_defaults_to_the_one_budget():
+    import importlib
+    import inspect
+    from amzeta.errors import DEFAULT_BUDGET
+    defaults = {}
+    for name in sorted(ALL_MODULES):
+        module = importlib.import_module(f"amzeta.{name}")
+        for fname, fn in inspect.getmembers(module, inspect.isfunction):
+            params = inspect.signature(fn).parameters
+            if (fn.__module__ == module.__name__
+                    and not fname.startswith("_") and "budget" in params):
+                defaults[f"{name}.{fname}"] = params["budget"].default
+    # charge is the one that takes whatever budget it is handed
+    assert defaults.pop("errors.charge") is inspect.Parameter.empty
+    assert set(defaults.values()) == {DEFAULT_BUDGET}
+    assert {"arrangement.build_lattice", "igusa.igusa_recursion",
+            "arrangement.require_prime_above_minors",
+            "quiver_reps.check_lastone"} <= set(defaults)
+    assert DEFAULT_BUDGET == build_parser().parse_args(
+        ["lattice", "x.json"]).budget == 10 ** 9
+
+
+# (stage, argv, what, steps): each input is refused first at its stage,
+# whose charge is steps; the triangle / six normals / 5-cycle lattices cost
+# 30 / 270 / 540 steps
+BUDGET_STAGES = [
+    ("lattice of flats", ["igusa", "triangle"], "lattice of flats", 30),
+    ("localization lattices", ["igusa", "triangle", "--method", "recursion"],
+     "localization lattices", 36),
+    ("unimodular", ["hypertoric", "six"], "unimodular", 540),
+    ("max_abs_minor", ["lattice", "six"], "max_abs_minor", 918),
+    ("prime guard", ["oracle", "six", "--p", "5", "--alpha", "1"],
+     "max_abs_minor", 918),
+    ("character sum", ["oracle", "triangle", "--p", "5", "--alpha", "3"],
+     "character sum", 558),
+    ("quiver-limit walk", ["quiver-limit", "c5"], "normalized limit", 243),
+    ("quiver-indec walk", ["quiver-indec", "c5", "--alpha", "2"],
+     "depth polynomial", 320),
+    ("quiver-indec brute force",
+     ["quiver-indec", "c5", "--alpha", "3", "--p", "3"],
+     "valuation pattern enumeration", 1024),
+    ("check-lastone walk", ["check-lastone", "c5"], "normalized limit", 243),
+    ("check-lastone lattice", ["check-lastone", "c5"], "lattice of flats",
+     540),
+]
+
+
+@pytest.mark.parametrize("stage, argv, what, steps", BUDGET_STAGES,
+                         ids=[case[0] for case in BUDGET_STAGES])
+def test_budget_reaches_every_stage(capsys, tmp_path, monkeypatch, stage,
+                                    argv, what, steps):
+    from amzeta import arrangement
+    monkeypatch.setattr(arrangement, "_FLAGS_CACHE", {})
+    inputs = {"triangle": triangle().to_json(),
+              "six": six_normals_rank3().to_json(),
+              "c5": cycle_quiver(5).to_json()}
+    path = tmp_path / argv[1]
+    path.write_text(json.dumps(inputs[argv[1]]))
+    argv = [argv[0], str(path), *argv[2:]]
+    code, out, err = run(capsys, "--budget", str(steps - 1), *argv)
+    assert code == 3 and out == ""
+    assert (f"error: {what} needs {steps} steps, budget allows {steps - 1}"
+            in err)
+    # one step more and the stage runs
+    _, _, err = run(capsys, "--budget", str(steps), *argv)
+    assert f"{what} needs" not in err
 
 
 def test_unknown_option_rejected(capsys, triangle_file):

@@ -1,6 +1,11 @@
 import pytest
 
-from amzeta.arrangement import Arrangement, build_lattice, graphic_arrangement
+from amzeta.arrangement import (
+    Arrangement,
+    build_lattice,
+    graphic_arrangement,
+    structural_flags,
+)
 from amzeta.errors import BudgetExceededError, PreconditionError
 from amzeta.exact_algebra import LaurentPoly
 from amzeta.hypertoric import (
@@ -130,13 +135,17 @@ def test_genericity_rejects_bad_xi():
         count_moment_fiber(arr, lat, 5, (0, 0))
 
 
-def test_fiber_budget_charges_the_convolution_steps():
+def test_fiber_budget_charges_the_character_sum():
     # K5 at p = 5 (m = 4) is charged ten inner products for each of the
-    # (5^4 - 1) / 4 = 156 unit-scaling orbits of nonzero xi in F_5^4
+    # (5^4 - 1) / 4 = 156 unit-scaling orbits of nonzero xi in F_5^4; the
+    # prime guard's minor scan (28,600 steps) is run first, so that the
+    # character sum is the stage these budgets refuse
     arr = graphic_arrangement(complete_quiver(5))
     cls, lat = class_of(arr)
     xi = find_generic_xi(arr, lat, 5)
+    structural_flags(arr, "max_abs_minor", budget=28600)
     count = count_moment_fiber(arr, lat, 5, xi, budget=1560)
     assert count == 151316000000 == cls.value.evaluate(5) * 4 ** 4
-    with pytest.raises(BudgetExceededError):
+    with pytest.raises(BudgetExceededError,
+                       match="character sum needs 1560 steps"):
         count_moment_fiber(arr, lat, 5, xi, budget=1559)

@@ -39,30 +39,30 @@ def test_single_origin_counts():
                 == closed_form_single_origin(5, alpha))
 
 
-def test_direct_equals_convolution_depth_one():
+def test_direct_equals_character_sum_depth_one():
     for arr in [n_origins(2), triangle()]:
         direct = _count_direct(arr.normals, 5, 1, (0,) * arr.m, 10 ** 8)
-        conv = count_solutions_mod(arr, 5, 1).count
-        assert direct == conv
+        assert count_solutions_mod(arr, 5, 1).count == direct
 
 
-def test_direct_equals_convolution_depth_two():
+def test_direct_equals_character_sum_depth_two():
     # at alpha > 1 the multiples of p enter through the depth-1 sum
     for arr, p in [(n_origins(2), 5), (triangle(), 3)]:
         direct = _count_direct(arr.normals, p, 2, (0,) * arr.m, 10 ** 8)
         assert count_solutions_mod(arr, p, 2).count == direct
 
 
-def test_budget_charges_table_and_both_halves():
+def test_character_sum_charges_every_depth():
     # triangle at p = 5, alpha = 3 (m = 2): 6 + 30 + 150 unit-scaling orbit
     # representatives at depths 1, 2, 3, three inner products each
     arr = triangle()
     assert count_solutions_mod(arr, 5, 3, budget=558).count == 444765625
-    with pytest.raises(BudgetExceededError):
+    with pytest.raises(BudgetExceededError,
+                       match="character sum needs 558 steps"):
         count_solutions_mod(arr, 5, 3, budget=557)
 
 
-def test_table_is_charged_before_it_is_built(monkeypatch):
+def test_character_sum_is_charged_before_its_walk(monkeypatch):
     # K5 at p = 3, alpha = 3 is charged 10 * (40 + 1080 + 29160) steps;
     # one step short is refused before any representative is walked
     def refuse(p, depth, m):
@@ -85,7 +85,7 @@ def test_every_refusal_says_what_it_needs(monkeypatch):
             lambda: structural_flags(arr, "unimodular", budget=1),
             lambda: structural_flags(arr, "max_abs_minor", budget=1),
             lambda: hypertoric_class(arr, lat, budget=1),
-            lambda: build_lattice(arr, max_flats=1),
+            lambda: build_lattice(arr, budget=1),
             lambda: count_complement_Fq(arr, 5, budget=1),
             lambda: count_moment_fiber(arr, lat, 5, (1, 2), budget=1),
             lambda: _count_direct(arr.normals, 5, 1, (1, 2), 1),
