@@ -29,6 +29,7 @@ from .errors import (
     DEFAULT_BUDGET,
     ParseError,
     PreconditionError,
+    _charge_running,
     charge,
     parse_int,
     parse_list,
@@ -384,32 +385,36 @@ def build_lattice(arrangement: Arrangement,
                   budget: int = DEFAULT_BUDGET) -> FlatLattice:
     """Enumerate all flats by a search over covers from the empty flat.
 
-    Each flat F gets one integer kernel basis K of its normals.  A normal
-    a_j outside F pairs with K to a nonzero vector, and a_j lies in the
-    span of F and a_i iff the pairings of i and j are parallel.  So the
-    flats covering F are F joined with each class of parallel pairings,
-    each one rank above F.  Each flat found is charged n * m steps, a
-    bound on its inner products: K7 costs 110,502, K11 373,213,500.
+    Each queued flat F carries the pairings of the normals a_j outside F
+    with an integer kernel basis K of F, as nonzero vectors in the
+    coordinates of K.  a_j lies in the span of F and a_i iff the pairings
+    of i and j are parallel.  So the flats covering F are F joined with
+    each class of parallel pairings, each one rank above F.  The kernel of
+    a cover is the part of K orthogonal to its class's direction d, so its
+    pairings are the parent's times U, the saturated kernel basis of d
+    alone.  Each flat found is charged n * m steps, a bound on the pairing
+    entries it gets, as it is found: K7 costs 110,502, K11 373,213,500.
     """
-    normals, m = arrangement.normals, arrangement.m
-    per_flat = arrangement.n * m
-    everything = (1 << arrangement.n) - 1
+    per_flat = arrangement.n * arrangement.m
     ranks = {0: 0}
     covers = {}
-    queue = [0]
+    queue = [(0, list(enumerate(arrangement.normals)))]
     while queue:
-        f = queue.pop()
-        kernel = int_kernel_basis([normals[i] for i in _bits(f)], m)
+        f, pairings = queue.pop()
         classes = {}
-        for j in _bits(everything & ~f):
-            key = _direction([sum(map(mul, normals[j], k)) for k in kernel])
+        for j, vec in pairings:
+            key = _direction(vec)
             classes[key] = classes.get(key, 0) | 1 << j
         covers[f] = [f | c for c in classes.values()]
-        for g in covers[f]:
+        for d, c in classes.items():
+            g = f | c
             if g not in ranks:
                 ranks[g] = ranks[f] + 1
-                charge("lattice of flats", per_flat * len(ranks), budget)
-                queue.append(g)
+                _charge_running("lattice of flats", per_flat * len(ranks),
+                                budget)
+                basis = int_kernel_basis([d], len(d))
+                queue.append((g, [(j, [sum(map(mul, vec, u)) for u in basis])
+                                  for j, vec in pairings if not c >> j & 1]))
     masks = sorted(ranks, key=lambda f: (f.bit_count(), _bits(f)))
     index = {f: i for i, f in enumerate(masks)}
     return FlatLattice(arrangement, masks, [ranks[f] for f in masks],
@@ -629,12 +634,13 @@ def deletion(arrangement: Arrangement, flat):
     return Arrangement([arrangement.normals[j] for j in idx]), idx
 
 
-def char_poly_of(arrangement: Arrangement, ambient_m: int) -> LaurentPoly:
+def char_poly_of(arrangement: Arrangement, ambient_m: int,
+                 budget: int = DEFAULT_BUDGET) -> LaurentPoly:
     """Characteristic polynomial in an ambient space of dimension
     ambient_m (deletions live in the original space)."""
     if arrangement.n == 0:
         return LaurentPoly.monomial("q", ambient_m)
-    return build_lattice(arrangement).char_poly().shift(
+    return build_lattice(arrangement, budget).char_poly().shift(
         ambient_m - arrangement.m)
 
 

@@ -2,7 +2,8 @@
 
 ``amz verify --suite NAME`` runs ``SUITES[NAME]``, and the acceptance gate
 runs the same entries.  A suite takes the parsed options (``p``, ``alpha``,
-``seed``) and returns ``(checks, conjectures)``, two lists of
+``seed``, ``budget``: every lattice, walk and oracle of the suite draws on
+``budget``) and returns ``(checks, conjectures)``, two lists of
 ``(name, fn)``: a check raises an ``AmzError`` on failure (``require``
 raises ``InvariantError``, so the checks also run under ``python -O``), a
 conjecture returns ``(cases seen, violations)`` and never fails the run.
@@ -22,7 +23,7 @@ from .arrangement import (
     restriction,
     structural_flags,
 )
-from .errors import InvariantError, is_prime
+from .errors import DEFAULT_BUDGET, InvariantError, is_prime
 from .exact_algebra import LaurentPoly
 from .hypertoric import hypertoric_class
 from .igusa import (
@@ -81,7 +82,7 @@ def next_prime_above(bound):
     return p
 
 
-def lattice_invariants(arr, lat):
+def lattice_invariants(arr, lat, budget=DEFAULT_BUDGET):
     """chi monic of degree m and divisible by q - 1; Mobius sign and
     recursion == chain count on every comparable pair; deletion-restriction
     for each hyperplane; chi(p) == the F_p complement count."""
@@ -102,22 +103,23 @@ def lattice_invariants(arr, lat):
         fi = min((f for f in lat.flats if i in f), key=len)
         deleted, _ = deletion(arr, fi)
         restricted, _ = restriction(arr, fi)
-        require(chi == (char_poly_of(deleted, ambient_m=arr.m)
+        require(chi == (char_poly_of(deleted, arr.m, budget)
                         - char_poly_of(restricted,
-                                       ambient_m=arr.m - lat.rank_of(fi))),
+                                       arr.m - lat.rank_of(fi), budget)),
                 f"deletion-restriction fails at hyperplane {i}")
-    p = next_prime_above(
-        structural_flags(arr, "max_abs_minor")["max_abs_minor"])
-    require(count_complement_Fq(arr, p) == chi.evaluate(p),
+    p = next_prime_above(structural_flags(
+        arr, "max_abs_minor", budget=budget)["max_abs_minor"])
+    require(count_complement_Fq(arr, p, budget) == chi.evaluate(p),
             f"F_{p} complement count != chi({p})")
 
 
 def _suite_paper(args):
+    budget = args.budget
     checks = []
 
     def zeta_of(arr):
-        lat = build_lattice(arr)
-        return igusa_chain(arr, lat), lat
+        lat = build_lattice(arr, budget)
+        return igusa_chain(arr, lat, budget), lat
 
     def origin_zetas():
         for n in range(1, 6):
@@ -142,7 +144,7 @@ def _suite_paper(args):
     def toric_classes():
         for n in range(1, 5):
             arr = reference.n_origins(n)
-            cls = hypertoric_class(arr, build_lattice(arr))
+            cls = hypertoric_class(arr, build_lattice(arr, budget), budget)
             expected = (LaurentPoly.monomial("L", n - 1)
                         * LaurentPoly("L", {e: 1 for e in range(n)}))
             require(cls.value == expected, f"hypertoric class of {n} origins")
@@ -174,31 +176,31 @@ def _suite_paper(args):
 
     def residue_values():
         arr = reference.triangle()
-        lat = build_lattice(arr)
-        require(b_mu(arr, lat) == reference.bmu_triangle(),
+        lat = build_lattice(arr, budget)
+        require(b_mu(arr, lat, budget) == reference.bmu_triangle(),
                 "B_mu of the triangle")
-        require(b_prime(arr, lat).b_prime == reference.EULERIAN[3],
+        require(b_prime(arr, lat, budget).b_prime == reference.EULERIAN[3],
                 "B' of the triangle")
         arr4 = graphic_arrangement(reference.cycle_quiver(4))
-        require(b_prime(arr4, build_lattice(arr4)).b_prime
+        require(b_prime(arr4, build_lattice(arr4, budget), budget).b_prime
                 == reference.EULERIAN[4], "B' of the 4-cycle")
         arrd = reference.triangle_doubled()
-        latd = build_lattice(arrd)
-        require(b_mu(arrd, latd) == reference.bmu_triangle_doubled(),
+        latd = build_lattice(arrd, budget)
+        require(b_mu(arrd, latd, budget) == reference.bmu_triangle_doubled(),
                 "B_mu of the doubled triangle")
         arr6 = reference.six_normals_rank3()
-        require(b_prime(arr6, build_lattice(arr6)).b_prime
+        require(b_prime(arr6, build_lattice(arr6, budget), budget).b_prime
                 == reference.SIX_NORMALS_BPRIME, "B' of the six normals")
         for n in (2, 3):
             arrn = reference.n_origins(n)
-            require(b_mu(arrn, build_lattice(arrn))
+            require(b_mu(arrn, build_lattice(arrn, budget), budget)
                     == reference.bmu_n_origins(n), f"B_mu of {n} origins")
     checks.append(("residues and numerators", residue_values))
 
     def divisor_counts():
         arr = reference.n_origins(1)
         for alpha in (1, 2, 3):
-            got = count_solutions_mod(arr, 5, alpha).count
+            got = count_solutions_mod(arr, 5, alpha, budget).count
             require(got == (alpha + 1) * 5 ** alpha
                     - alpha * 5 ** (alpha - 1),
                     f"single-origin count at depth {alpha}")
@@ -206,12 +208,12 @@ def _suite_paper(args):
 
     def rep_limits():
         for k in (3, 4):
-            require(a_gamma_limit(reference.cycle_quiver(k))
+            require(a_gamma_limit(reference.cycle_quiver(k), budget)
                     == reference.a_limit_cycle(k), f"limit of the {k}-cycle")
-        require(a_gamma_limit(reference.cycle3_doubled_quiver())
+        require(a_gamma_limit(reference.cycle3_doubled_quiver(), budget)
                 == reference.a_limit_cycle3_doubled(),
                 "limit of the doubled triangle")
-        require(a_gamma_alpha(reference.cycle_quiver(3), 1)
+        require(a_gamma_alpha(reference.cycle_quiver(3), 1, budget)
                 == LaurentPoly("q", {1: 1, 0: 2}),
                 "depth-1 count of the triangle")
     checks.append(("indecomposable count limits", rep_limits))
@@ -222,27 +224,29 @@ def _suite_paper(args):
 def _suite_oracle(args):
     p = args.p or 5
     alpha = args.alpha or 2
+    budget = args.budget
     checks = []
 
     def origin1():
         arr = reference.n_origins(1)
-        poincare_check(arr, build_lattice(arr), p, max(alpha, 3))
+        poincare_check(arr, build_lattice(arr, budget), p, max(alpha, 3),
+                       budget)
     checks.append((f"series vs counts, single origin, p={p}", origin1))
 
     def origin2():
         arr = reference.n_origins(2)
-        poincare_check(arr, build_lattice(arr), p, alpha)
+        poincare_check(arr, build_lattice(arr, budget), p, alpha, budget)
     checks.append((f"series vs counts, two origins, p={p}", origin2))
 
     def tri():
         arr = reference.triangle()
-        poincare_check(arr, build_lattice(arr), p, alpha)
+        poincare_check(arr, build_lattice(arr, budget), p, alpha, budget)
     checks.append((f"series vs counts, triangle, p={p}", tri))
 
     def probes():
         arr = reference.triangle()
-        probe = limit_probe(arr, build_lattice(arr),
-                            depth_counts(arr, p, alpha))
+        probe = limit_probe(arr, build_lattice(arr, budget),
+                            depth_counts(arr, p, alpha, budget), budget)
         # one depth gives one distance, so there is nothing to compare
         require(probe.converges and (alpha == 1 or probe.distances[-1]
                                      < probe.distances[0]),
@@ -254,6 +258,7 @@ def _suite_oracle(args):
 
 def _suite_properties(args):
     rng = random.Random(args.seed)
+    budget = args.budget
     arrangements = [random_arrangement(rng, require_essential=True)
                     for _ in range(20)]
     checks = []
@@ -261,10 +266,10 @@ def _suite_properties(args):
 
     def core(arr):
         def run():
-            lat = build_lattice(arr)
-            lattice_invariants(arr, lat)
-            zeta = igusa_chain(arr, lat)
-            require(zeta.value == igusa_recursion(arr, lat).value,
+            lat = build_lattice(arr, budget)
+            lattice_invariants(arr, lat, budget)
+            zeta = igusa_chain(arr, lat, budget)
+            require(zeta.value == igusa_recursion(arr, lat, budget).value,
                     "chain != recursion")
             require(functional_equation_check(zeta),
                     "functional equation fails")
@@ -277,11 +282,12 @@ def _suite_properties(args):
     def positivity():
         seen = violated = 0
         for arr in arrangements:
-            flags = structural_flags(arr)
+            flags = structural_flags(arr, budget=budget)
             if not (flags["essential"] and flags["coloop_free"]):
                 continue
             seen += 1
-            if not b_prime(arr, build_lattice(arr)).positive_coeffs:
+            if not b_prime(arr, build_lattice(arr, budget),
+                           budget).positive_coeffs:
                 violated += 1
         return seen, violated
     conjectures.append(("positivity of the cleared numerator", positivity))
@@ -292,7 +298,7 @@ def _suite_properties(args):
                        reference.cycle3_doubled_quiver()]:
             if is_two_edge_connected(quiver):
                 seen += 1
-                if not check_lastone(quiver).equal:
+                if not check_lastone(quiver, budget).equal:
                     violated += 1
         return seen, violated
     conjectures.append(("graph-count vs numerator bridge", bridge))

@@ -22,6 +22,7 @@ from .arrangement import Arrangement, build_lattice, structural_flags
 from .errors import (
     DEFAULT_BUDGET,
     AmzError,
+    BudgetExceededError,
     InvariantError,
     ParseError,
     is_prime,
@@ -160,7 +161,8 @@ def cmd_igusa(args):
     arr = _arrangement(args.input)
     lat = build_lattice(arr, args.budget)
     zeta = (igusa_recursion(arr, lat, args.budget)
-            if args.method == "recursion" else igusa_chain(arr, lat))
+            if args.method == "recursion"
+            else igusa_chain(arr, lat, args.budget))
     if args.format == "latex":
         print(zeta.value.to_latex())
     elif args.format == "plain":
@@ -173,7 +175,7 @@ def cmd_poles(args):
     from .igusa import functional_equation_check, igusa_chain, pole_report
     arr = _arrangement(args.input)
     lat = build_lattice(arr, args.budget)
-    zeta = igusa_chain(arr, lat)
+    zeta = igusa_chain(arr, lat, args.budget)
     report = pole_report(zeta, arr, lat)
     payload = report.to_json()
     payload["functional_equation"] = functional_equation_check(zeta)
@@ -184,7 +186,7 @@ def cmd_bmu(args):
     from .residues import b_mu
     arr = _arrangement(args.input)
     lat = build_lattice(arr, args.budget)
-    value = b_mu(arr, lat)
+    value = b_mu(arr, lat, args.budget)
     if args.format == "plain":
         print(value.to_str())
     else:
@@ -195,7 +197,7 @@ def cmd_bprime(args):
     from .residues import b_prime
     arr = _arrangement(args.input)
     lat = build_lattice(arr, args.budget)
-    data = b_prime(arr, lat)
+    data = b_prime(arr, lat, args.budget)
     if args.format == "plain":
         print(data.b_prime.to_str())
         return
@@ -250,7 +252,7 @@ def cmd_oracle(args):
     arr = _arrangement(args.input)
     lat = build_lattice(arr, args.budget)
     counts = depth_counts(arr, args.p, args.alpha, budget=args.budget)
-    probe = limit_probe(arr, lat, counts)
+    probe = limit_probe(arr, lat, counts, args.budget)
     payload = {
         "p": args.p,
         "counts": [{"alpha": c.alpha, "count": str(c.count),
@@ -270,12 +272,17 @@ def cmd_verify(args):
     args.seed = DEFAULT_SEED if args.seed is None else args.seed
     checks, conjectures = SUITES[args.suite](args)
     lines = []
-    failed = 0
+    failed = refused = 0
     for name, fn in checks:
         try:
             fn()
             lines.append({"check": name, "status": "ok"})
             print(f"ok        {name}", file=sys.stderr)
+        except BudgetExceededError as exc:
+            refused += 1
+            lines.append({"check": name, "status": "REFUSED",
+                          "detail": str(exc)})
+            print(f"REFUSED   {name}: {exc}", file=sys.stderr)
         except AmzError as exc:
             failed += 1
             lines.append({"check": name, "status": "FAIL",
@@ -283,7 +290,14 @@ def cmd_verify(args):
             print(f"FAIL      {name}: {exc}", file=sys.stderr)
     conjecture_lines = []
     for name, fn in conjectures:
-        seen, violated = fn()
+        try:
+            seen, violated = fn()
+        except BudgetExceededError as exc:
+            refused += 1
+            conjecture_lines.append({"conjecture": name, "status": "REFUSED",
+                                     "detail": str(exc)})
+            print(f"REFUSED   {name}: {exc}", file=sys.stderr)
+            continue
         status = "observed" if violated == 0 else "VIOLATED"
         conjecture_lines.append({"conjecture": name, "cases": seen,
                                  "violations": violated, "status": status})
@@ -291,7 +305,7 @@ def cmd_verify(args):
     _emit({"suite": args.suite, "checks": lines,
            "conjectures": conjecture_lines,
            "failed": failed})
-    return 4 if failed else 0
+    return 4 if failed else 3 if refused else 0
 
 
 # ---------------------------------------------------------------------------

@@ -68,6 +68,15 @@ def charge(what: str, steps: int, budget: int):
             f"{what} needs {steps} steps, budget allows {budget}")
 
 
+def _charge_running(what: str, steps: int, budget: int):
+    """Refuse a walk whose running count of steps has passed budget.  The
+    walk stops there, so its whole cost is only known to be at least
+    steps."""
+    if steps > budget:
+        raise BudgetExceededError(
+            f"{what} needs at least {steps} steps, budget allows {budget}")
+
+
 class InvariantError(AmzError):
     """An internal consistency guarantee failed; always a bug or a broken
     hypothesis, never a user error."""

@@ -36,7 +36,6 @@ Everything is immutable after construction and safe to share.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .errors import (
     InvariantError,
@@ -185,6 +184,7 @@ class LaurentPoly:
         return LaurentPoly(var, self._c)
 
     def evaluate(self, x) -> Fraction:
+        from fractions import Fraction
         x = Fraction(x)
         total = Fraction(0)
         for e, c in self._c.items():
@@ -777,6 +777,7 @@ class BiRational:
         return RationalUni(num_l, den_l)
 
     def evaluate(self, q0, t0) -> Fraction:
+        from fractions import Fraction
         q0, t0 = Fraction(q0), Fraction(t0)
         total = Fraction(0)
         for (eq, et), c in self.num.items():
@@ -792,6 +793,7 @@ class BiRational:
         """First order+1 coefficients of the t-power-series at q = q0."""
         if q0 < 2:
             raise PreconditionError("expansion point must satisfy q0 >= 2")
+        from fractions import Fraction
         by_t = {}
         for (eq, et), c in self.num.items():
             te = et - self.unit[1]

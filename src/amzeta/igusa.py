@@ -27,7 +27,7 @@ from .arrangement import (
     build_lattice,
     localization,
 )
-from .errors import DEFAULT_BUDGET, InvariantError, charge
+from .errors import DEFAULT_BUDGET, InvariantError, _charge_running, charge
 from .exact_algebra import BiRational, _clear
 
 
@@ -59,15 +59,21 @@ def _check_pole_set(value: BiRational, lat: FlatLattice):
                 "candidate pole set")
 
 
-def _add_into(out: dict, terms: dict, shift=0, sign=1):
-    """out[x] += sign * q^shift * terms[x] for every key x of terms."""
-    for x, poly in terms.items():
-        acc = out.setdefault(x, {})
-        for e, c in poly.items():
-            acc[e + shift] = acc.get(e + shift, 0) + sign * c
+def _slot_width(lat: FlatLattice, proper) -> int:
+    """Bits per coefficient slot of the packed chain sums: 2 more than the
+    bit length of sum_I |W(I)|, which bounds every coefficient of the sums,
+    from the l1 norms |S(I)| <= sum_{J > I} (2|W(J)| + |S(J)|), with
+    |W(I)| = |S(I)| and W(top) = 1."""
+    weight = {lat.top: 2}
+    total = 0
+    for i in reversed(proper):
+        norm = sum(weight[j] for j in lat.indices(lat.up[i] ^ (1 << i)))
+        weight[i] = 3 * norm
+        total += norm
+    return total.bit_length() + 2
 
 
-def _chain_sums(lat: FlatLattice):
+def _chain_sums(lat: FlatLattice, budget: int = DEFAULT_BUDGET):
     """The chain sum over the proper flats in formal pole variables.
 
     With v_a = t/(q^a - t) for each delta a of a proper flat, the chain
@@ -76,33 +82,65 @@ def _chain_sums(lat: FlatLattice):
     the sums, W(I) = v_dI * S(I) with the recurrence of the module
     docstring, which reads no chi and no mu.  S(I) maps exponent tuples x
     over the sorted deltas to integer q-polynomials; W(I) is S(I) re-keyed
-    (x_dI + 1) over the same polynomial dicts.  Returns (deltas, sums) with
-    sum_{I != top} W(I) q^(rk I - m) = sum_x sums[x](q) prod v_a^x_a;
-    at t = q^m, v_a = 1/(q^(a-m) - 1), which is how ``b_mu`` reads it."""
+    (x_dI + 1) over the same polynomials.  Returns (deltas, sums) with
+    sum_{I != top} W(I) q^(rk I - m) = sum_x sums[x](q) prod v_a^x_a, each
+    sums[x] a dict {e: c} of its nonzero coefficients; at t = q^m,
+    v_a = 1/(q^(a-m) - 1), which is how ``b_mu`` reads it.
+
+    Each polynomial is packed into one int, its value at q = 2^width with
+    signed coefficients (Kronecker substitution), so a pair (I, J) costs
+    one shift-add-subtract per tuple of W(J) and one subtraction per tuple
+    of S(J).  The running sums are kept times q^m, so every shift is by a
+    rank, and are unpacked once at the end by balanced digits, which is
+    exact as ``_slot_width`` bounds every coefficient.  The walk charges
+    the W and S entries it merges as it goes, so a refusal is a lower bound
+    on its cost: K5 1,041 steps, K7 195,476, K8 3,277,355."""
     m = lat.arrangement.m
+    ranks = lat.ranks
     proper = lat.proper_flats()
     deltas = sorted({lat.delta(i) for i in proper})
-    S, W = {lat.top: {}}, {lat.top: {(0,) * len(deltas): {0: 1}}}
-    sums = {}
+    width = _slot_width(lat, proper)
+    S, W = {lat.top: {}}, {lat.top: {(0,) * len(deltas): 1}}
+    packed = {}
+    steps = 0
     for i in reversed(proper):      # flat indices extend inclusion
         acc = S[i] = {}
+        get = acc.get
         for j in lat.indices(lat.up[i] ^ (1 << i)):
-            _add_into(acc, W[j], lat.ranks[j] - lat.ranks[i])
-            _add_into(acc, W[j], sign=-1)
-            _add_into(acc, S[j], sign=-1)
+            shift = (ranks[j] - ranks[i]) * width
+            for x, p in W[j].items():
+                acc[x] = get(x, 0) + (p << shift) - p
+            for x, p in S[j].items():
+                acc[x] = get(x, 0) - p
+            steps += len(W[j]) + len(S[j])
+        _charge_running("chain walk", steps, budget)
         k = deltas.index(lat.delta(i))
         W[i] = {x[:k] + (x[k] + 1,) + x[k + 1:]: p for x, p in acc.items()}
-        _add_into(sums, W[i], lat.ranks[i] - m)
+        shift = ranks[i] * width
+        for x, p in W[i].items():
+            packed[x] = packed.get(x, 0) + (p << shift)
+    half, mask = 1 << (width - 1), (1 << width) - 1
+    sums = {}
+    for x, v in packed.items():
+        poly = sums[x] = {}
+        e = -m
+        while v:
+            c = ((v + half) & mask) - half
+            if c:
+                poly[e] = c
+            v = (v - c) >> width
+            e += 1
     return deltas, sums
 
 
-def igusa_chain(arrangement: Arrangement, lat: FlatLattice) -> IgusaZeta:
+def igusa_chain(arrangement: Arrangement, lat: FlatLattice,
+                budget: int = DEFAULT_BUDGET) -> IgusaZeta:
     """Resummed chain formula via one pass over the lattice: the terms
     sums[x](q) t^|x| / prod (q^a - t)^x_a of ``_chain_sums`` are cleared
     over one common denominator by ``_clear`` and reduced once."""
     _require_essential(arrangement)
     m = arrangement.m
-    deltas, sums = _chain_sums(lat)
+    deltas, sums = _chain_sums(lat, budget)
     num, den = _clear(sums, deltas)
     total = BiRational(num, den=den)
     value = _leading_term(m) + _prefactor(m) * total

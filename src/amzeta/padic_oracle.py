@@ -102,7 +102,7 @@ def poincare_check(arrangement: Arrangement, lat: FlatLattice, p: int,
     """Exact equality of the series coefficients with the brute-force
     normalized counts, for every depth up to alpha_max; a mismatch
     raises."""
-    zeta = igusa_chain(arrangement, lat)
+    zeta = igusa_chain(arrangement, lat, budget)
     n = arrangement.n
     expected = series_counts_from_zeta(zeta, p, alpha_max)
     counts = depth_counts(arrangement, p, alpha_max, budget)
@@ -124,8 +124,8 @@ class LimitProbe:
         self.converges = converges
 
 
-def limit_probe(arrangement: Arrangement, lat: FlatLattice,
-                counts) -> LimitProbe:
+def limit_probe(arrangement: Arrangement, lat: FlatLattice, counts,
+                budget: int = DEFAULT_BUDGET) -> LimitProbe:
     """Normalized count sequence and exact distances to the symbolic limit.
 
     ``counts`` are the OracleCounts of depths 1..alpha_max at one prime,
@@ -136,7 +136,7 @@ def limit_probe(arrangement: Arrangement, lat: FlatLattice,
     values = [c.normalized for c in counts]
     flags = structural_flags(arrangement)
     if flags["essential"] and flags["coloop_free"]:
-        limit = b_mu(arrangement, lat).evaluate(p)
+        limit = b_mu(arrangement, lat, budget).evaluate(p)
         distances = [abs(v - limit) for v in values]
         return LimitProbe(p, values, limit, distances, True)
     return LimitProbe(p, values, None, None, False)

@@ -257,14 +257,15 @@ class LastOneReport:
 def check_lastone(quiver: Quiver,
                   budget: int = DEFAULT_BUDGET) -> LastOneReport:
     """Compare (q^b - 1)^(V-1) * A(q) with the numerator polynomial of the
-    graphic arrangement, whose lattice draws on ``budget`` too.  A mismatch
-    is reported, never raised: the equality is conjectural."""
+    graphic arrangement, whose lattice and chain walk draw on ``budget``
+    too.  A mismatch is reported, never raised: the equality is
+    conjectural."""
     limit = a_gamma_limit(quiver, budget)
     b_top = betti(quiver, (1 << len(quiver.edges)) - 1)
     lhs = RationalUni(limit.num * LaurentPoly("q", {b_top: 1, 0: -1})
                       ** (quiver.vertices - 1), limit.den)
     arr = graphic_arrangement(quiver)
     from .residues import b_prime
-    rhs = b_prime(arr, build_lattice(arr, budget)).b_prime
+    rhs = b_prime(arr, build_lattice(arr, budget), budget).b_prime
     equal = lhs.den.is_one() and lhs.num == rhs
     return LastOneReport(quiver, lhs, rhs, equal)

@@ -22,7 +22,12 @@ discrepancy flag is raised when they differ.
 from __future__ import annotations
 
 from .arrangement import Arrangement, FlatLattice, _require_essential
-from .errors import InvariantError, NotDivisibleError, PreconditionError
+from .errors import (
+    DEFAULT_BUDGET,
+    InvariantError,
+    NotDivisibleError,
+    PreconditionError,
+)
 from .exact_algebra import (
     BiRational,
     LaurentPoly,
@@ -52,7 +57,8 @@ class ResidueData:
         self.positive_coeffs = positive_coeffs
 
 
-def b_mu(arrangement: Arrangement, lat: FlatLattice) -> RationalUni:
+def b_mu(arrangement: Arrangement, lat: FlatLattice,
+         budget: int = DEFAULT_BUDGET) -> RationalUni:
     """Chain-sum value of the normalized limit, as a reduced degree-0
     rational function of q: the sums of ``_chain_sums`` at t = q^m, plus
     the top's 1.  There t/(q^delta - t) is 1/(q^(delta-m) - 1), so they are
@@ -60,7 +66,7 @@ def b_mu(arrangement: Arrangement, lat: FlatLattice) -> RationalUni:
     and reduced once."""
     _require_essential(arrangement, coloop_free=True)
     m = arrangement.m
-    deltas, sums = _chain_sums(lat)
+    deltas, sums = _chain_sums(lat, budget)
     if deltas and deltas[0] <= m:
         raise InvariantError("delta - m must be positive off the top")
     sums[(0,) * len(deltas)] = {0: 1}
@@ -86,11 +92,12 @@ def b_mu_via_residue(zeta: IgusaZeta, m: int) -> RationalUni:
                        value.den * LaurentPoly("q", {m: 1, 0: -1}))
 
 
-def b_prime(arrangement: Arrangement, lat: FlatLattice) -> ResidueData:
+def b_prime(arrangement: Arrangement, lat: FlatLattice,
+            budget: int = DEFAULT_BUDGET) -> ResidueData:
     """num(B_mu) times the clearing factor, divided once, exactly, by
     den(B_mu); a remainder means the factor does not clear B_mu."""
     m = arrangement.m
-    base = b_mu(arrangement, lat)
+    base = b_mu(arrangement, lat, budget)
     cleared = base.num.shift(m)
     declared_degree = m
     for eps, lv in sorted(level_sets(lat).items()):

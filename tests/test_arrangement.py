@@ -82,7 +82,7 @@ def test_flat_budget_enforced():
     # the triangle (n = 3, m = 2): 5 flats at n * m = 6 steps each
     from amzeta.errors import BudgetExceededError
     with pytest.raises(BudgetExceededError,
-                       match="lattice of flats needs 30 steps"):
+                       match="lattice of flats needs at least 30 steps"):
         build_lattice(triangle(), 29)
     assert len(build_lattice(triangle(), 30).flats) == 5
 
@@ -384,7 +384,8 @@ def test_core_properties_random():
 # arrangements with 8-15 normals and at least 50 flats
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("k, bell", [(4, 15), (5, 52), (6, 203), (7, 877)])
+@pytest.mark.parametrize("k, bell", [(4, 15), (5, 52), (6, 203), (7, 877),
+                                     (8, 4140)])
 def test_braid_flat_counts_are_bell_numbers(k, bell):
     lat = build_lattice(graphic_arrangement(complete_quiver(k)))
     assert len(lat.flats) == bell
@@ -466,6 +467,7 @@ def test_medium_tier_zeta():
         assert zeta.value == oracle.value
         assert functional_equation_check(zeta)
         assert b_mu(arr, lat) == b_mu_via_residue(oracle, arr.m)
+        assert b_mu(arr, lat) == b_mu_via_residue(zeta, arr.m)
         b_prime(arr, lat)             # raises unless B' is palindromic
         pole_report(zeta, arr, lat)   # raises on a violated order bound
 

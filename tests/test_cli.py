@@ -334,50 +334,58 @@ def test_every_budget_defaults_to_the_one_budget():
         ["lattice", "x.json"]).budget == 10 ** 9
 
 
-# (stage, argv, what, steps): each input is refused first at its stage,
-# whose charge is steps; the triangle / six normals / 5-cycle lattices cost
-# 30 / 270 / 540 steps
+# (stage, argv, refusal, steps): each input is refused first at its stage,
+# whose charge is steps; the triangle / six normals / 5-cycle / K7 lattices
+# cost 30 / 270 / 540 / 110,502 steps.  A stage that charges as it goes
+# (the lattice, the chain walk) knows only a lower bound when it stops, and
+# says "at least"; a charge one step short stops it at its last step, so
+# the bound is its exact charge
 BUDGET_STAGES = [
-    ("lattice of flats", ["igusa", "triangle"], "lattice of flats", 30),
+    ("lattice of flats", ["igusa", "triangle"],
+     "lattice of flats needs at least", 30),
+    ("chain walk", ["igusa", "k7"], "chain walk needs at least", 195476),
     ("localization lattices", ["igusa", "triangle", "--method", "recursion"],
-     "localization lattices", 36),
-    ("unimodular", ["hypertoric", "six"], "unimodular", 540),
-    ("max_abs_minor", ["lattice", "six"], "max_abs_minor", 918),
+     "localization lattices needs", 36),
+    ("unimodular", ["hypertoric", "six"], "unimodular needs", 540),
+    ("max_abs_minor", ["lattice", "six"], "max_abs_minor needs", 918),
     ("prime guard", ["oracle", "six", "--p", "5", "--alpha", "1"],
-     "max_abs_minor", 918),
+     "max_abs_minor needs", 918),
     ("character sum", ["oracle", "triangle", "--p", "5", "--alpha", "3"],
-     "character sum", 558),
-    ("quiver-limit walk", ["quiver-limit", "c5"], "normalized limit", 243),
+     "character sum needs", 558),
+    ("quiver-limit walk", ["quiver-limit", "c5"], "normalized limit needs",
+     243),
     ("quiver-indec walk", ["quiver-indec", "c5", "--alpha", "2"],
-     "depth polynomial", 320),
+     "depth polynomial needs", 320),
     ("quiver-indec brute force",
      ["quiver-indec", "c5", "--alpha", "3", "--p", "3"],
-     "valuation pattern enumeration", 1024),
-    ("check-lastone walk", ["check-lastone", "c5"], "normalized limit", 243),
-    ("check-lastone lattice", ["check-lastone", "c5"], "lattice of flats",
-     540),
+     "valuation pattern enumeration needs", 1024),
+    ("check-lastone walk", ["check-lastone", "c5"], "normalized limit needs",
+     243),
+    ("check-lastone lattice", ["check-lastone", "c5"],
+     "lattice of flats needs at least", 540),
 ]
 
 
-@pytest.mark.parametrize("stage, argv, what, steps", BUDGET_STAGES,
+@pytest.mark.parametrize("stage, argv, refusal, steps", BUDGET_STAGES,
                          ids=[case[0] for case in BUDGET_STAGES])
 def test_budget_reaches_every_stage(capsys, tmp_path, monkeypatch, stage,
-                                    argv, what, steps):
+                                    argv, refusal, steps):
     from amzeta import arrangement
+    from amzeta.arrangement import graphic_arrangement
     monkeypatch.setattr(arrangement, "_FLAGS_CACHE", {})
     inputs = {"triangle": triangle().to_json(),
               "six": six_normals_rank3().to_json(),
-              "c5": cycle_quiver(5).to_json()}
+              "c5": cycle_quiver(5).to_json(),
+              "k7": graphic_arrangement(complete_quiver(7)).to_json()}
     path = tmp_path / argv[1]
     path.write_text(json.dumps(inputs[argv[1]]))
     argv = [argv[0], str(path), *argv[2:]]
     code, out, err = run(capsys, "--budget", str(steps - 1), *argv)
     assert code == 3 and out == ""
-    assert (f"error: {what} needs {steps} steps, budget allows {steps - 1}"
-            in err)
+    assert f"error: {refusal} {steps} steps, budget allows {steps - 1}" in err
     # one step more and the stage runs
     _, _, err = run(capsys, "--budget", str(steps), *argv)
-    assert f"{what} needs" not in err
+    assert refusal not in err
 
 
 def test_unknown_option_rejected(capsys, triangle_file):
@@ -429,6 +437,26 @@ def test_verify_oracle_suite_depth_one(capsys):
                        "--p", "5", "--alpha", "1")
     assert code == 0
     assert json.loads(out)["failed"] == 0
+
+
+def test_verify_honours_the_budget(capsys):
+    # every lattice of the paper suite is refused at one step, each check
+    # shows its refusal, and the call exits 3
+    code, out, _ = run(capsys, "--budget", "1", "verify", "--suite", "paper")
+    assert code == 3
+    payload = json.loads(out)
+    assert payload["failed"] == 0
+    refused = [c for c in payload["checks"] if c["status"] == "REFUSED"]
+    assert refused and all("needs" in c["detail"]
+                           and "budget allows 1" in c["detail"]
+                           for c in refused)
+    assert {c["status"] for c in payload["checks"]} <= {"ok", "REFUSED"}
+    code, out, _ = run(capsys, "--budget", "1", "verify", "--suite",
+                       "properties")
+    assert code == 3
+    payload = json.loads(out)
+    assert all(c["status"] == "REFUSED" for c in payload["checks"])
+    assert all(c["status"] == "REFUSED" for c in payload["conjectures"])
 
 
 def test_verify_properties_suite(capsys):
@@ -489,12 +517,16 @@ FRESH_CALLS = [
     (["verify", "--suite", "paper"], 0, ALL_MODULES),
     (["verify", "--suite", "nope"], 1, ALL_MODULES),
 ]
+# the calls that evaluate nothing at a rational point load no fractions
+NO_FRACTIONS = {"lattice", "chi", "mobius", "hypertoric", "igusa", "poles",
+                "bmu", "bprime"}
 _CHILD = (
     "import json, sys\n"
     "from amzeta.cli import main\n"
     "code = main(sys.argv[1:])\n"
     "print(json.dumps(sorted(m[7:] for m in sys.modules\n"
     "                        if m.startswith('amzeta.'))), file=sys.stderr)\n"
+    "print(json.dumps('fractions' in sys.modules), file=sys.stderr)\n"
     "sys.exit(code)\n")
 
 
@@ -514,5 +546,7 @@ def test_fresh_call_loads_only_its_layers(tmp_path, argv, code, layers):
     proc = subprocess.run([sys.executable, "-c", _CHILD, *argv], env=env,
                           cwd=tmp_path, capture_output=True, text=True)
     assert proc.returncode == code, proc.stderr
-    assert (set(json.loads(proc.stderr.splitlines()[-1]))
-            == BASE_MODULES | layers)
+    *_, loaded, fractions = proc.stderr.splitlines()
+    assert set(json.loads(loaded)) == BASE_MODULES | layers
+    if argv[0] in NO_FRACTIONS:
+        assert not json.loads(fractions)

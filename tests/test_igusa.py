@@ -10,7 +10,12 @@ from amzeta.arrangement import (
     graphic_arrangement,
     structural_flags,
 )
-from amzeta.errors import InvariantError, PreconditionError
+from amzeta import igusa
+from amzeta.errors import (
+    BudgetExceededError,
+    InvariantError,
+    PreconditionError,
+)
 from amzeta.igusa import (
     functional_equation_check,
     igusa_chain,
@@ -109,6 +114,41 @@ def test_chain_equals_recursion_graphic_k6():
     lat = build_lattice(arr)
     assert arr.rank() == 5 and len(lat.flats) == 203
     assert igusa_chain(arr, lat).value == igusa_recursion(arr, lat).value
+
+
+def test_narrowed_slot_width_is_caught(monkeypatch):
+    # the proven width holds K6's coefficients with room to spare (22 bits
+    # for 14-bit sums); the balanced decode needs one bit over the largest,
+    # and with one bit less it wraps that coefficient, so the chain route
+    # no longer agrees with the recursion
+    arr = graphic_arrangement(complete_quiver(6))
+    lat = build_lattice(arr)
+    _, sums = igusa._chain_sums(lat)
+    need = 1 + max(abs(c) for poly in sums.values()
+                   for c in poly.values()).bit_length()
+    assert igusa._slot_width(lat, lat.proper_flats()) == need + 7
+    oracle = igusa_recursion(arr, lat).value
+    monkeypatch.setattr(igusa, "_slot_width", lambda lat, proper: need)
+    assert igusa_chain(arr, lat).value == oracle
+    monkeypatch.setattr(igusa, "_slot_width", lambda lat, proper: need - 1)
+    try:
+        narrowed = igusa_chain(arr, lat).value
+    except InvariantError:
+        return
+    assert narrowed != oracle
+
+
+def test_chain_walk_charges_its_merged_entries():
+    # K5: the walk merges 1,041 W and S entries over its 52 flats, charged
+    # as it goes, so one step short is refused at the last flat
+    arr = graphic_arrangement(complete_quiver(5))
+    lat = build_lattice(arr)
+    for route in (igusa._chain_sums, lambda lat, budget: igusa_chain(
+            arr, lat, budget)):
+        with pytest.raises(BudgetExceededError, match=(
+                "chain walk needs at least 1041 steps, budget allows 1040")):
+            route(lat, 1040)
+        route(lat, 1041)
 
 
 def test_chain_equals_recursion_random_rank4():
