@@ -151,18 +151,19 @@ def _suite_paper(args):
     checks.append(("hypertoric origin family classes", toric_classes))
 
     def odr_values():
-        require(odr_class(OdrInput(1, (2, 5))).value == LaurentPoly.one("L"),
+        require(odr_class(OdrInput(1, (2, 5)), budget).value
+                == LaurentPoly.one("L"),
                 "odr class of rank 1, orders (2, 5)")
         for d in (2, 3, 4):
             for k in range(2 * d, 9):
                 orders = (k - 2 * (d - 1),) + (2,) * (d - 1)
-                got = odr_class(OdrInput(2, orders)).value
+                got = odr_class(OdrInput(2, orders), budget).value
                 require(got == reference.odr_rank2_expected(d, k),
                         f"odr rank-2 class, d={d}, k={k}")
     checks.append(("open de Rham rank-2 family", odr_values))
 
     def one_loop_series():
-        gf = nakajima_gf(reference.jordan_quiver(), (1,), 5)
+        gf = nakajima_gf(reference.jordan_quiver(), (1,), 5, budget)
         expected = reference.hilbert_series_coefficients(5)
         for n in range(6):
             require(gf.series.get((n,), LaurentPoly.zero("L")) == expected[n],

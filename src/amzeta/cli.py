@@ -21,6 +21,7 @@ import sys
 from .arrangement import Arrangement, build_lattice, structural_flags
 from .errors import (
     DEFAULT_BUDGET,
+    PRIME_TEST_BOUND,
     AmzError,
     BudgetExceededError,
     InvariantError,
@@ -38,6 +39,10 @@ class _Parser(argparse.ArgumentParser):
 def _prime(text):
     """argparse type of every --p: the oracles count over F_p."""
     p = int(text)
+    if p >= PRIME_TEST_BOUND:
+        raise argparse.ArgumentTypeError(
+            f"{text} is not below {PRIME_TEST_BOUND}, the bound of the "
+            "deterministic primality test")
     if not is_prime(p):
         raise argparse.ArgumentTypeError(f"{text} is not prime")
     return p
@@ -142,7 +147,7 @@ def cmd_nakajima(args):
     from .quiver_varieties import nakajima_gf
     quiver = _quiver(args.input)
     w = _int_list(args.w, "--w")
-    gf = nakajima_gf(quiver, w, args.depth)
+    gf = nakajima_gf(quiver, w, args.depth, args.budget)
     _emit({"classes": {",".join(map(str, v)): cls.to_json()
                        for v, cls in gf.classes.items()}})
 
@@ -150,19 +155,20 @@ def cmd_nakajima(args):
 def cmd_odr(args):
     from .open_derham import OdrInput, odr_class
     orders = _int_list(args.orders, "--orders")
-    cls = odr_class(OdrInput(args.n, orders))
+    cls = odr_class(OdrInput(args.n, orders), args.budget)
     _emit({"class": cls.value.to_json(),
            "dimension": cls.input.dimension(),
            "positive_coeffs_observed": cls.positive_coeffs})
 
 
 def cmd_igusa(args):
-    from .igusa import igusa_chain, igusa_recursion
+    from .igusa import chain_poset, igusa_chain, igusa_recursion
     arr = _arrangement(args.input)
-    lat = build_lattice(arr, args.budget)
-    zeta = (igusa_recursion(arr, lat, args.budget)
+    zeta = (igusa_recursion(arr, build_lattice(arr, args.budget),
+                            args.budget)
             if args.method == "recursion"
-            else igusa_chain(arr, lat, args.budget))
+            else igusa_chain(arr, chain_poset(arr, args.budget),
+                             args.budget))
     if args.format == "latex":
         print(zeta.value.to_latex())
     elif args.format == "plain":
@@ -183,10 +189,10 @@ def cmd_poles(args):
 
 
 def cmd_bmu(args):
+    from .igusa import chain_poset
     from .residues import b_mu
     arr = _arrangement(args.input)
-    lat = build_lattice(arr, args.budget)
-    value = b_mu(arr, lat, args.budget)
+    value = b_mu(arr, chain_poset(arr, args.budget), args.budget)
     if args.format == "plain":
         print(value.to_str())
     else:

@@ -5,8 +5,6 @@ precondition violations exit 2, exhausted budgets exit 3 and internal
 invariant violations exit 4.
 """
 
-import math
-
 
 class AmzError(Exception):
     """Base class for all package errors."""
@@ -32,8 +30,37 @@ def parse_int(value, what: str) -> int:
     raise ParseError(f"{what}: {value!r} is not an integer")
 
 
+# psi_13 (OEIS A014233): the least odd composite that is a strong
+# probable prime to every prime base 2..41 (Sorenson and Webster, Math.
+# Comp. 2017), so below it those 13 bases decide primality
+PRIME_TEST_BOUND = 3317044064679887385961981
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
 def is_prime(p: int) -> bool:
-    return p > 1 and all(p % d for d in range(2, math.isqrt(p) + 1))
+    """Deterministic Miller-Rabin over the prime bases 2..41, proven for
+    p < PRIME_TEST_BOUND; a larger p is a ValueError."""
+    if p >= PRIME_TEST_BOUND:
+        raise ValueError(f"{p} is not below {PRIME_TEST_BOUND}")
+    if p < 2:
+        return False
+    for a in _BASES:
+        if p % a == 0:
+            return p == a
+    d, r = p - 1, 0
+    while not d & 1:
+        d, r = d >> 1, r + 1
+    for a in _BASES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def parse_list(value, what: str) -> list:

@@ -14,11 +14,23 @@ Two independent computations are provided and must agree exactly:
                    contributes through the zeta data of the arrangement
                    formed by its own hyperplanes, with a shifted variable.
 
+The chain DP walks a weighted poset: nodes with a rank, a delta and a
+weight (the flats each stands for), and up-edges J > I with a
+multiplicity (the flats of node J above one flat of node I).  The lattice
+of flats is the poset whose every weight and multiplicity is 1.  On the
+braid arrangement K_k, W(I) depends only on the partition type of the
+flat I, so ``chain_poset`` hands ``igusa`` and ``bmu`` the quotient by
+types, p(k) nodes in place of Bell(k) flats (K10: 42 types, 115,975
+flats); every other input, and the recursion, gets the lattice.
+
 Everywhere t = q^(-s), so q^(s+a) - 1 = (q^a - t)/t and a denominator
 factor (q^a - t) of multiplicity mu is a pole of order mu at s = -a.
 """
 
 from __future__ import annotations
+
+from itertools import repeat
+from math import comb, factorial, prod
 
 from .arrangement import (
     Arrangement,
@@ -50,8 +62,8 @@ def _prefactor(m: int) -> BiRational:
     return BiRational({(m, 1): 1, (m, 0): -1}, (0, 1), [(m, 1)])
 
 
-def _check_pole_set(value: BiRational, lat: FlatLattice):
-    candidates = {lat.delta(i) for i in range(len(lat.flats))}
+def _check_pole_set(value: BiRational, lat):
+    candidates = {lat.delta(i) for i in range(len(lat))}
     for a, _ in value.den:
         if a not in candidates:
             raise InvariantError(
@@ -59,22 +71,153 @@ def _check_pole_set(value: BiRational, lat: FlatLattice):
                 "candidate pole set")
 
 
-def _slot_width(lat: FlatLattice, proper) -> int:
+def _braid_order(arrangement: Arrangement) -> int:
+    """k when the normals are those of ``graphic_arrangement`` on K_k up to
+    order and sign: each is e_i - e_j or e_i in Q^(k-1), the last vertex's
+    coordinate dropped, and each pair of the k vertices appears once.
+    Otherwise 0."""
+    m, n = arrangement.m, arrangement.n
+    if not n or n != m * (m + 1) // 2:
+        return 0
+    pairs = set()
+    for row in arrangement.normals:
+        support = [(c, x) for c, x in enumerate(row) if x]
+        if len(support) == 1 and abs(support[0][1]) == 1:
+            pairs.add((support[0][0], m))
+        elif (len(support) == 2 and abs(support[0][1]) == 1
+              and support[0][1] == -support[1][1]):
+            pairs.add((support[0][0], support[1][0]))
+        else:
+            return 0
+    return m + 1 if len(pairs) == n else 0
+
+
+def _partitions(k, most):
+    """Partitions of k into parts <= most, as non-increasing tuples."""
+    if not k:
+        yield ()
+    for first in range(min(k, most), 0, -1):
+        for rest in _partitions(k - first, first):
+            yield (first,) + rest
+
+
+def _groupings(blocks, parts, memo):
+    """Ways to group labelled blocks of the sizes ``blocks`` so that the
+    group sums are ``parts`` (both non-increasing): the first block's group
+    takes some part v and labelled blocks summing to v minus its size."""
+    if not blocks:                  # then parts is empty too
+        return 1
+    key = blocks, parts
+    if key not in memo:
+        first, rest = blocks[0], blocks[1:]
+        total = 0
+        for v in set(parts):
+            if v >= first:
+                left = list(parts)
+                left.remove(v)
+                for others, ways in _pick(rest, v - first):
+                    total += ways * _groupings(others, tuple(left), memo)
+        memo[key] = total
+    return memo[key]
+
+
+def _pick(blocks, target):
+    """(left, ways): the labelled sub-multisets of ``blocks`` summing to
+    target, by the blocks they leave, and how many there are of each."""
+    if not target:
+        yield blocks, 1
+    elif blocks:
+        size, count = blocks[0], blocks.count(blocks[0])
+        for used in range(min(count, target // size) + 1):
+            for left, ways in _pick(blocks[count:], target - used * size):
+                yield ((size,) * (count - used) + left,
+                       comb(count, used) * ways)
+
+
+class TypeQuotient:
+    """The lattice of flats of the braid arrangement K_k folded onto
+    partition types.  A flat is a set partition of the k vertices and its
+    interval up to the top depends only on its type, the partition lambda
+    of its block sizes, so node lambda stands for weights[lambda] =
+    k! / (prod lambda_i! prod_j m_j(lambda)!) flats, each of rank
+    k - len(lambda) with |I| = sum C(lambda_i, 2) hyperplanes.
+    ``above[i]`` lists (J, N) for the coarser types J, N counting the
+    groupings of one flat's blocks into a flat of type J.  Nodes ascend in
+    rank, so their indices extend the order, as flat indices do.  The
+    p(k)^2 pairs of types are charged to ``budget`` as the types are
+    listed, before any edge is counted."""
+
+    __slots__ = ("arrangement", "types", "ranks", "weights", "above", "top")
+
+    def __init__(self, arrangement: Arrangement, k: int,
+                 budget: int = DEFAULT_BUDGET):
+        types = []
+        for lam in _partitions(k, k):
+            types.append(lam)
+            _charge_running("partition types", len(types) ** 2, budget)
+        self.arrangement = arrangement
+        self.types = sorted(types, key=len, reverse=True)
+        self.ranks = [k - len(lam) for lam in self.types]
+        self.weights = [factorial(k) // prod(
+            factorial(x) for x in lam + tuple(map(lam.count, set(lam))))
+            for lam in self.types]
+        memo = {}
+        self.above = [[(j, n) for j, mu in enumerate(self.types)
+                       if len(mu) < len(lam)
+                       for n in [_groupings(lam, mu, memo)] if n]
+                      for lam in self.types]
+        self.top = len(self.types) - 1
+
+    def __len__(self):
+        return len(self.types)
+
+    def delta(self, i) -> int:
+        """delta_I = n - |I| + rank(I) of each flat of type i."""
+        return (self.arrangement.n + self.ranks[i]
+                - sum(x * (x - 1) // 2 for x in self.types[i]))
+
+    def proper_flats(self):
+        return list(range(self.top))
+
+
+def chain_poset(arrangement: Arrangement, budget: int = DEFAULT_BUDGET):
+    """The poset the chain sums walk: the partition-type quotient of a
+    braid arrangement, else the lattice of flats."""
+    k = _braid_order(arrangement)
+    return (TypeQuotient(arrangement, k, budget) if k
+            else build_lattice(arrangement, budget))
+
+
+def _weighted(poset):
+    """(above, weight) of the poset the chain sums walk: above(i) yields
+    (J, N) for each node J > i, N the number of flats of node J above one
+    flat of node i, and weight(i) counts the flats node i stands for.  On
+    a lattice of flats every N and weight is 1."""
+    if isinstance(poset, TypeQuotient):
+        return poset.above.__getitem__, poset.weights.__getitem__
+    up = poset.up
+    return (lambda i: zip(poset.indices(up[i] ^ (1 << i)), repeat(1)),
+            lambda i: 1)
+
+
+def _slot_width(lat, proper) -> int:
     """Bits per coefficient slot of the packed chain sums: 2 more than the
     bit length of sum_I |W(I)|, which bounds every coefficient of the sums,
     from the l1 norms |S(I)| <= sum_{J > I} (2|W(J)| + |S(J)|), with
     |W(I)| = |S(I)| and W(top) = 1."""
-    weight = {lat.top: 2}
+    above, weight = _weighted(lat)
+    bound = {lat.top: 2}
     total = 0
     for i in reversed(proper):
-        norm = sum(weight[j] for j in lat.indices(lat.up[i] ^ (1 << i)))
-        weight[i] = 3 * norm
-        total += norm
+        norm = sum(n * bound[j] for j, n in above(i))
+        bound[i] = 3 * norm
+        total += weight(i) * norm
     return total.bit_length() + 2
 
 
-def _chain_sums(lat: FlatLattice, budget: int = DEFAULT_BUDGET):
-    """The chain sum over the proper flats in formal pole variables.
+def _chain_sums(lat, budget: int = DEFAULT_BUDGET):
+    """The chain sum over the proper flats in formal pole variables, read
+    off ``lat``, a lattice of flats or a ``TypeQuotient``.
 
     With v_a = t/(q^a - t) for each delta a of a proper flat, the chain
     recurrence W(I) = v_dI * sum_{J > I} W(J) chi_[I,J](q) becomes, after
@@ -92,32 +235,44 @@ def _chain_sums(lat: FlatLattice, budget: int = DEFAULT_BUDGET):
     one shift-add-subtract per tuple of W(J) and one subtraction per tuple
     of S(J).  The running sums are kept times q^m, so every shift is by a
     rank, and are unpacked once at the end by balanced digits, which is
-    exact as ``_slot_width`` bounds every coefficient.  The walk charges
-    the W and S entries it merges as it goes, so a refusal is a lower bound
-    on its cost: K5 1,041 steps, K7 195,476, K8 3,277,355."""
+    exact as ``_slot_width`` bounds every coefficient.  An up-edge of
+    multiplicity N adds N times its terms and a node of weight c adds c
+    times its W to the sums.  The walk charges the W and S entries it
+    merges as it goes, so a refusal is a lower bound on its cost: over the
+    lattice K5 1,041 steps, K7 195,476, K8 3,277,355; over the types K7
+    1,030, K8 4,591, K10 113,147."""
     m = lat.arrangement.m
     ranks = lat.ranks
     proper = lat.proper_flats()
     deltas = sorted({lat.delta(i) for i in proper})
     width = _slot_width(lat, proper)
+    above, weight = _weighted(lat)
     S, W = {lat.top: {}}, {lat.top: {(0,) * len(deltas): 1}}
     packed = {}
     steps = 0
-    for i in reversed(proper):      # flat indices extend inclusion
+    for i in reversed(proper):      # node indices extend the order
         acc = S[i] = {}
         get = acc.get
-        for j in lat.indices(lat.up[i] ^ (1 << i)):
+        for j, n in above(i):
             shift = (ranks[j] - ranks[i]) * width
-            for x, p in W[j].items():
+            w, s = W[j], S[j]
+            if n != 1:
+                w = {x: n * p for x, p in w.items()}
+                s = {x: n * p for x, p in s.items()}
+            for x, p in w.items():
                 acc[x] = get(x, 0) + (p << shift) - p
-            for x, p in S[j].items():
+            for x, p in s.items():
                 acc[x] = get(x, 0) - p
-            steps += len(W[j]) + len(S[j])
+            steps += len(w) + len(s)
         _charge_running("chain walk", steps, budget)
         k = deltas.index(lat.delta(i))
-        W[i] = {x[:k] + (x[k] + 1,) + x[k + 1:]: p for x, p in acc.items()}
+        w = W[i] = {x[:k] + (x[k] + 1,) + x[k + 1:]: p
+                    for x, p in acc.items()}
+        c = weight(i)
+        if c != 1:
+            w = {x: c * p for x, p in w.items()}
         shift = ranks[i] * width
-        for x, p in W[i].items():
+        for x, p in w.items():
             packed[x] = packed.get(x, 0) + (p << shift)
     half, mask = 1 << (width - 1), (1 << width) - 1
     sums = {}
@@ -133,9 +288,10 @@ def _chain_sums(lat: FlatLattice, budget: int = DEFAULT_BUDGET):
     return deltas, sums
 
 
-def igusa_chain(arrangement: Arrangement, lat: FlatLattice,
+def igusa_chain(arrangement: Arrangement, lat,
                 budget: int = DEFAULT_BUDGET) -> IgusaZeta:
-    """Resummed chain formula via one pass over the lattice: the terms
+    """Resummed chain formula via one pass over ``lat``, the lattice of
+    flats or the ``chain_poset`` of the arrangement: the terms
     sums[x](q) t^|x| / prod (q^a - t)^x_a of ``_chain_sums`` are cleared
     over one common denominator by ``_clear`` and reduced once."""
     _require_essential(arrangement)

@@ -16,10 +16,13 @@ import itertools
 import operator
 
 from .errors import (
+    DEFAULT_BUDGET,
     InvariantError,
     NotDivisibleError,
     ParseError,
     PreconditionError,
+    _charge_running,
+    charge,
     parse_int,
     parse_list,
 )
@@ -40,6 +43,24 @@ def partitions(n: int, max_part=None):
     for first in range(max_part, 0, -1):
         for rest in partitions(n - first, first):
             yield (first,) + rest
+
+
+def _partition_counts(n: int, what: str, budget: int) -> list:
+    """[p(0), ..., p(n)] by Euler's pentagonal number recurrence.  Each
+    caller's cost is at least p(n), so ``what`` is refused as soon as a
+    count passes budget, and the count itself stays short."""
+    counts = [1]
+    for total in range(1, n + 1):
+        value, j = 0, 1
+        while j * (3 * j - 1) // 2 <= total:
+            sign = 1 if j % 2 else -1
+            for g in (j * (3 * j - 1) // 2, j * (3 * j + 1) // 2):
+                if g <= total:
+                    value += sign * counts[total - g]
+            j += 1
+        _charge_running(what, value, budget)
+        counts.append(value)
+    return counts
 
 
 def multiplicities(lam) -> dict:
@@ -144,10 +165,16 @@ def hua_term(quiver: Quiver, w, blam) -> LaurentPoly:
 
 
 def _graded(nvars, bound):
-    """Dimension vectors of total degree <= bound, by total degree."""
-    return sorted((v for v in itertools.product(range(bound + 1),
-                                                repeat=nvars)
-                   if sum(v) <= bound), key=sum)
+    """Dimension vectors of total degree <= bound, by total degree and
+    lexicographically within a degree."""
+    def exact(count, total):
+        if count == 1:
+            yield (total,)
+            return
+        for first in range(total + 1):
+            for rest in exact(count - 1, total - first):
+                yield (first,) + rest
+    return [v for total in range(bound + 1) for v in exact(nvars, total)]
 
 
 def _partition_sum(quiver: Quiver, w, bound: int) -> dict:
@@ -176,13 +203,17 @@ class NakajimaGF:
         self.classes = classes
 
 
-def nakajima_gf(quiver: Quiver, w, bound: int) -> NakajimaGF:
+def nakajima_gf(quiver: Quiver, w, bound: int,
+                budget: int = DEFAULT_BUDGET) -> NakajimaGF:
     """Build the quotient series and extract one class per coefficient.
 
     With N_v, Den_v the partition sums' coefficients and Q = N / Den, the
     cleared Q~_v = D_v Q_v obey the integer recurrence
     Q~_v = N~_v - sum_{0<u<=v} prod_i [v_i, u_i] Den~_u Q~_(v-u),
-    and Q_v = Q~_v / D_v must be exact."""
+    and Q_v = Q~_v / D_v must be exact.  Before any work, ``budget`` is
+    charged one step per term of the two partition sums, the
+    multipartitions of every v of degree <= bound: 2 sum_v prod_i p(v_i),
+    38 steps for one loop at bound 5."""
     w = tuple(int(x) for x in w)
     if len(w) != quiver.vertices:
         raise PreconditionError("framing vector length != vertex count")
@@ -190,6 +221,13 @@ def nakajima_gf(quiver: Quiver, w, bound: int) -> NakajimaGF:
         raise PreconditionError("framing vector must be nonnegative")
     if bound < 0:
         raise PreconditionError("truncation bound must be >= 0")
+    what = "Nakajima partition sums"
+    counts = _partition_counts(bound, what, budget)
+    terms = [1] + [0] * bound       # multipartition counts by degree
+    for _ in range(quiver.vertices):
+        terms = [sum(terms[a] * counts[d - a] for a in range(d + 1))
+                 for d in range(bound + 1)]
+    charge(what, 2 * sum(terms), budget)
     num = _partition_sum(quiver, w, bound)
     den = _partition_sum(quiver, (0,) * quiver.vertices, bound)
     cleared, series = {}, {}

@@ -57,10 +57,12 @@ class ResidueData:
         self.positive_coeffs = positive_coeffs
 
 
-def b_mu(arrangement: Arrangement, lat: FlatLattice,
+def b_mu(arrangement: Arrangement, lat,
          budget: int = DEFAULT_BUDGET) -> RationalUni:
     """Chain-sum value of the normalized limit, as a reduced degree-0
-    rational function of q: the sums of ``_chain_sums`` at t = q^m, plus
+    rational function of q, over ``lat``, the lattice of flats or the
+    ``chain_poset`` of the arrangement: the sums of ``_chain_sums`` at
+    t = q^m, plus
     the top's 1.  There t/(q^delta - t) is 1/(q^(delta-m) - 1), so they are
     cleared by ``_clear`` over the factors q^(delta-m) - t, read at t = 1
     and reduced once."""

@@ -8,10 +8,12 @@ import sys
 import pytest
 
 import amzeta
+from amzeta.arrangement import Arrangement
 from amzeta.cli import build_parser, main
 from amzeta.reference import (
     complete_quiver,
     cycle_quiver,
+    jordan_quiver,
     n_origins,
     six_normals_rank3,
     triangle,
@@ -335,15 +337,20 @@ def test_every_budget_defaults_to_the_one_budget():
 
 
 # (stage, argv, refusal, steps): each input is refused first at its stage,
-# whose charge is steps; the triangle / six normals / 5-cycle / K7 lattices
-# cost 30 / 270 / 540 / 110,502 steps.  A stage that charges as it goes
-# (the lattice, the chain walk) knows only a lower bound when it stops, and
-# says "at least"; a charge one step short stops it at its last step, so
-# the bound is its exact charge
+# whose charge is steps; the triangle / six normals / 5-cycle / K7 - e
+# lattices cost 30 / 270 / 540 / 99,000 steps.  A stage that charges as it
+# goes (the lattice, the chain walk, the partition types) knows only a
+# lower bound when it stops, and says "at least"; a charge one step short
+# stops it at its last step, so the bound is its exact charge.  igusa and
+# bmu walk K7 (a braid arrangement) over its 15 partition types, 15^2
+# charged, and build no lattice
 BUDGET_STAGES = [
-    ("lattice of flats", ["igusa", "triangle"],
-     "lattice of flats needs at least", 30),
-    ("chain walk", ["igusa", "k7"], "chain walk needs at least", 195476),
+    ("lattice of flats", ["igusa", "six"],
+     "lattice of flats needs at least", 270),
+    ("chain walk", ["igusa", "k7e"], "chain walk needs at least", 241046),
+    ("partition types", ["bmu", "k7"], "partition types needs at least",
+     225),
+    ("type walk", ["igusa", "k7"], "chain walk needs at least", 1030),
     ("localization lattices", ["igusa", "triangle", "--method", "recursion"],
      "localization lattices needs", 36),
     ("unimodular", ["hypertoric", "six"], "unimodular needs", 540),
@@ -363,6 +370,12 @@ BUDGET_STAGES = [
      243),
     ("check-lastone lattice", ["check-lastone", "c5"],
      "lattice of flats needs at least", 540),
+    # one loop at depth 5: 2 (p(0) + ... + p(5)) multipartitions
+    ("nakajima terms", ["nakajima", "jordan", "--w", "1", "--depth", "5"],
+     "Nakajima partition sums needs", 38),
+    # rank 2, three poles: p(2) terms of 2^2 * 2 + 1 coefficients
+    ("odr terms", ["odr", "--n", "2", "--orders", "2,2,2"],
+     "open de Rham sum needs", 18),
 ]
 
 
@@ -373,13 +386,17 @@ def test_budget_reaches_every_stage(capsys, tmp_path, monkeypatch, stage,
     from amzeta import arrangement
     from amzeta.arrangement import graphic_arrangement
     monkeypatch.setattr(arrangement, "_FLAGS_CACHE", {})
+    k7 = graphic_arrangement(complete_quiver(7))
     inputs = {"triangle": triangle().to_json(),
               "six": six_normals_rank3().to_json(),
               "c5": cycle_quiver(5).to_json(),
-              "k7": graphic_arrangement(complete_quiver(7)).to_json()}
-    path = tmp_path / argv[1]
-    path.write_text(json.dumps(inputs[argv[1]]))
-    argv = [argv[0], str(path), *argv[2:]]
+              "jordan": jordan_quiver().to_json(),
+              "k7": k7.to_json(),
+              "k7e": Arrangement(k7.normals[:-1]).to_json()}
+    if argv[1] in inputs:
+        path = tmp_path / argv[1]
+        path.write_text(json.dumps(inputs[argv[1]]))
+        argv = [argv[0], str(path), *argv[2:]]
     code, out, err = run(capsys, "--budget", str(steps - 1), *argv)
     assert code == 3 and out == ""
     assert f"error: {refusal} {steps} steps, budget allows {steps - 1}" in err
@@ -407,6 +424,34 @@ def test_non_prime_p_rejected(capsys, tmp_path, argv):
     argv = [str(tmp_path / a) if a.endswith(".json") else a for a in argv]
     code, out, err = run(capsys, *argv, "--p", "4")
     assert code == 1 and out == "" and "4 is not prime" in err
+
+
+def test_primality_test_agrees_with_trial_division():
+    from math import isqrt
+    from amzeta.errors import PRIME_TEST_BOUND, is_prime
+    trial = [n for n in range(2, 10 ** 5)
+             if all(n % d for d in range(2, isqrt(n) + 1))]
+    assert [n for n in range(-2, 10 ** 5) if is_prime(n)] == trial
+    # strong pseudoprimes to the first 9 and the first 12 prime bases
+    assert not is_prime(3825123056546413051)
+    assert not is_prime(318665857834031151167461)
+    assert is_prime(10 ** 20 + 39) and is_prime(2 ** 61 - 1)
+    with pytest.raises(ValueError):
+        is_prime(PRIME_TEST_BOUND)
+
+
+def test_large_p_parses_at_once_and_the_test_bound_is_refused(
+        capsys, triangle_file):
+    # a prime near 10^20 is accepted at parse time and refused by the
+    # oracle's charge, not stalled on; psi_13 and above are parse errors
+    code, out, err = run(capsys, "oracle", triangle_file, "--p",
+                         str(10 ** 20 + 39), "--alpha", "1")
+    assert code == 3 and out == "" and "budget allows" in err
+    for p in ("3317044064679887385961981", str(10 ** 30 + 57)):
+        code, out, err = run(capsys, "oracle", triangle_file, "--p", p,
+                             "--alpha", "1")
+        assert code == 1 and out == ""
+        assert "not below 3317044064679887385961981" in err
 
 
 def test_verify_paper_suite(capsys):
@@ -440,17 +485,22 @@ def test_verify_oracle_suite_depth_one(capsys):
 
 
 def test_verify_honours_the_budget(capsys):
-    # every lattice of the paper suite is refused at one step, each check
-    # shows its refusal, and the call exits 3
+    # every check of the paper suite is refused at one step, its lattices,
+    # walks and partition sums alike, each shows its refusal, and the call
+    # exits 3
     code, out, _ = run(capsys, "--budget", "1", "verify", "--suite", "paper")
     assert code == 3
     payload = json.loads(out)
     assert payload["failed"] == 0
-    refused = [c for c in payload["checks"] if c["status"] == "REFUSED"]
-    assert refused and all("needs" in c["detail"]
-                           and "budget allows 1" in c["detail"]
-                           for c in refused)
-    assert {c["status"] for c in payload["checks"]} <= {"ok", "REFUSED"}
+    assert all(c["status"] == "REFUSED" and "needs" in c["detail"]
+               and "budget allows 1" in c["detail"]
+               for c in payload["checks"])
+    # one step short of the first rank-2 class, p(2) (2^2 + 1) = 10 steps,
+    # after the rank-1 class's 2: the odr check passes the budget on
+    code, out, _ = run(capsys, "--budget", "9", "verify", "--suite", "paper")
+    details = {c["check"]: c.get("detail") for c in json.loads(out)["checks"]}
+    assert details["open de Rham rank-2 family"] == (
+        "open de Rham sum needs 10 steps, budget allows 9")
     code, out, _ = run(capsys, "--budget", "1", "verify", "--suite",
                        "properties")
     assert code == 3

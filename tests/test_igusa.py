@@ -25,6 +25,7 @@ from amzeta.igusa import (
 )
 from amzeta.reference import (
     complete_quiver,
+    cycle_quiver,
     n_origins,
     six_normals_rank3,
     triangle,
@@ -289,3 +290,138 @@ def test_functional_equation_fixtures(six_normal_zeta):
         z, _ = zeta_pair(arr)
         assert functional_equation_check(z)
     assert functional_equation_check(six_normal_zeta[2])
+
+
+# ---------------------------------------------------------------------------
+# braid arrangements by partition type
+# ---------------------------------------------------------------------------
+
+def braid(k):
+    return graphic_arrangement(complete_quiver(k))
+
+
+@pytest.fixture(scope="module")
+def lattice_route():
+    """Per k = 2..8: K_k's lattice, its chain sums, and the stdout the
+    igusa and bmu formats print from the lattice route's values."""
+    import json
+    from amzeta.residues import b_mu
+    out = {}
+    for k in range(2, 9):
+        arr = braid(k)
+        lat = build_lattice(arr)
+        value = igusa_chain(arr, lat).value
+        printed = {
+            ("igusa",): json.dumps(value.to_json(), sort_keys=True,
+                                   indent=2) + "\n",
+            ("igusa", "--format", "plain"): value.to_plain() + "\n",
+            ("igusa", "--format", "latex"): value.to_latex() + "\n"}
+        try:
+            limit = b_mu(arr, lat)
+        except PreconditionError:           # K2's one normal is a coloop
+            printed[("bmu",)] = printed[("bmu", "--format", "plain")] = None
+        else:
+            printed[("bmu",)] = json.dumps(limit.to_json(), sort_keys=True,
+                                           indent=2) + "\n"
+            printed[("bmu", "--format", "plain")] = limit.to_str() + "\n"
+        out[k] = lat, igusa._chain_sums(lat), printed
+    return out
+
+
+@pytest.mark.parametrize("k", range(2, 9))
+def test_type_route_sums_equal_lattice_route(lattice_route, k):
+    arr = braid(k)
+    poset = igusa.chain_poset(arr)
+    assert isinstance(poset, igusa.TypeQuotient)
+    lat, sums, _ = lattice_route[k]
+    assert igusa._chain_sums(poset) == sums
+    assert (igusa._slot_width(poset, poset.proper_flats())
+            == igusa._slot_width(lat, lat.proper_flats()))
+
+
+@pytest.mark.parametrize("k", range(2, 9))
+def test_type_route_stdout_equals_lattice_route(lattice_route, capsys,
+                                                 tmp_path, k):
+    import json
+    from amzeta.cli import main
+    path = tmp_path / f"k{k}.json"
+    path.write_text(json.dumps(braid(k).to_json()))
+    for argv, expected in lattice_route[k][2].items():
+        code = main([argv[0], str(path), *argv[1:]])
+        out = capsys.readouterr().out
+        assert (code, out) == ((0, expected) if expected is not None
+                               else (2, "")), argv
+
+
+def test_type_route_equals_recursion_k6():
+    arr = braid(6)
+    poset = igusa.chain_poset(arr)
+    assert len(poset) == 11
+    assert (igusa_chain(arr, poset).value
+            == igusa_recursion(arr, build_lattice(arr)).value)
+
+
+def bell(k):
+    row = [1]
+    for _ in range(k - 1):
+        nxt = [row[-1]]
+        for x in row:
+            nxt.append(nxt[-1] + x)
+        row = nxt
+    return row[-1]
+
+
+@pytest.mark.parametrize("k", range(2, 13))
+def test_type_weights_count_flats_and_chi(k):
+    # the weights count the Bell(k) flats, and with the Mobius values
+    # prod (-1)^(l-1) (l-1)! of the partition lattice they give K_k's
+    # characteristic polynomial prod_{i<k} (q - i), divided by q
+    from math import factorial, prod
+    from amzeta.exact_algebra import LaurentPoly
+    poset = igusa.TypeQuotient(braid(k), k)
+    assert sum(poset.weights) == bell(k)
+    chi = LaurentPoly.zero("q")
+    for lam, weight in zip(poset.types, poset.weights):
+        mobius = prod((-1) ** (x - 1) * factorial(x - 1) for x in lam)
+        chi = chi + LaurentPoly("q", {len(lam) - 1: weight * mobius})
+    expected = LaurentPoly.one("q")
+    for i in range(1, k):
+        expected = expected * LaurentPoly("q", {1: 1, 0: -i})
+    assert chi == expected
+
+
+def test_type_slot_width_equals_lattice_k6():
+    arr = braid(6)
+    lat, poset = build_lattice(arr), igusa.chain_poset(arr)
+    assert (igusa._slot_width(poset, poset.proper_flats())
+            == igusa._slot_width(lat, lat.proper_flats()) == 22)
+
+
+def test_braid_recognition():
+    rng = random.Random(19)
+    for k in range(2, 8):
+        # the normals shuffled, each negated or not, the coordinates
+        # (vertices 1..k-1) permuted
+        perm = rng.sample(range(k - 1), k - 1)
+        rows = [tuple(sign * row[c] for c in perm)
+                for row in braid(k).normals
+                for sign in [rng.choice((1, -1))]]
+        rng.shuffle(rows)
+        poset = igusa.chain_poset(Arrangement(rows))
+        assert isinstance(poset, igusa.TypeQuotient)
+        assert len(poset.types) == len(poset.weights) and poset.top == len(
+            poset) - 1 and poset.types[-1] == (k,)
+    k6 = braid(6).normals
+    rejected = {
+        "minus an edge": k6[1:],
+        "a doubled edge": k6 + k6[:1],
+        "a doubled edge for another": k6[:1] + k6[:-1],
+        "one normal scaled by 2": ((2 * k6[0][0],) + k6[0][1:],) + k6[1:],
+        "C4": graphic_arrangement(cycle_quiver(4)).normals,
+        "relabelled but not a difference": (tuple(
+            abs(x) for x in k6[1]),) + k6[:1] + k6[2:],
+    }
+    for what, rows in rejected.items():
+        arr = Arrangement(rows)
+        assert igusa._braid_order(arr) == 0, what
+        assert isinstance(igusa.chain_poset(arr), FlatLattice), what

@@ -14,7 +14,12 @@ from amzeta.arrangement import (
 from amzeta import residues
 from amzeta.errors import InvariantError, PreconditionError
 from amzeta.exact_algebra import LaurentPoly, RationalUni
-from amzeta.igusa import igusa_chain, igusa_recursion, level_sets
+from amzeta.igusa import (
+    chain_poset,
+    igusa_chain,
+    igusa_recursion,
+    level_sets,
+)
 from amzeta.quiver_reps import a_gamma_limit, check_lastone
 from amzeta.reference import (
     EULERIAN,
@@ -274,6 +279,11 @@ def test_k7_chain_route_regression_pin():
     assert digest(igusa_chain(arr, lat).value) == "1d83506e638b90c0"
     data = b_prime(arr, lat)
     assert digest(data.b_mu) == "24ddce2147880e01"
+    # the partition-type route that igusa and bmu take on K7
+    types = chain_poset(arr)
+    assert len(types) == 15
+    assert digest(igusa_chain(arr, types).value) == "1d83506e638b90c0"
+    assert digest(b_mu(arr, types)) == "24ddce2147880e01"
     coeffs = [c for _, c in sorted(data.b_prime.items())]
     assert data.degree == 165 and len(coeffs) == 166
     assert coeffs == coeffs[::-1]
