@@ -356,12 +356,8 @@ class FlatLattice:
     def char_poly(self) -> LaurentPoly:
         """Global characteristic polynomial, with corank taken in the
         ambient dimension m (monic of degree m)."""
-        m = self.arrangement.m if self.arrangement.n else 0
-        coeffs = {}
-        for h, value in self._mobius_row(self.bottom).items():
-            e = m - self.ranks[h]
-            coeffs[e] = coeffs.get(e, 0) + value
-        return LaurentPoly("q", coeffs)
+        return self.char_poly_interval(self.bottom, self.top).shift(
+            self.arrangement.m - self.ranks[self.top])
 
     def delta(self, flat) -> int:
         """delta_I = n - |I| + rank(I)."""
@@ -638,8 +634,6 @@ def char_poly_of(arrangement: Arrangement, ambient_m: int,
                  budget: int = DEFAULT_BUDGET) -> LaurentPoly:
     """Characteristic polynomial in an ambient space of dimension
     ambient_m (deletions live in the original space)."""
-    if arrangement.n == 0:
-        return LaurentPoly.monomial("q", ambient_m)
     return build_lattice(arrangement, budget).char_poly().shift(
         ambient_m - arrangement.m)
 

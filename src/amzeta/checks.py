@@ -23,7 +23,12 @@ from .arrangement import (
     restriction,
     structural_flags,
 )
-from .errors import DEFAULT_BUDGET, InvariantError, is_prime
+from .errors import (
+    DEFAULT_BUDGET,
+    InvariantError,
+    PreconditionError,
+    is_prime,
+)
 from .exact_algebra import LaurentPoly
 from .hypertoric import hypertoric_class
 from .igusa import (
@@ -34,7 +39,6 @@ from .igusa import (
 )
 from .open_derham import OdrInput, odr_class
 from .padic_oracle import (
-    count_solutions_mod,
     depth_counts,
     limit_probe,
     poincare_check,
@@ -199,12 +203,10 @@ def _suite_paper(args):
     checks.append(("residues and numerators", residue_values))
 
     def divisor_counts():
-        arr = reference.n_origins(1)
-        for alpha in (1, 2, 3):
-            got = count_solutions_mod(arr, 5, alpha, budget).count
-            require(got == (alpha + 1) * 5 ** alpha
-                    - alpha * 5 ** (alpha - 1),
-                    f"single-origin count at depth {alpha}")
+        for c in depth_counts(reference.n_origins(1), 5, 3, budget):
+            require(c.count == (c.alpha + 1) * 5 ** c.alpha
+                    - c.alpha * 5 ** (c.alpha - 1),
+                    f"single-origin count at depth {c.alpha}")
     checks.append(("single-origin depth counts", divisor_counts))
 
     def rep_limits():
@@ -224,7 +226,9 @@ def _suite_paper(args):
 
 def _suite_oracle(args):
     p = args.p or 5
-    alpha = args.alpha or 2
+    alpha = 2 if args.alpha is None else args.alpha
+    if alpha < 1:
+        raise PreconditionError("depth must be >= 1")
     budget = args.budget
     checks = []
 

@@ -58,17 +58,34 @@ def _load_json(path):
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
 
 
-def _arrangement(path) -> Arrangement:
-    return Arrangement.from_json(_load_json(path))
+def _arrangement(args) -> Arrangement:
+    return Arrangement.from_json(_load_json(args.input))
 
 
-def _quiver(path):
+def _lattice(args):
+    """The arrangement of ``args.input`` and its lattice of flats."""
+    arr = _arrangement(args)
+    return arr, build_lattice(arr, args.budget)
+
+
+def _quiver(args):
     from .quiver_varieties import Quiver
-    return Quiver.from_json(_load_json(path))
+    return Quiver.from_json(_load_json(args.input))
 
 
 def _emit(payload):
     print(json.dumps(payload, sort_keys=True, indent=2))
+
+
+def _show(value, fmt, payload=None):
+    """Print an exact value in the --format asked for; JSON is ``payload``
+    when one is given, else the value's own."""
+    if fmt == "plain":
+        print(value.to_str())
+    elif fmt == "latex":
+        print(value.to_latex())
+    else:
+        _emit(value.to_json() if payload is None else payload)
 
 
 def _flat_json(flat):
@@ -98,8 +115,7 @@ def _int_list(text, option):
 # ---------------------------------------------------------------------------
 
 def cmd_lattice(args):
-    arr = _arrangement(args.input)
-    lat = build_lattice(arr, args.budget)
+    arr, lat = _lattice(args)
     flags = structural_flags(arr, "unimodular", "max_abs_minor",
                              budget=args.budget)
     _emit({
@@ -113,18 +129,11 @@ def cmd_lattice(args):
 
 
 def cmd_chi(args):
-    arr = _arrangement(args.input)
-    lat = build_lattice(arr, args.budget)
-    chi = lat.char_poly()
-    if args.format == "plain":
-        print(chi.to_str())
-    else:
-        _emit(chi.to_json())
+    _show(_lattice(args)[1].char_poly(), args.format)
 
 
 def cmd_mobius(args):
-    arr = _arrangement(args.input)
-    lat = build_lattice(arr, args.budget)
+    arr, lat = _lattice(args)
     lower = _parse_flat(args.lower, arr.n)
     upper = _parse_flat(args.upper, arr.n)
     _emit({"lower": _flat_json(lower), "upper": _flat_json(upper),
@@ -133,9 +142,7 @@ def cmd_mobius(args):
 
 def cmd_hypertoric(args):
     from .hypertoric import e_polynomial, hypertoric_class
-    arr = _arrangement(args.input)
-    lat = build_lattice(arr, args.budget)
-    cls = hypertoric_class(arr, lat, args.budget)
+    cls = hypertoric_class(*_lattice(args), args.budget)
     payload = {"class": cls.value.to_json(), "formal": cls.formal,
                "unimodular": cls.unimodular}
     if cls.value.is_polynomial():
@@ -145,17 +152,16 @@ def cmd_hypertoric(args):
 
 def cmd_nakajima(args):
     from .quiver_varieties import nakajima_gf
-    quiver = _quiver(args.input)
-    w = _int_list(args.w, "--w")
-    gf = nakajima_gf(quiver, w, args.depth, args.budget)
+    gf = nakajima_gf(_quiver(args), _int_list(args.w, "--w"), args.depth,
+                     args.budget)
     _emit({"classes": {",".join(map(str, v)): cls.to_json()
                        for v, cls in gf.classes.items()}})
 
 
 def cmd_odr(args):
     from .open_derham import OdrInput, odr_class
-    orders = _int_list(args.orders, "--orders")
-    cls = odr_class(OdrInput(args.n, orders), args.budget)
+    cls = odr_class(OdrInput(args.n, _int_list(args.orders, "--orders")),
+                    args.budget)
     _emit({"class": cls.value.to_json(),
            "dimension": cls.input.dimension(),
            "positive_coeffs_observed": cls.positive_coeffs})
@@ -163,24 +169,18 @@ def cmd_odr(args):
 
 def cmd_igusa(args):
     from .igusa import chain_poset, igusa_chain, igusa_recursion
-    arr = _arrangement(args.input)
+    arr = _arrangement(args)
     zeta = (igusa_recursion(arr, build_lattice(arr, args.budget),
                             args.budget)
             if args.method == "recursion"
             else igusa_chain(arr, chain_poset(arr, args.budget),
                              args.budget))
-    if args.format == "latex":
-        print(zeta.value.to_latex())
-    elif args.format == "plain":
-        print(zeta.value.to_plain())
-    else:
-        _emit(zeta.value.to_json())
+    _show(zeta.value, args.format)
 
 
 def cmd_poles(args):
     from .igusa import functional_equation_check, igusa_chain, pole_report
-    arr = _arrangement(args.input)
-    lat = build_lattice(arr, args.budget)
+    arr, lat = _lattice(args)
     zeta = igusa_chain(arr, lat, args.budget)
     report = pole_report(zeta, arr, lat)
     payload = report.to_json()
@@ -191,23 +191,15 @@ def cmd_poles(args):
 def cmd_bmu(args):
     from .igusa import chain_poset
     from .residues import b_mu
-    arr = _arrangement(args.input)
-    value = b_mu(arr, chain_poset(arr, args.budget), args.budget)
-    if args.format == "plain":
-        print(value.to_str())
-    else:
-        _emit(value.to_json())
+    arr = _arrangement(args)
+    _show(b_mu(arr, chain_poset(arr, args.budget), args.budget),
+          args.format)
 
 
 def cmd_bprime(args):
     from .residues import b_prime
-    arr = _arrangement(args.input)
-    lat = build_lattice(arr, args.budget)
-    data = b_prime(arr, lat, args.budget)
-    if args.format == "plain":
-        print(data.b_prime.to_str())
-        return
-    _emit({
+    data = b_prime(*_lattice(args), args.budget)
+    _show(data.b_prime, args.format, {
         "poly": {str(e): str(c) for e, c in data.b_prime.items()},
         "palindromic": data.palindromic,
         "degree": data.degree,
@@ -219,7 +211,7 @@ def cmd_bprime(args):
 
 def cmd_quiver_indec(args):
     from .quiver_reps import a_gamma_alpha, brute_force_indec
-    quiver = _quiver(args.input)
+    quiver = _quiver(args)
     poly = a_gamma_alpha(quiver, args.alpha, args.budget)
     payload = {"poly": poly.to_json(), "alpha": args.alpha}
     if args.p is not None:
@@ -233,18 +225,12 @@ def cmd_quiver_indec(args):
 
 def cmd_quiver_limit(args):
     from .quiver_reps import a_gamma_limit
-    quiver = _quiver(args.input)
-    value = a_gamma_limit(quiver, args.budget)
-    if args.format == "plain":
-        print(value.to_str())
-    else:
-        _emit(value.to_json())
+    _show(a_gamma_limit(_quiver(args), args.budget), args.format)
 
 
 def cmd_check_lastone(args):
     from .quiver_reps import check_lastone
-    quiver = _quiver(args.input)
-    report = check_lastone(quiver, args.budget)
+    report = check_lastone(_quiver(args), args.budget)
     _emit({
         "equal": report.equal,
         "lhs": report.lhs.to_json(),
@@ -255,10 +241,11 @@ def cmd_check_lastone(args):
 
 def cmd_oracle(args):
     from .padic_oracle import depth_counts, limit_probe
-    arr = _arrangement(args.input)
-    lat = build_lattice(arr, args.budget)
+    arr = _arrangement(args)
+    # the depth and the prime are checked before the lattice is built
     counts = depth_counts(arr, args.p, args.alpha, budget=args.budget)
-    probe = limit_probe(arr, lat, counts, args.budget)
+    probe = limit_probe(arr, build_lattice(arr, args.budget), counts,
+                        args.budget)
     payload = {
         "p": args.p,
         "counts": [{"alpha": c.alpha, "count": str(c.count),

@@ -2,7 +2,9 @@
 
 The CLI maps these onto process exit codes: parse errors exit 1,
 precondition violations exit 2, exhausted budgets exit 3 and internal
-invariant violations exit 4.
+invariant violations exit 4.  The helpers every layer shares live here
+too: input parsing, the primality test, the partition enumerator and the
+budget charges.
 """
 
 
@@ -61,6 +63,18 @@ def is_prime(p: int) -> bool:
         else:
             return False
     return True
+
+
+def partitions(n: int, max_part=None):
+    """Weakly decreasing tuples summing to n, lexicographically descending."""
+    if n == 0:
+        yield ()
+        return
+    if max_part is None or max_part > n:
+        max_part = n
+    for first in range(max_part, 0, -1):
+        for rest in partitions(n - first, first):
+            yield (first,) + rest
 
 
 def parse_list(value, what: str) -> list:

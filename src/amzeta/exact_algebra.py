@@ -38,11 +38,13 @@ from __future__ import annotations
 import math
 
 from .errors import (
+    DEFAULT_BUDGET,
     InvariantError,
     NotDivisibleError,
     ParseError,
     PreconditionError,
     UnsupportedDenominatorError,
+    _charge_running,
 )
 
 
@@ -196,8 +198,7 @@ class LaurentPoly:
     def __repr__(self):
         return f"LaurentPoly({self.to_str()!r})"
 
-    def to_str(self, var=None) -> str:
-        var = var or self.var
+    def to_str(self) -> str:
         if not self._c:
             return "0"
         parts = []
@@ -206,7 +207,7 @@ class LaurentPoly:
                 term = str(abs(c))
             else:
                 mag = "" if abs(c) == 1 else f"{abs(c)}*"
-                term = f"{mag}{var}" if e == 1 else f"{mag}{var}^{e}"
+                term = f"{mag}{self.var}" if e == 1 else f"{mag}{self.var}^{e}"
             parts.append(("- " if c < 0 else "+ ") + term)
         lead = parts[0][2:] if parts[0][0] == "+" else "-" + parts[0][2:]
         return " ".join([lead] + parts[1:])
@@ -518,7 +519,7 @@ def _b2_add_into(out: dict, num: dict, dt: int = 0):
             del out[k]
 
 
-def _clear(sums: dict, ds):
+def _clear(sums: dict, ds, budget: int = DEFAULT_BUDGET):
     """Sum over x of sums[x](q) * prod_k (t/(q^ds[k] - t))^x[k], where sums
     maps exponent tuples over ds to integer polynomial dicts {e: c}, as the
     unreduced pair (num, den): num a dict over (q, t) exponent pairs and
@@ -527,11 +528,14 @@ def _clear(sums: dict, ds):
     One Horner pass per variable, last first: the terms sharing x[:k] are
     P_j = their values at x[k] = j, and sum_j P_j t^j (q^d - t)^(top - j)
     is built by multiplying the running value by q^d - t and adding the
-    next P_j t^j.  At t = 1 the factors are 1/(q^d - 1)."""
+    next P_j t^j.  At t = 1 the factors are 1/(q^d - 1).  Each step charges
+    the entries it is about to merge, so a refusal is a lower bound on the
+    cost: K7's partition types cost 16,582 steps, K10's 4,742,544."""
     terms = {x: {(e, 0): c for e, c in poly.items() if c}
              for x, poly in sums.items()}
     terms = {x: num for x, num in terms.items() if num}
     den = []
+    steps = 0
     for k in reversed(range(len(ds))):
         top = max((x[k] for x in terms), default=0)
         if top:
@@ -543,6 +547,8 @@ def _clear(sums: dict, ds):
         for prefix, row in rows.items():
             acc = {}
             for j in range(min(row), top + 1):
+                steps += len(acc) + len(row.get(j, ()))
+                _charge_running("denominator clear", steps, budget)
                 if acc:
                     acc = _b2_times_factor(acc, ds[k])
                 if j in row:
@@ -823,7 +829,7 @@ class BiRational:
     # -- display / serialization --------------------------------------------
 
     def __repr__(self):
-        return f"BiRational({self.to_plain()!r})"
+        return f"BiRational({self.to_str()!r})"
 
     def _s_form(self):
         """Group numerator monomials by power of q^s after clearing units.
@@ -842,7 +848,7 @@ class BiRational:
                                                            reverse=True)},
                 self.den)
 
-    def to_plain(self) -> str:
+    def to_str(self) -> str:
         if self.is_zero():
             return "0"
         qshift, groups, den = self._s_form()

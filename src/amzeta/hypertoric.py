@@ -32,10 +32,9 @@ from .exact_algebra import LaurentPoly, exact_div
 class HypertoricClass:
     """Class polynomial plus the smoothness bookkeeping around it."""
 
-    __slots__ = ("arrangement", "value", "unimodular", "formal")
+    __slots__ = ("value", "unimodular", "formal")
 
-    def __init__(self, arrangement, value, unimodular):
-        self.arrangement = arrangement
+    def __init__(self, value, unimodular):
         self.value = value
         self.unimodular = unimodular
         # without unimodularity the defining formula is evaluated formally
@@ -59,7 +58,7 @@ def hypertoric_class(arrangement: Arrangement, lat: FlatLattice,
     value = LaurentPoly.monomial("L", n - m) * cleared
     if n >= m and not value.is_zero() and value.low_degree() < 0:
         raise InvariantError("class has negative exponents with n >= m")
-    return HypertoricClass(arrangement, value, flags["unimodular"])
+    return HypertoricClass(value, flags["unimodular"])
 
 
 def e_polynomial(cls: HypertoricClass) -> LaurentPoly:

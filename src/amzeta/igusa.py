@@ -39,7 +39,13 @@ from .arrangement import (
     build_lattice,
     localization,
 )
-from .errors import DEFAULT_BUDGET, InvariantError, _charge_running, charge
+from .errors import (
+    DEFAULT_BUDGET,
+    InvariantError,
+    _charge_running,
+    charge,
+    partitions,
+)
 from .exact_algebra import BiRational, _clear
 
 
@@ -90,15 +96,6 @@ def _braid_order(arrangement: Arrangement) -> int:
         else:
             return 0
     return m + 1 if len(pairs) == n else 0
-
-
-def _partitions(k, most):
-    """Partitions of k into parts <= most, as non-increasing tuples."""
-    if not k:
-        yield ()
-    for first in range(min(k, most), 0, -1):
-        for rest in _partitions(k - first, first):
-            yield (first,) + rest
 
 
 def _groupings(blocks, parts, memo):
@@ -152,7 +149,7 @@ class TypeQuotient:
     def __init__(self, arrangement: Arrangement, k: int,
                  budget: int = DEFAULT_BUDGET):
         types = []
-        for lam in _partitions(k, k):
+        for lam in partitions(k):
             types.append(lam)
             _charge_running("partition types", len(types) ** 2, budget)
         self.arrangement = arrangement
@@ -297,7 +294,7 @@ def igusa_chain(arrangement: Arrangement, lat,
     _require_essential(arrangement)
     m = arrangement.m
     deltas, sums = _chain_sums(lat, budget)
-    num, den = _clear(sums, deltas)
+    num, den = _clear(sums, deltas, budget)
     total = BiRational(num, den=den)
     value = _leading_term(m) + _prefactor(m) * total
     _check_pole_set(value, lat)
@@ -369,15 +366,13 @@ class LevelSet:
     """All flats sharing one candidate pole -delta, with the chain data
     sufficient for the order criterion."""
 
-    __slots__ = ("eps", "members", "length", "minimal", "tops", "criterion")
+    __slots__ = ("eps", "length", "criterion")
 
-    def __init__(self, eps, members, length, minimal, tops, criterion):
+    def __init__(self, eps, length, criterion):
         self.eps = eps
-        self.members = members
         self.length = length          # longest chain length inside the set
-        self.minimal = minimal
-        self.tops = tops              # tops of maximum-length chains
-        self.criterion = criterion    # sum of nu(top, lattice top)
+        # sum of nu(top, lattice top) over the tops of the longest chains
+        self.criterion = criterion
 
 
 def level_sets(lat: FlatLattice) -> dict:
@@ -395,8 +390,8 @@ def level_sets(lat: FlatLattice) -> dict:
         for h in lat.indices(everything & ~group):
             if lat.down[h] & group and lat.up[h] & group:
                 raise InvariantError("level set is not interval-closed")
-        minimal = [a for a in members if lat.down[a] & group == 1 << a]
-        lowest = sum(1 << a for a in minimal)
+        lowest = sum(1 << a for a in members
+                     if lat.down[a] & group == 1 << a)     # minimal flats
         for a in members:
             if (lat.down[a] & lowest).bit_count() != 1:
                 raise InvariantError(
@@ -409,9 +404,8 @@ def level_sets(lat: FlatLattice) -> dict:
             preds = [depth[b] for b in lat.indices(below)]
             depth[a] = max(preds) + 1 if preds else 0
         length = max(depth.values())
-        tops = [a for a in members if depth[a] == length]
-        criterion = sum(lat.mobius(a, lat.top) for a in tops)
-        out[eps] = LevelSet(eps, members, length, minimal, tops, criterion)
+        out[eps] = LevelSet(eps, length, sum(
+            lat.mobius(a, lat.top) for a in members if depth[a] == length))
     return out
 
 

@@ -30,21 +30,14 @@ from .residues import b_mu
 
 
 class OracleCount:
-    __slots__ = ("arrangement", "p", "alpha", "count", "normalized")
+    __slots__ = ("p", "alpha", "count", "normalized")
 
     def __init__(self, arrangement, p, alpha, count):
-        self.arrangement = arrangement
         self.p = p
         self.alpha = alpha
         self.count = count
         n, m = arrangement.n, arrangement.m
         self.normalized = Fraction(count, p ** (alpha * (2 * n - m)))
-
-
-def count_solutions_mod(arrangement: Arrangement, p: int, alpha: int,
-                        budget: int = DEFAULT_BUDGET) -> OracleCount:
-    """Solutions of sum x_i y_i a_i = 0 in (Z/p^alpha)^(2n)."""
-    return depth_counts(arrangement, p, alpha, budget)[-1]
 
 
 def _count_direct(normals, p, alpha, target, budget):
@@ -63,10 +56,12 @@ def _count_direct(normals, p, alpha, target, budget):
 
 def depth_counts(arrangement: Arrangement, p: int, alpha_max: int,
                  budget: int = DEFAULT_BUDGET):
-    """OracleCounts of depths 1..alpha_max at the prime p, from one walk."""
-    require_prime_above_minors(arrangement, p, budget)
+    """OracleCounts of depths 1..alpha_max at the prime p, from one walk:
+    the solutions of sum x_i y_i a_i = 0 in (Z/p^alpha)^(2n).  A depth
+    below 1 is refused before the prime guard scans any minor."""
     if alpha_max < 1:
         raise PreconditionError("depth must be >= 1")
+    require_prime_above_minors(arrangement, p, budget)
     counts = _character_count(arrangement.normals, p, alpha_max,
                               (0,) * arrangement.m, budget)
     return [OracleCount(arrangement, p, alpha, count)
@@ -78,11 +73,9 @@ def depth_counts(arrangement: Arrangement, p: int, alpha_max: int,
 # ---------------------------------------------------------------------------
 
 class PoincareReport:
-    __slots__ = ("p", "alpha_max", "counts", "series_values")
+    __slots__ = ("counts", "series_values")
 
-    def __init__(self, p, alpha_max, counts, series_values):
-        self.p = p
-        self.alpha_max = alpha_max
+    def __init__(self, counts, series_values):
         self.counts = counts
         self.series_values = series_values
 
@@ -110,14 +103,13 @@ def poincare_check(arrangement: Arrangement, lat: FlatLattice, p: int,
     if got != expected:
         raise InvariantError(
             f"series/oracle mismatch at p={p}: {expected} vs {got}")
-    return PoincareReport(p, alpha_max, counts, expected)
+    return PoincareReport(counts, expected)
 
 
 class LimitProbe:
-    __slots__ = ("p", "values", "limit", "distances", "converges")
+    __slots__ = ("values", "limit", "distances", "converges")
 
-    def __init__(self, p, values, limit, distances, converges):
-        self.p = p
+    def __init__(self, values, limit, distances, converges):
         self.values = values
         self.limit = limit
         self.distances = distances
@@ -138,5 +130,5 @@ def limit_probe(arrangement: Arrangement, lat: FlatLattice, counts,
     if flags["essential"] and flags["coloop_free"]:
         limit = b_mu(arrangement, lat, budget).evaluate(p)
         distances = [abs(v - limit) for v in values]
-        return LimitProbe(p, values, limit, distances, True)
-    return LimitProbe(p, values, None, None, False)
+        return LimitProbe(values, limit, distances, True)
+    return LimitProbe(values, None, None, False)

@@ -155,7 +155,7 @@ def a_gamma_limit(quiver: Quiver,
         for e, c in val.items():
             total[e] = total.get(e, 0) + c
     num, den = _clear({e: {0: c} for e, c in total.items()},
-                      range(1, b_top + 1))
+                      range(1, b_top + 1), budget)
     # the factor (1 - 1/q)^b = (q - 1)^b / q^b, then t = 1
     for _ in range(b_top):
         num = _b2_mul(num, {(1, 0): 1, (0, 0): -1})
@@ -245,10 +245,9 @@ def _brute_force_raw(quiver: Quiver, p: int, alpha: int, budget: int) -> int:
 # ---------------------------------------------------------------------------
 
 class LastOneReport:
-    __slots__ = ("quiver", "lhs", "rhs", "equal")
+    __slots__ = ("lhs", "rhs", "equal")
 
-    def __init__(self, quiver, lhs, rhs, equal):
-        self.quiver = quiver
+    def __init__(self, lhs, rhs, equal):
         self.lhs = lhs
         self.rhs = rhs
         self.equal = equal
@@ -268,4 +267,4 @@ def check_lastone(quiver: Quiver,
     from .residues import b_prime
     rhs = b_prime(arr, build_lattice(arr, budget), budget).b_prime
     equal = lhs.den.is_one() and lhs.num == rhs
-    return LastOneReport(quiver, lhs, rhs, equal)
+    return LastOneReport(lhs, rhs, equal)

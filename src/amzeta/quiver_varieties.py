@@ -25,6 +25,7 @@ from .errors import (
     charge,
     parse_int,
     parse_list,
+    partitions,
 )
 from .exact_algebra import LaurentPoly, exact_div
 
@@ -32,18 +33,6 @@ from .exact_algebra import LaurentPoly, exact_div
 # ---------------------------------------------------------------------------
 # partitions
 # ---------------------------------------------------------------------------
-
-def partitions(n: int, max_part=None):
-    """Weakly decreasing tuples summing to n, lexicographically descending."""
-    if n == 0:
-        yield ()
-        return
-    if max_part is None or max_part > n:
-        max_part = n
-    for first in range(max_part, 0, -1):
-        for rest in partitions(n - first, first):
-            yield (first,) + rest
-
 
 def _partition_counts(n: int, what: str, budget: int) -> list:
     """[p(0), ..., p(n)] by Euler's pentagonal number recurrence.  Each
@@ -193,12 +182,9 @@ class NakajimaGF:
     """Quotient series {v: T^v coefficient} (nonzero ones) and the
     Laurent-polynomial classes extracted from it."""
 
-    __slots__ = ("quiver", "w", "bound", "series", "classes")
+    __slots__ = ("series", "classes")
 
-    def __init__(self, quiver, w, bound, series, classes):
-        self.quiver = quiver
-        self.w = tuple(w)
-        self.bound = bound
+    def __init__(self, series, classes):
         self.series = series
         self.classes = classes
 
@@ -255,4 +241,4 @@ def nakajima_gf(quiver: Quiver, w, bound: int,
         raise InvariantError("series constant term is not 1")
     classes = {v: series[v].shift(-dimension_pairing(quiver, v, w))
                for v in sorted(series)}
-    return NakajimaGF(quiver, w, bound, series, classes)
+    return NakajimaGF(series, classes)

@@ -10,7 +10,8 @@ transcribed Eulerian table by its standard recurrence.
 from __future__ import annotations
 
 from .arrangement import Arrangement
-from .exact_algebra import BiRational, LaurentPoly, RationalUni
+from .exact_algebra import BiRational, LaurentPoly, RationalUni, exact_div
+from .quiver_varieties import Quiver
 
 
 # ---------------------------------------------------------------------------
@@ -46,37 +47,31 @@ def six_normals_rank3() -> Arrangement:
 
 def cycle_quiver(k: int):
     """The k-cycle on k vertices (k >= 2): edges 1->2->...->k->1."""
-    from .quiver_varieties import Quiver
     edges = [(i, i + 1) for i in range(1, k)] + [(k, 1)]
     return Quiver(k, edges)
 
 
 def cycle3_doubled_quiver():
     """Triangle graph with one edge doubled."""
-    from .quiver_varieties import Quiver
     return Quiver(3, [(1, 2), (2, 3), (3, 1), (3, 1)])
 
 
 def complete_quiver(k: int):
     """The complete graph K_k, edges i->j for i < j."""
-    from .quiver_varieties import Quiver
     return Quiver(k, [(i, j) for i in range(1, k + 1)
                       for j in range(i + 1, k + 1)])
 
 
 def theta_quiver():
     """Two vertices joined by three parallel edges."""
-    from .quiver_varieties import Quiver
     return Quiver(2, [(1, 2), (1, 2), (2, 1)])
 
 
 def jordan_quiver():
-    from .quiver_varieties import Quiver
     return Quiver(1, [(1, 1)])
 
 
 def single_edge_quiver():
-    from .quiver_varieties import Quiver
     return Quiver(2, [(1, 2)])
 
 
@@ -236,7 +231,6 @@ def hilbert_series_coefficients(bound: int):
 
 def odr_rank2_expected(d: int, k: int) -> LaurentPoly:
     """Rank-2 closed family L^(k-3)(L^(k-d-1)(L+1)^(d-1) - 2^(d-1))/(L-1)."""
-    from .exact_algebra import exact_div
     lp1 = LaurentPoly("L", {1: 1, 0: 1})
     inner = (LaurentPoly.monomial("L", k - d - 1) * lp1 ** (d - 1)
              - LaurentPoly.const("L", 2 ** (d - 1)))

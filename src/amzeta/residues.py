@@ -72,7 +72,7 @@ def b_mu(arrangement: Arrangement, lat,
     if deltas and deltas[0] <= m:
         raise InvariantError("delta - m must be positive off the top")
     sums[(0,) * len(deltas)] = {0: 1}
-    num, den = _clear(sums, [a - m for a in deltas])
+    num, den = _clear(sums, [a - m for a in deltas], budget)
     total = BiRational(num, den=den).substitute_t_qpower(0)
     if total.degree() != 0:
         raise InvariantError("normalized limit is not of degree 0")

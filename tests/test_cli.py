@@ -281,6 +281,34 @@ def test_exit_code_precondition(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["oracle", "k8", "--p", "3", "--alpha", "0"],
+    ["oracle", "triangle", "--p", "5", "--alpha", "-1"],
+    ["verify", "--suite", "oracle", "--alpha", "0"],
+    ["verify", "--suite", "oracle", "--alpha", "-1"],
+])
+def test_depth_below_one_is_refused_before_any_work(capsys, tmp_path,
+                                                    monkeypatch, argv):
+    from amzeta import arrangement, checks, cli, padic_oracle
+    from amzeta.arrangement import graphic_arrangement
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started before the depth was checked")
+    for module, name in [(cli, "build_lattice"), (checks, "build_lattice"),
+                         (arrangement, "structural_flags"),
+                         (padic_oracle, "_character_count")]:
+        monkeypatch.setattr(module, name, refuse)
+    inputs = {"triangle": triangle(),
+              "k8": graphic_arrangement(complete_quiver(8))}
+    if argv[1] in inputs:
+        path = tmp_path / argv[1]
+        path.write_text(json.dumps(inputs[argv[1]].to_json()))
+        argv = [argv[0], str(path), *argv[2:]]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == "error: depth must be >= 1\n"
+
+
 def test_exit_code_budget(capsys, triangle_file):
     code, _, _ = run(capsys, "--budget", "1", "oracle", triangle_file,
                      "--p", "5", "--alpha", "1")
@@ -351,6 +379,9 @@ BUDGET_STAGES = [
     ("partition types", ["bmu", "k7"], "partition types needs at least",
      225),
     ("type walk", ["igusa", "k7"], "chain walk needs at least", 1030),
+    # the entries merged by the Horner clear of the 15 types' chain sums
+    ("denominator clear", ["igusa", "k7"],
+     "denominator clear needs at least", 16582),
     ("localization lattices", ["igusa", "triangle", "--method", "recursion"],
      "localization lattices needs", 36),
     ("unimodular", ["hypertoric", "six"], "unimodular needs", 540),
@@ -403,6 +434,96 @@ def test_budget_reaches_every_stage(capsys, tmp_path, monkeypatch, stage,
     # one step more and the stage runs
     _, _, err = run(capsys, "--budget", str(steps), *argv)
     assert refusal not in err
+
+
+# sha256 of the stdout of every --format path on the fixtures: a change to
+# the printers must not move a byte of it
+STDOUT_SHA256 = [
+    ("chi", "triangle", "json",
+     "25de2bef88229bfc36041c49928606f51164c16ae240ab1bcd350e4cf68da236"),
+    ("chi", "triangle", "plain",
+     "3ab0e9d9522ec2bb173ebff6125328539974bc92cc9d981acfd4378fa249b01b"),
+    ("igusa", "triangle", "json",
+     "00da8666a886ee0e6dc6917f9b994a22dfcb89824808b12695c4babefcc7f6d2"),
+    ("igusa", "triangle", "plain",
+     "81d628ad71864d82f1f1eb121852795731bb2f3f9b6d2d03d200bbe32a97a09d"),
+    ("igusa", "triangle", "latex",
+     "fb1c706a40f67fc23885315e137ec98998847b0e43b59f7a0ed2f79d74da7524"),
+    ("bmu", "triangle", "json",
+     "f3d61953420c1344425b7bbbe16d5763bcf7c0e1b1adcd3d8a6132925b42fb62"),
+    ("bmu", "triangle", "plain",
+     "7fe91b1f91864b41c59594bb93f98f237cbc24a0821a160ec938d919f88037f6"),
+    ("bprime", "triangle", "json",
+     "26ad7e5c7507c2f3afc2b940a8656a5250c68a102996eb43212aabf8d363faa8"),
+    ("bprime", "triangle", "plain",
+     "795412d95d3327c0faad4efecefed72c7a299d0d7d07ca084b58ec43e2ad1c18"),
+    ("chi", "six", "json",
+     "76be8370aaa2e00c89e530d63831a848663265901d5b0fe3632b75ce223879be"),
+    ("chi", "six", "plain",
+     "0c944e0e512360fe192260c0fc1c6205f4a47da54ce785844f8482efd3c68e7f"),
+    ("igusa", "six", "json",
+     "1a4f0fa3691a8a500744acfd0834f988bc9746e37571b1cca2f0726fae7f1ac6"),
+    ("igusa", "six", "plain",
+     "34f539afa7d2c883af74a5c3f5012319968eddded167a7d2ec8bda884b27ebde"),
+    ("igusa", "six", "latex",
+     "6ba96fe2c88fc241d8bb8fc2ec11b249c29f3924335577e6ae2eaf9fa04f9289"),
+    ("bmu", "six", "json",
+     "24f4909cc63106eedf6b66f2ba9726d637a5688f39f3baba4dce9f1ebf4e7d09"),
+    ("bmu", "six", "plain",
+     "5977717f313eecc8f3e92f87f4ac5f2fa0a2485a4313507a92d97c099696a3fe"),
+    ("bprime", "six", "json",
+     "1ce3ce3075a4fc1b4c1d96cc7b4ca9b3a25e3d0348dad22da0640e7be5b4fbd8"),
+    ("bprime", "six", "plain",
+     "072520f37d4823c1ba6a1f2656671effb70b3646e0ddd2f82df88bfb895dfbe7"),
+    ("chi", "k5", "json",
+     "85833aceed8c74633872e74d6a11ac1764b0166c560225477b17dc8fb724891f"),
+    ("chi", "k5", "plain",
+     "1f330dee050873103aa9690ad00f2ef02505214bf919a10491aa2cb98d9db256"),
+    ("igusa", "k5", "json",
+     "0004a6612910fbd6554fa3db03b4596b2146a0798eed6c9422d44dc7a17433f0"),
+    ("igusa", "k5", "plain",
+     "f8e264ab3276d11b6b55918a33e8d05ea6f0071def51c7622ad52ad00d1021e7"),
+    ("igusa", "k5", "latex",
+     "2754ccf978ed9fdbcdfefe40693e58c276d499e29b7bd6dbc362ec2d1cf5d36f"),
+    ("bmu", "k5", "json",
+     "5e6c73d8afbac47a4642c4fdbac47c15d3f6263858b7f51d9e6cf71e8eb77af2"),
+    ("bmu", "k5", "plain",
+     "e0a92a232ce21d437cb02814675173df7c93833f53c40001789d17032e13e8b8"),
+    ("bprime", "k5", "json",
+     "340e8176c360317da8b82da3e66705f69a4bc8acc37058bf48c9553d782c1040"),
+    ("bprime", "k5", "plain",
+     "2a257e02cfbdcdafdd00f684a2f19ebcb8db9f7de176c0b22efa460ee8003656"),
+    ("quiver-limit", "c5", "json",
+     "def360c749f82cc5e851af987ffa98ef7e5fd8644bac97e635b7f30bb8c7c507"),
+    ("quiver-limit", "c5", "plain",
+     "bc63d1446ffec3c7d285e5649e6696a83a4eaf2cba7418aaf99a29037ab0f759"),
+    ("quiver-limit", "theta", "json",
+     "5b8789aa59a93978e42636283011b24dc6a34cbb25c4f9c437478d7b8fc59c48"),
+    ("quiver-limit", "theta", "plain",
+     "81d372501a34f8c2bb995380fc8ea2d05f70359085ec05531a3d91fa7aa2e145"),
+    ("quiver-limit", "k4", "json",
+     "3da2fd800d43e5cb42fb9e92cd921136486c6262ea23e462cbfbc2c556984115"),
+    ("quiver-limit", "k4", "plain",
+     "bbdce2c234cdd8b94ddba109f56b6a03578b6eaf0446de72e869f920cd2da272"),
+]
+
+
+@pytest.mark.parametrize("command, name, fmt, digest", STDOUT_SHA256,
+                         ids=["-".join(case[:3]) for case in STDOUT_SHA256])
+def test_formatted_stdout_is_pinned(capsys, tmp_path, command, name, fmt,
+                                    digest):
+    import hashlib
+    from amzeta.arrangement import graphic_arrangement
+    from amzeta.reference import theta_quiver
+    inputs = {"triangle": triangle(), "six": six_normals_rank3(),
+              "k5": graphic_arrangement(complete_quiver(5)),
+              "c5": cycle_quiver(5), "theta": theta_quiver(),
+              "k4": complete_quiver(4)}
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(inputs[name].to_json()))
+    code, out, _ = run(capsys, command, str(path), "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_unknown_option_rejected(capsys, triangle_file):

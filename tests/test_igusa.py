@@ -314,7 +314,7 @@ def lattice_route():
         printed = {
             ("igusa",): json.dumps(value.to_json(), sort_keys=True,
                                    indent=2) + "\n",
-            ("igusa", "--format", "plain"): value.to_plain() + "\n",
+            ("igusa", "--format", "plain"): value.to_str() + "\n",
             ("igusa", "--format", "latex"): value.to_latex() + "\n"}
         try:
             limit = b_mu(arr, lat)

@@ -7,7 +7,6 @@ from amzeta.arrangement import build_lattice, graphic_arrangement
 from amzeta.errors import BudgetExceededError, PreconditionError
 from amzeta.padic_oracle import (
     _count_direct,
-    count_solutions_mod,
     depth_counts,
     limit_probe,
     poincare_check,
@@ -32,34 +31,34 @@ def closed_form_single_origin(p, alpha):
 
 def test_single_origin_counts():
     arr, _ = with_lattice(n_origins(1))
-    assert count_solutions_mod(arr, 5, 1).count == 9
-    assert count_solutions_mod(arr, 5, 2).count == 65
+    assert depth_counts(arr, 5, 1)[-1].count == 9
+    assert depth_counts(arr, 5, 2)[-1].count == 65
     for alpha in (1, 2, 3):
-        assert (count_solutions_mod(arr, 5, alpha).count
+        assert (depth_counts(arr, 5, alpha)[-1].count
                 == closed_form_single_origin(5, alpha))
 
 
 def test_direct_equals_character_sum_depth_one():
     for arr in [n_origins(2), triangle()]:
         direct = _count_direct(arr.normals, 5, 1, (0,) * arr.m, 10 ** 8)
-        assert count_solutions_mod(arr, 5, 1).count == direct
+        assert depth_counts(arr, 5, 1)[-1].count == direct
 
 
 def test_direct_equals_character_sum_depth_two():
     # at alpha > 1 the multiples of p enter through the depth-1 sum
     for arr, p in [(n_origins(2), 5), (triangle(), 3)]:
         direct = _count_direct(arr.normals, p, 2, (0,) * arr.m, 10 ** 8)
-        assert count_solutions_mod(arr, p, 2).count == direct
+        assert depth_counts(arr, p, 2)[-1].count == direct
 
 
 def test_character_sum_charges_every_depth():
     # triangle at p = 5, alpha = 3 (m = 2): 6 + 30 + 150 unit-scaling orbit
     # representatives at depths 1, 2, 3, three inner products each
     arr = triangle()
-    assert count_solutions_mod(arr, 5, 3, budget=558).count == 444765625
+    assert depth_counts(arr, 5, 3, budget=558)[-1].count == 444765625
     with pytest.raises(BudgetExceededError,
                        match="character sum needs 558 steps"):
-        count_solutions_mod(arr, 5, 3, budget=557)
+        depth_counts(arr, 5, 3, budget=557)[-1]
 
 
 def test_character_sum_is_charged_before_its_walk(monkeypatch):
@@ -70,7 +69,7 @@ def test_character_sum_is_charged_before_its_walk(monkeypatch):
     monkeypatch.setattr(arrangement, "_orbit_representatives", refuse)
     arr = graphic_arrangement(complete_quiver(5))
     with pytest.raises(BudgetExceededError, match="needs 302800 steps"):
-        count_solutions_mod(arr, 3, 3, budget=302799)
+        depth_counts(arr, 3, 3, budget=302799)[-1]
 
 
 def test_every_refusal_says_what_it_needs(monkeypatch):
@@ -91,7 +90,7 @@ def test_every_refusal_says_what_it_needs(monkeypatch):
             lambda: count_moment_fiber(arr, lat, 5, (1, 2), budget=1),
             lambda: _count_direct(arr.normals, 5, 1, (1, 2), 1),
             lambda: _count_direct(arr.normals, 5, 1, (0, 0), 1),
-            lambda: count_solutions_mod(arr, 5, 1, budget=1),
+            lambda: depth_counts(arr, 5, 1, budget=1)[-1],
             lambda: igusa_chain(arr, lat, budget=1),
             lambda: b_mu(arr, lat, budget=1),
             lambda: brute_force_indec(cycle_quiver(3), 3, 1, budget=1),
@@ -105,14 +104,14 @@ def test_every_refusal_says_what_it_needs(monkeypatch):
 def test_triangle_depth_one_value():
     # product structure: 9^3 + 4 * 4^3 over F_5
     arr, _ = with_lattice(triangle())
-    assert count_solutions_mod(arr, 5, 1).count == 985
+    assert depth_counts(arr, 5, 1)[-1].count == 985
 
 
 def test_prime_guard():
     from amzeta.arrangement import Arrangement
     arr = Arrangement([(2, 1), (1, 1)])
     with pytest.raises(PreconditionError):
-        count_solutions_mod(arr, 2, 1)
+        depth_counts(arr, 2, 1)[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +182,7 @@ def test_character_sum_matches_direct_count_on_random_arrangements():
                 == _count_direct(arr.normals, 5, 1, xi, 10 ** 5))
         fibers += 1
         if structural_flags(arr, "max_abs_minor")["max_abs_minor"] < 2:
-            assert (count_solutions_mod(arr, 2, 2).count
+            assert (depth_counts(arr, 2, 2)[-1].count
                     == _count_direct(arr.normals, 2, 2, (0,) * m, 10 ** 5))
             depth_two += 1
 
@@ -222,7 +221,7 @@ def test_series_counts_shape():
     zeta = igusa_chain(arr, lat)
     vals = series_counts_from_zeta(zeta, 5, 2)
     assert len(vals) == 2
-    assert vals[0] == Fraction(count_solutions_mod(arr, 5, 1).count, 5 ** 4)
+    assert vals[0] == Fraction(depth_counts(arr, 5, 1)[-1].count, 5 ** 4)
 
 
 # ---------------------------------------------------------------------------
