@@ -230,9 +230,10 @@ class FlatLattice:
 
     Flat i is built from a hyperplane mask and exposed as the frozenset
     ``flats[i]`` of 0-based hyperplane indices.  Flats are ordered by
-    (size, sorted members), a linear extension of inclusion.  ``up[i]``
-    and ``down[i]`` are masks over flat indices of the flats H >= i and
-    H <= i (both include i), so an interval is one ``&``.
+    (size, sorted members), a linear extension of inclusion, top last.
+    ``up[i]`` and ``down[i]`` are masks over flat indices of the flats
+    H >= i and H <= i (both include i), so an interval is one ``&``.
+    ``above``, ``weight`` and ``mobius_top`` are shared with ``TypeQuotient``.
 
     Mobius values are read from tables built once and cached: a column
     nu(., G) for ``mobius`` and a row nu(F, .) for the characteristic
@@ -364,8 +365,14 @@ class FlatLattice:
         i = self.flat_index(flat)
         return self.arrangement.n - len(self.flats[i]) + self.ranks[i]
 
-    def proper_flats(self):
-        return [i for i in range(len(self.flats)) if i != self.top]
+    def above(self, i):
+        return zip(_bits(self.up[i] ^ (1 << i)), itertools.repeat(1))
+
+    def weight(self, i) -> int:
+        return 1
+
+    def mobius_top(self, i) -> int:
+        return self.mobius(i, self.top)
 
 
 def _direction(vec) -> tuple:

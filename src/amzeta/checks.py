@@ -26,8 +26,8 @@ from .arrangement import (
 from .errors import (
     DEFAULT_BUDGET,
     InvariantError,
-    PreconditionError,
     is_prime,
+    require_depth,
 )
 from .exact_algebra import LaurentPoly
 from .hypertoric import hypertoric_class
@@ -227,8 +227,7 @@ def _suite_paper(args):
 def _suite_oracle(args):
     p = args.p or 5
     alpha = 2 if args.alpha is None else args.alpha
-    if alpha < 1:
-        raise PreconditionError("depth must be >= 1")
+    require_depth(alpha)
     budget = args.budget
     checks = []
 

@@ -68,6 +68,13 @@ def _lattice(args):
     return arr, build_lattice(arr, args.budget)
 
 
+def _poset(args):
+    """The arrangement of ``args.input`` and the poset its chain sums walk."""
+    from .igusa import chain_poset
+    arr = _arrangement(args)
+    return arr, chain_poset(arr, args.budget)
+
+
 def _quiver(args):
     from .quiver_varieties import Quiver
     return Quiver.from_json(_load_json(args.input))
@@ -168,45 +175,31 @@ def cmd_odr(args):
 
 
 def cmd_igusa(args):
-    from .igusa import chain_poset, igusa_chain, igusa_recursion
-    arr = _arrangement(args)
-    zeta = (igusa_recursion(arr, build_lattice(arr, args.budget),
-                            args.budget)
+    from .igusa import igusa_chain, igusa_recursion
+    zeta = (igusa_recursion(*_lattice(args), args.budget)
             if args.method == "recursion"
-            else igusa_chain(arr, chain_poset(arr, args.budget),
-                             args.budget))
+            else igusa_chain(*_poset(args), args.budget))
     _show(zeta.value, args.format)
 
 
 def cmd_poles(args):
     from .igusa import functional_equation_check, igusa_chain, pole_report
-    arr, lat = _lattice(args)
-    zeta = igusa_chain(arr, lat, args.budget)
-    report = pole_report(zeta, arr, lat)
-    payload = report.to_json()
+    arr, poset = _poset(args)
+    zeta = igusa_chain(arr, poset, args.budget)
+    payload = pole_report(zeta, arr, poset).to_json()
     payload["functional_equation"] = functional_equation_check(zeta)
     _emit(payload)
 
 
 def cmd_bmu(args):
-    from .igusa import chain_poset
     from .residues import b_mu
-    arr = _arrangement(args)
-    _show(b_mu(arr, chain_poset(arr, args.budget), args.budget),
-          args.format)
+    _show(b_mu(*_poset(args), args.budget), args.format)
 
 
 def cmd_bprime(args):
     from .residues import b_prime
-    data = b_prime(*_lattice(args), args.budget)
-    _show(data.b_prime, args.format, {
-        "poly": {str(e): str(c) for e, c in data.b_prime.items()},
-        "palindromic": data.palindromic,
-        "degree": data.degree,
-        "declared_degree": data.declared_degree,
-        "degree_discrepancy": data.degree_discrepancy,
-        "positive_coeffs_observed": data.positive_coeffs,
-    })
+    data = b_prime(*_poset(args), args.budget)
+    _show(data.b_prime, args.format, data.to_json())
 
 
 def cmd_quiver_indec(args):
@@ -240,11 +233,12 @@ def cmd_check_lastone(args):
 
 
 def cmd_oracle(args):
+    from .igusa import chain_poset
     from .padic_oracle import depth_counts, limit_probe
     arr = _arrangement(args)
-    # the depth and the prime are checked before the lattice is built
+    # the depth and the prime are checked before the poset is built
     counts = depth_counts(arr, args.p, args.alpha, budget=args.budget)
-    probe = limit_probe(arr, build_lattice(arr, args.budget), counts,
+    probe = limit_probe(arr, chain_poset(arr, args.budget), counts,
                         args.budget)
     payload = {
         "p": args.p,

@@ -92,6 +92,12 @@ class PreconditionError(AmzError):
     exit_code = 2
 
 
+def require_depth(alpha: int):
+    """Refuse a depth below 1, before any work."""
+    if alpha < 1:
+        raise PreconditionError("depth must be >= 1")
+
+
 class BudgetExceededError(AmzError):
     """An enumeration would exceed the configured work budget."""
 

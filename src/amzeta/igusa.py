@@ -14,14 +14,15 @@ Two independent computations are provided and must agree exactly:
                    contributes through the zeta data of the arrangement
                    formed by its own hyperplanes, with a shifted variable.
 
-The chain DP walks a weighted poset: nodes with a rank, a delta and a
-weight (the flats each stands for), and up-edges J > I with a
-multiplicity (the flats of node J above one flat of node I).  The lattice
-of flats is the poset whose every weight and multiplicity is 1.  On the
-braid arrangement K_k, W(I) depends only on the partition type of the
-flat I, so ``chain_poset`` hands ``igusa`` and ``bmu`` the quotient by
-types, p(k) nodes in place of Bell(k) flats (K10: 42 types, 115,975
-flats); every other input, and the recursion, gets the lattice.
+The chain DP and the level sets walk a weighted poset: nodes indexed in
+order, top last, with a rank, a delta, a weight (the flats each stands
+for) and mu(I, top), and up-edges J > I with a multiplicity (the flats of
+node J above one flat of node I); the lattice of flats has every weight
+and multiplicity 1.  On the braid arrangement K_k both depend only on the
+partition type of a flat, so ``chain_poset`` hands every chain-sum user
+(igusa, poles, bmu, bprime, oracle, check-lastone) the quotient by types,
+p(k) nodes for Bell(k) flats (K10: 42 types, 115,975 flats); other
+inputs, and the recursion, get the lattice.
 
 Everywhere t = q^(-s), so q^(s+a) - 1 = (q^a - t)/t and a denominator
 factor (q^a - t) of multiplicity mu is a pole of order mu at s = -a.
@@ -29,7 +30,6 @@ factor (q^a - t) of multiplicity mu is a pole of order mu at s = -a.
 
 from __future__ import annotations
 
-from itertools import repeat
 from math import comb, factorial, prod
 
 from .arrangement import (
@@ -138,13 +138,13 @@ class TypeQuotient:
     of its block sizes, so node lambda stands for weights[lambda] =
     k! / (prod lambda_i! prod_j m_j(lambda)!) flats, each of rank
     k - len(lambda) with |I| = sum C(lambda_i, 2) hyperplanes.
-    ``above[i]`` lists (J, N) for the coarser types J, N counting the
+    ``edges[i]`` lists (J, N) for the coarser types J, N counting the
     groupings of one flat's blocks into a flat of type J.  Nodes ascend in
     rank, so their indices extend the order, as flat indices do.  The
     p(k)^2 pairs of types are charged to ``budget`` as the types are
     listed, before any edge is counted."""
 
-    __slots__ = ("arrangement", "types", "ranks", "weights", "above", "top")
+    __slots__ = ("arrangement", "types", "ranks", "weights", "edges", "top")
 
     def __init__(self, arrangement: Arrangement, k: int,
                  budget: int = DEFAULT_BUDGET):
@@ -159,7 +159,7 @@ class TypeQuotient:
             factorial(x) for x in lam + tuple(map(lam.count, set(lam))))
             for lam in self.types]
         memo = {}
-        self.above = [[(j, n) for j, mu in enumerate(self.types)
+        self.edges = [[(j, n) for j, mu in enumerate(self.types)
                        if len(mu) < len(lam)
                        for n in [_groupings(lam, mu, memo)] if n]
                       for lam in self.types]
@@ -173,8 +173,15 @@ class TypeQuotient:
         return (self.arrangement.n + self.ranks[i]
                 - sum(x * (x - 1) // 2 for x in self.types[i]))
 
-    def proper_flats(self):
-        return list(range(self.top))
+    def above(self, i):
+        return self.edges[i]
+
+    def weight(self, i) -> int:
+        return self.weights[i]
+
+    def mobius_top(self, i) -> int:
+        blocks = len(self.types[i])     # [F, top] is their partition lattice
+        return (-1) ** (blocks - 1) * factorial(blocks - 1)
 
 
 def chain_poset(arrangement: Arrangement, budget: int = DEFAULT_BUDGET):
@@ -185,30 +192,17 @@ def chain_poset(arrangement: Arrangement, budget: int = DEFAULT_BUDGET):
             else build_lattice(arrangement, budget))
 
 
-def _weighted(poset):
-    """(above, weight) of the poset the chain sums walk: above(i) yields
-    (J, N) for each node J > i, N the number of flats of node J above one
-    flat of node i, and weight(i) counts the flats node i stands for.  On
-    a lattice of flats every N and weight is 1."""
-    if isinstance(poset, TypeQuotient):
-        return poset.above.__getitem__, poset.weights.__getitem__
-    up = poset.up
-    return (lambda i: zip(poset.indices(up[i] ^ (1 << i)), repeat(1)),
-            lambda i: 1)
-
-
-def _slot_width(lat, proper) -> int:
+def _slot_width(lat) -> int:
     """Bits per coefficient slot of the packed chain sums: 2 more than the
     bit length of sum_I |W(I)|, which bounds every coefficient of the sums,
     from the l1 norms |S(I)| <= sum_{J > I} (2|W(J)| + |S(J)|), with
     |W(I)| = |S(I)| and W(top) = 1."""
-    above, weight = _weighted(lat)
     bound = {lat.top: 2}
     total = 0
-    for i in reversed(proper):
-        norm = sum(n * bound[j] for j, n in above(i))
+    for i in reversed(range(lat.top)):
+        norm = sum(n * bound[j] for j, n in lat.above(i))
         bound[i] = 3 * norm
-        total += weight(i) * norm
+        total += lat.weight(i) * norm
     return total.bit_length() + 2
 
 
@@ -240,17 +234,16 @@ def _chain_sums(lat, budget: int = DEFAULT_BUDGET):
     1,030, K8 4,591, K10 113,147."""
     m = lat.arrangement.m
     ranks = lat.ranks
-    proper = lat.proper_flats()
+    proper = range(lat.top)
     deltas = sorted({lat.delta(i) for i in proper})
-    width = _slot_width(lat, proper)
-    above, weight = _weighted(lat)
+    width = _slot_width(lat)
     S, W = {lat.top: {}}, {lat.top: {(0,) * len(deltas): 1}}
     packed = {}
     steps = 0
     for i in reversed(proper):      # node indices extend the order
         acc = S[i] = {}
         get = acc.get
-        for j, n in above(i):
+        for j, n in lat.above(i):
             shift = (ranks[j] - ranks[i]) * width
             w, s = W[j], S[j]
             if n != 1:
@@ -265,7 +258,7 @@ def _chain_sums(lat, budget: int = DEFAULT_BUDGET):
         k = deltas.index(lat.delta(i))
         w = W[i] = {x[:k] + (x[k] + 1,) + x[k + 1:]: p
                     for x, p in acc.items()}
-        c = weight(i)
+        c = lat.weight(i)
         if c != 1:
             w = {x: c * p for x, p in w.items()}
         shift = ranks[i] * width
@@ -363,50 +356,52 @@ def igusa_recursion(arrangement: Arrangement, lat: FlatLattice,
 # ---------------------------------------------------------------------------
 
 class LevelSet:
-    """All flats sharing one candidate pole -delta, with the chain data
-    sufficient for the order criterion."""
+    """The chain data of one candidate pole -delta that the order criterion
+    reads: the longest chain length inside its level set, and the sum of
+    weight * mu(., top) over the tops of the longest chains."""
 
-    __slots__ = ("eps", "length", "criterion")
+    __slots__ = ("length", "criterion")
 
-    def __init__(self, eps, length, criterion):
-        self.eps = eps
-        self.length = length          # longest chain length inside the set
-        # sum of nu(top, lattice top) over the tops of the longest chains
-        self.criterion = criterion
+    def __init__(self, length, criterion):
+        self.length, self.criterion = length, criterion
 
 
-def level_sets(lat: FlatLattice) -> dict:
-    """Group flats by -delta and analyse each group."""
-    groups = {}
-    for i in range(len(lat.flats)):
-        eps = -lat.delta(i)
-        groups[eps] = groups.get(eps, 0) | 1 << i
-    everything = (1 << len(lat.flats)) - 1
-    out = {}
-    for eps, group in groups.items():
-        members = lat.indices(group)
-        # interval property: no outside flat lies above one member and
-        # below another
-        for h in lat.indices(everything & ~group):
-            if lat.down[h] & group and lat.up[h] & group:
+def level_sets(lat) -> dict:
+    """The ``LevelSet`` of each group of nodes of ``lat``, a lattice of
+    flats or a ``TypeQuotient``, by eps = -delta, in one pass in index
+    order, so all that lies below a node is known when it is reached.  No
+    outside node may lie above one member and below another, and each
+    member must lie above exactly one minimal flat of its group.
+
+    On types this decides what it decides on flats, because S_k acts
+    transitively on the flats of one type: a flat of type mu lies above a
+    flat of type lambda exactly when every one does, N(lambda, mu) > 0.
+    So comparability, minimality, chain length and lying between (pick b,
+    then h < b, then a < h) are read off types, and one flat of type mu
+    lies above N(lambda, mu) w(lambda) / w(mu) flats of type lambda."""
+    deltas = [lat.delta(i) for i in range(len(lat))]
+    below = [0] * len(lat)          # bit d: some node of delta d lies below
+    depth = [0] * len(lat)
+    cover = [0] * len(lat)          # N w(a) over the minimal members a below
+    levels = {}
+    for a, d in enumerate(deltas):
+        minimal = not below[a] >> d & 1
+        if not minimal and cover[a] != lat.weight(a):
+            raise InvariantError("member contains more than one minimal flat")
+        for j, n in lat.above(a):
+            if deltas[j] == d:
+                depth[j] = max(depth[j], depth[a] + 1)
+                if minimal:
+                    cover[j] += n * lat.weight(a)
+            elif below[a] >> deltas[j] & 1:
                 raise InvariantError("level set is not interval-closed")
-        lowest = sum(1 << a for a in members
-                     if lat.down[a] & group == 1 << a)     # minimal flats
-        for a in members:
-            if (lat.down[a] & lowest).bit_count() != 1:
-                raise InvariantError(
-                    "member contains more than one minimal flat")
-        # longest chains inside the set, measured from the minimal flats;
-        # index order is a linear extension of inclusion
-        depth = {}
-        for a in members:
-            below = (lat.down[a] & group) ^ (1 << a)
-            preds = [depth[b] for b in lat.indices(below)]
-            depth[a] = max(preds) + 1 if preds else 0
-        length = max(depth.values())
-        out[eps] = LevelSet(eps, length, sum(
-            lat.mobius(a, lat.top) for a in members if depth[a] == length))
-    return out
+            below[j] |= 1 << d
+        lv = levels.setdefault(-d, LevelSet(0, 0))
+        if depth[a] > lv.length:
+            lv.length, lv.criterion = depth[a], 0
+        if depth[a] == lv.length:
+            lv.criterion += lat.weight(a) * lat.mobius_top(a)
+    return levels
 
 
 class PoleEntry:
@@ -447,7 +442,7 @@ class PoleReport:
 
 
 def pole_report(zeta: IgusaZeta, arrangement: Arrangement,
-                lat: FlatLattice) -> PoleReport:
+                lat) -> PoleReport:
     """Compare the reduced denominator against the lattice predictions.
 
     The criterion is sufficient only: a nonzero criterion forces the full

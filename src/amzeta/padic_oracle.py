@@ -19,12 +19,11 @@ from fractions import Fraction
 
 from .arrangement import (
     Arrangement,
-    FlatLattice,
     _character_count,
     require_prime_above_minors,
     structural_flags,
 )
-from .errors import DEFAULT_BUDGET, InvariantError, PreconditionError, charge
+from .errors import DEFAULT_BUDGET, InvariantError, charge, require_depth
 from .igusa import IgusaZeta, igusa_chain
 from .residues import b_mu
 
@@ -59,8 +58,7 @@ def depth_counts(arrangement: Arrangement, p: int, alpha_max: int,
     """OracleCounts of depths 1..alpha_max at the prime p, from one walk:
     the solutions of sum x_i y_i a_i = 0 in (Z/p^alpha)^(2n).  A depth
     below 1 is refused before the prime guard scans any minor."""
-    if alpha_max < 1:
-        raise PreconditionError("depth must be >= 1")
+    require_depth(alpha_max)
     require_prime_above_minors(arrangement, p, budget)
     counts = _character_count(arrangement.normals, p, alpha_max,
                               (0,) * arrangement.m, budget)
@@ -89,7 +87,7 @@ def series_counts_from_zeta(zeta: IgusaZeta, p: int, alpha_max: int):
     return values
 
 
-def poincare_check(arrangement: Arrangement, lat: FlatLattice, p: int,
+def poincare_check(arrangement: Arrangement, lat, p: int,
                    alpha_max: int,
                    budget: int = DEFAULT_BUDGET) -> PoincareReport:
     """Exact equality of the series coefficients with the brute-force
@@ -116,14 +114,14 @@ class LimitProbe:
         self.converges = converges
 
 
-def limit_probe(arrangement: Arrangement, lat: FlatLattice, counts,
+def limit_probe(arrangement: Arrangement, lat, counts,
                 budget: int = DEFAULT_BUDGET) -> LimitProbe:
     """Normalized count sequence and exact distances to the symbolic limit.
 
     ``counts`` are the OracleCounts of depths 1..alpha_max at one prime,
     as returned by ``depth_counts``.  Convergence holds exactly when
     the arrangement is coloop-free; for a coloop the sequence diverges and
-    the probe reports that."""
+    the probe reports that.  ``lat`` is what ``b_mu`` reads."""
     p = counts[0].p
     values = [c.normalized for c in counts]
     flags = structural_flags(arrangement)

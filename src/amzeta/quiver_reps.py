@@ -27,8 +27,14 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .arrangement import build_lattice, graphic_arrangement
-from .errors import DEFAULT_BUDGET, InvariantError, PreconditionError, charge
+from .arrangement import graphic_arrangement
+from .errors import (
+    DEFAULT_BUDGET,
+    InvariantError,
+    PreconditionError,
+    charge,
+    require_depth,
+)
 from .exact_algebra import (
     BiRational,
     LaurentPoly,
@@ -90,8 +96,7 @@ def a_gamma_alpha(quiver: Quiver, alpha: int,
     Each level is one subset-sum (zeta) transform over the 2^E edge masks,
     E * 2^E Laurent additions, instead of a sum over every pair; the
     alpha * E * 2^E additions are charged against ``budget``."""
-    if alpha < 1:
-        raise PreconditionError("depth must be >= 1")
+    require_depth(alpha)
     if not is_connected(quiver):
         raise PreconditionError("graph must be connected")
     ne = len(quiver.edges)
@@ -179,8 +184,7 @@ def brute_force_indec(quiver: Quiver, p: int, alpha: int,
     by the automorphism count (q-1)^c_alpha q^(sum c_k) via the
     orbit-count lemma.  ``_brute_force_raw`` is its reference.
     """
-    if alpha < 1:
-        raise PreconditionError("depth must be >= 1")
+    require_depth(alpha)
     if not is_connected(quiver):
         raise PreconditionError("graph must be connected")
     ne = len(quiver.edges)
@@ -256,7 +260,7 @@ class LastOneReport:
 def check_lastone(quiver: Quiver,
                   budget: int = DEFAULT_BUDGET) -> LastOneReport:
     """Compare (q^b - 1)^(V-1) * A(q) with the numerator polynomial of the
-    graphic arrangement, whose lattice and chain walk draw on ``budget``
+    graphic arrangement, whose chain poset and walk draw on ``budget``
     too.  A mismatch is reported, never raised: the equality is
     conjectural."""
     limit = a_gamma_limit(quiver, budget)
@@ -264,7 +268,8 @@ def check_lastone(quiver: Quiver,
     lhs = RationalUni(limit.num * LaurentPoly("q", {b_top: 1, 0: -1})
                       ** (quiver.vertices - 1), limit.den)
     arr = graphic_arrangement(quiver)
+    from .igusa import chain_poset
     from .residues import b_prime
-    rhs = b_prime(arr, build_lattice(arr, budget), budget).b_prime
+    rhs = b_prime(arr, chain_poset(arr, budget), budget).b_prime
     equal = lhs.den.is_one() and lhs.num == rhs
     return LastOneReport(lhs, rhs, equal)

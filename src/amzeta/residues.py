@@ -21,7 +21,7 @@ discrepancy flag is raised when they differ.
 
 from __future__ import annotations
 
-from .arrangement import Arrangement, FlatLattice, _require_essential
+from .arrangement import Arrangement, _require_essential
 from .errors import (
     DEFAULT_BUDGET,
     InvariantError,
@@ -56,16 +56,22 @@ class ResidueData:
         self.degree_discrepancy = degree != declared_degree
         self.positive_coeffs = positive_coeffs
 
+    def to_json(self):
+        return {"poly": {str(e): str(c) for e, c in self.b_prime.items()},
+                "palindromic": self.palindromic, "degree": self.degree,
+                "declared_degree": self.declared_degree,
+                "degree_discrepancy": self.degree_discrepancy,
+                "positive_coeffs_observed": self.positive_coeffs}
+
 
 def b_mu(arrangement: Arrangement, lat,
          budget: int = DEFAULT_BUDGET) -> RationalUni:
     """Chain-sum value of the normalized limit, as a reduced degree-0
     rational function of q, over ``lat``, the lattice of flats or the
     ``chain_poset`` of the arrangement: the sums of ``_chain_sums`` at
-    t = q^m, plus
-    the top's 1.  There t/(q^delta - t) is 1/(q^(delta-m) - 1), so they are
-    cleared by ``_clear`` over the factors q^(delta-m) - t, read at t = 1
-    and reduced once."""
+    t = q^m, plus the top's 1.  There t/(q^delta - t) is 1/(q^(delta-m) - 1),
+    so they are cleared by ``_clear`` over the factors q^(delta-m) - t, read
+    at t = 1 and reduced once."""
     _require_essential(arrangement, coloop_free=True)
     m = arrangement.m
     deltas, sums = _chain_sums(lat, budget)
@@ -94,7 +100,7 @@ def b_mu_via_residue(zeta: IgusaZeta, m: int) -> RationalUni:
                        value.den * LaurentPoly("q", {m: 1, 0: -1}))
 
 
-def b_prime(arrangement: Arrangement, lat: FlatLattice,
+def b_prime(arrangement: Arrangement, lat,
             budget: int = DEFAULT_BUDGET) -> ResidueData:
     """num(B_mu) times the clearing factor, divided once, exactly, by
     den(B_mu); a remainder means the factor does not clear B_mu."""

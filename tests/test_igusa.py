@@ -127,11 +127,11 @@ def test_narrowed_slot_width_is_caught(monkeypatch):
     _, sums = igusa._chain_sums(lat)
     need = 1 + max(abs(c) for poly in sums.values()
                    for c in poly.values()).bit_length()
-    assert igusa._slot_width(lat, lat.proper_flats()) == need + 7
+    assert igusa._slot_width(lat) == need + 7
     oracle = igusa_recursion(arr, lat).value
-    monkeypatch.setattr(igusa, "_slot_width", lambda lat, proper: need)
+    monkeypatch.setattr(igusa, "_slot_width", lambda lat: need)
     assert igusa_chain(arr, lat).value == oracle
-    monkeypatch.setattr(igusa, "_slot_width", lambda lat, proper: need - 1)
+    monkeypatch.setattr(igusa, "_slot_width", lambda lat: need - 1)
     try:
         narrowed = igusa_chain(arr, lat).value
     except InvariantError:
@@ -300,31 +300,61 @@ def braid(k):
     return graphic_arrangement(complete_quiver(k))
 
 
-@pytest.fixture(scope="module")
-def lattice_route():
-    """Per k = 2..8: K_k's lattice, its chain sums, and the stdout the
-    igusa and bmu formats print from the lattice route's values."""
+def _dump(payload):
     import json
-    from amzeta.residues import b_mu
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.fixture(scope="module")
+def lattice_route(tmp_path_factory):
+    """Per k = 2..8: K_k's lattice, its chain sums, its level sets as
+    eps -> (length, criterion), and the stdout that igusa, poles, bmu,
+    bprime and (k <= 7) oracle print from the lattice route's values.  K8's
+    oracle stops at the prime guard, whose minor scan outruns the default
+    budget, before any poset is read."""
+    import contextlib
+    import io
+    import json
+    from amzeta.cli import main
+    from amzeta.residues import b_prime
     out = {}
     for k in range(2, 9):
         arr = braid(k)
         lat = build_lattice(arr)
-        value = igusa_chain(arr, lat).value
+        zeta = igusa_chain(arr, lat)
+        value = zeta.value
+        poles = pole_report(zeta, arr, lat).to_json()
+        poles["functional_equation"] = functional_equation_check(zeta)
         printed = {
-            ("igusa",): json.dumps(value.to_json(), sort_keys=True,
-                                   indent=2) + "\n",
+            ("igusa",): _dump(value.to_json()),
             ("igusa", "--format", "plain"): value.to_str() + "\n",
-            ("igusa", "--format", "latex"): value.to_latex() + "\n"}
+            ("igusa", "--format", "latex"): value.to_latex() + "\n",
+            ("poles",): _dump(poles)}
         try:
-            limit = b_mu(arr, lat)
+            data = b_prime(arr, lat)
         except PreconditionError:           # K2's one normal is a coloop
-            printed[("bmu",)] = printed[("bmu", "--format", "plain")] = None
+            for argv in [("bmu",), ("bmu", "--format", "plain"),
+                         ("bprime",), ("bprime", "--format", "plain")]:
+                printed[argv] = None
         else:
-            printed[("bmu",)] = json.dumps(limit.to_json(), sort_keys=True,
-                                           indent=2) + "\n"
-            printed[("bmu", "--format", "plain")] = limit.to_str() + "\n"
-        out[k] = lat, igusa._chain_sums(lat), printed
+            printed[("bmu",)] = _dump(data.b_mu.to_json())
+            printed[("bmu", "--format", "plain")] = data.b_mu.to_str() + "\n"
+            printed[("bprime",)] = _dump(data.to_json())
+            printed[("bprime", "--format", "plain")] = (data.b_prime.to_str()
+                                                        + "\n")
+        if k <= 7:
+            # the oracle through the CLI, its poset swapped for the lattice
+            path = tmp_path_factory.mktemp("lattice_route") / f"k{k}.json"
+            path.write_text(json.dumps(arr.to_json()))
+            argv = ("oracle", "--p", "3", "--alpha", "1")
+            with pytest.MonkeyPatch.context() as patch, \
+                    contextlib.redirect_stdout(io.StringIO()) as stdout:
+                patch.setattr(igusa, "chain_poset", lambda arr, budget: lat)
+                assert main([argv[0], str(path), *argv[1:]]) == 0
+            printed[argv] = stdout.getvalue()
+        levels = {eps: (lv.length, lv.criterion)
+                  for eps, lv in level_sets(lat).items()}
+        out[k] = lat, igusa._chain_sums(lat), printed, levels
     return out
 
 
@@ -333,10 +363,11 @@ def test_type_route_sums_equal_lattice_route(lattice_route, k):
     arr = braid(k)
     poset = igusa.chain_poset(arr)
     assert isinstance(poset, igusa.TypeQuotient)
-    lat, sums, _ = lattice_route[k]
+    lat, sums, _, levels = lattice_route[k]
     assert igusa._chain_sums(poset) == sums
-    assert (igusa._slot_width(poset, poset.proper_flats())
-            == igusa._slot_width(lat, lat.proper_flats()))
+    assert igusa._slot_width(poset) == igusa._slot_width(lat)
+    assert {eps: (lv.length, lv.criterion)
+            for eps, lv in level_sets(poset).items()} == levels
 
 
 @pytest.mark.parametrize("k", range(2, 9))
@@ -351,6 +382,33 @@ def test_type_route_stdout_equals_lattice_route(lattice_route, capsys,
         out = capsys.readouterr().out
         assert (code, out) == ((0, expected) if expected is not None
                                else (2, "")), argv
+
+
+@pytest.mark.parametrize("argv", [
+    ["igusa"], ["poles"], ["bmu"], ["bprime"],
+    ["oracle", "--p", "3", "--alpha", "1"], ["check-lastone"]],
+    ids=lambda argv: argv[0])
+def test_chain_sum_commands_build_no_lattice_on_braids(capsys, tmp_path,
+                                                       monkeypatch, argv):
+    import json
+    from amzeta.cli import main
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a braid arrangement built its lattice")
+    monkeypatch.setattr(igusa, "build_lattice", refuse)
+    monkeypatch.setattr("amzeta.cli.build_lattice", refuse)
+    built, quotient = [], igusa.TypeQuotient
+
+    def counted(*args):
+        built.append(quotient(*args))
+        return built[-1]
+    monkeypatch.setattr(igusa, "TypeQuotient", counted)
+    data = (complete_quiver(4) if argv[0] == "check-lastone"
+            else braid(5)).to_json()
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    assert main([argv[0], str(path), *argv[1:]]) == 0
+    assert capsys.readouterr().out and len(built) == 1
 
 
 def test_type_route_equals_recursion_k6():
@@ -373,16 +431,21 @@ def bell(k):
 
 @pytest.mark.parametrize("k", range(2, 13))
 def test_type_weights_count_flats_and_chi(k):
-    # the weights count the Bell(k) flats, and with the Mobius values
-    # prod (-1)^(l-1) (l-1)! of the partition lattice they give K_k's
-    # characteristic polynomial prod_{i<k} (q - i), divided by q
-    from math import factorial, prod
+    # the weights count the Bell(k) flats, and with the Mobius values they
+    # give K_k's characteristic polynomial prod_{i<k} (q - i), divided by
+    # q.  [bottom, F] is the product of the partition lattices of F's
+    # blocks and [G, top] the partition lattice of G's blocks, so
+    # mu(bottom, F) is the product of the mobius_top of the types G with
+    # as many blocks as F's block sizes
+    from math import prod
     from amzeta.exact_algebra import LaurentPoly
     poset = igusa.TypeQuotient(braid(k), k)
     assert sum(poset.weights) == bell(k)
+    top_mu = {len(lam): poset.mobius_top(i)
+              for i, lam in enumerate(poset.types)}
     chi = LaurentPoly.zero("q")
     for lam, weight in zip(poset.types, poset.weights):
-        mobius = prod((-1) ** (x - 1) * factorial(x - 1) for x in lam)
+        mobius = prod(top_mu[x] for x in lam)
         chi = chi + LaurentPoly("q", {len(lam) - 1: weight * mobius})
     expected = LaurentPoly.one("q")
     for i in range(1, k):
@@ -393,8 +456,7 @@ def test_type_weights_count_flats_and_chi(k):
 def test_type_slot_width_equals_lattice_k6():
     arr = braid(6)
     lat, poset = build_lattice(arr), igusa.chain_poset(arr)
-    assert (igusa._slot_width(poset, poset.proper_flats())
-            == igusa._slot_width(lat, lat.proper_flats()) == 22)
+    assert igusa._slot_width(poset) == igusa._slot_width(lat) == 22
 
 
 def test_braid_recognition():
