@@ -7,16 +7,14 @@ the span of {a_j : j in F}}.  The lattice of flats carries the Mobius
 function, interval characteristic polynomials and the delta statistics
 that drive the zeta-function modules.
 
-Ranks and determinants are fraction-free integer eliminations (Bareiss)
-and flats come from integer kernel bases, so the lattice is exact for
-arbitrary integer entries.  The structural flags ``unimodular`` and
-``max_abs_minor`` scan square minors, skipping those with an all-zero
-column (they vanish) and charging a work budget first: on the graphic
-arrangement of K7 the unimodularity scan evaluates 27,364 of the 54,264
-maximal minors in about 0.2 s of CPU.  Sub-arrangements come from the
-same kernels: a localization pairs the flat's normals with an integer
-basis of their span (the kernel of the flat's kernel), a restriction pairs
-the normals outside the flat with the flat's kernel.
+Ranks and determinants are fraction-free integer eliminations (Bareiss).
+Flats and sub-arrangements come from Euclid's column operations, which
+write integer vectors in the coordinates of a saturated kernel without
+forming its basis, so the lattice is exact for arbitrary integer entries.
+The structural flags ``unimodular`` and ``max_abs_minor`` scan square
+minors, skipping those with an all-zero column (they vanish) and charging
+a work budget first: on the graphic arrangement of K7 the unimodularity
+scan evaluates 27,364 of the 54,264 maximal minors in about 0.2 s of CPU.
 """
 
 from __future__ import annotations
@@ -101,31 +99,38 @@ def int_det(rows) -> int:
     return sign * M[n - 1][n - 1]
 
 
-def int_kernel_basis(rows, m: int):
-    """Basis of the saturated lattice {x in Z^m : <a_i, x> = 0 for all rows}.
+def _eliminate(d, vecs) -> list:
+    """``vecs`` paired with a basis of the saturated lattice {x : <d, x> = 0},
+    d nonzero: Euclid's column operations bring d to +-gcd(d) e_p and make
+    the unit vectors a basis of which all but the p-th span that lattice."""
+    d = list(d)
+    ops = []
+    nz = [i for i, x in enumerate(d) if x]
+    while len(nz) > 1:
+        piv = min(nz, key=lambda i: abs(d[i]))
+        for i in nz:
+            if i != piv:
+                k = d[i] // d[piv]
+                d[i] -= k * d[piv]
+                ops.append((i, piv, k))
+        nz = [i for i in nz if d[i]]
+    out = [list(v) for v in vecs]
+    for v in out:
+        for i, piv, k in ops:
+            v[i] -= k * v[piv]
+        del v[nz[0]]
+    return out
 
-    Maintains a generating set of the solution lattice and imposes the
-    constraints one at a time by unimodular column operations.
-    """
-    basis = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    for a in rows:
-        vals = [sum(map(mul, a, b)) for b in basis]
-        while True:
-            nz = [i for i, v in enumerate(vals) if v]
-            if len(nz) <= 1:
-                break
-            piv = min(nz, key=lambda i: abs(vals[i]))
-            for i in nz:
-                if i == piv:
-                    continue
-                k = vals[i] // vals[piv]
-                if k:
-                    vals[i] -= k * vals[piv]
-                    basis[i] = [x - k * y for x, y in zip(basis[i], basis[piv])]
-        nz = [i for i, v in enumerate(vals) if v]
-        if nz:
-            del basis[nz[0]]
-    return basis
+
+def _restrict(rows, vecs) -> list:
+    """``vecs`` in the saturated kernel coordinates of ``rows``: each row,
+    in the coordinates the earlier ones left, is eliminated unless zero."""
+    vecs = [*rows, *vecs]
+    for _ in rows:
+        d = vecs.pop(0)
+        if any(d):
+            vecs = _eliminate(d, vecs)
+    return vecs
 
 
 def rank_mod_p(rows, p: int) -> int:
@@ -181,9 +186,6 @@ class Arrangement:
     @property
     def m(self) -> int:
         return len(self.normals[0]) if self.normals else 0
-
-    def rows(self, indices):
-        return [self.normals[i] for i in sorted(indices)]
 
     def rank(self) -> int:
         return bareiss_rank(self.normals)
@@ -378,10 +380,8 @@ class FlatLattice:
 def _direction(vec) -> tuple:
     """Primitive integer vector with positive leading entry parallel to a
     nonzero vec: two vectors are parallel iff their directions agree."""
-    g = math.gcd(*vec)
-    if next(x for x in vec if x) < 0:
-        g = -g
-    return tuple(x // g for x in vec)
+    g = math.gcd(*vec) if next(filter(None, vec)) > 0 else -math.gcd(*vec)
+    return tuple(vec) if g == 1 else tuple([x // g for x in vec])
 
 
 def build_lattice(arrangement: Arrangement,
@@ -389,23 +389,24 @@ def build_lattice(arrangement: Arrangement,
     """Enumerate all flats by a search over covers from the empty flat.
 
     Each queued flat F carries the pairings of the normals a_j outside F
-    with an integer kernel basis K of F, as nonzero vectors in the
+    with a saturated integer kernel basis K of F, as nonzero vectors in the
     coordinates of K.  a_j lies in the span of F and a_i iff the pairings
     of i and j are parallel.  So the flats covering F are F joined with
     each class of parallel pairings, each one rank above F.  The kernel of
     a cover is the part of K orthogonal to its class's direction d, so its
-    pairings are the parent's times U, the saturated kernel basis of d
-    alone.  Each flat found is charged n * m steps, a bound on the pairing
-    entries it gets, as it is found: K7 costs 110,502, K11 373,213,500.
+    pairings are the parent's with d eliminated by ``_eliminate``, each
+    with its gcd kept.  Each flat found is charged n * m steps, a bound on
+    the pairing entries it gets, as it is found: K7 costs 110,502, K11
+    373,213,500.
     """
     per_flat = arrangement.n * arrangement.m
     ranks = {0: 0}
     covers = {}
-    queue = [(0, list(enumerate(arrangement.normals)))]
+    queue = [(0, dict(enumerate(arrangement.normals)))]
     while queue:
         f, pairings = queue.pop()
         classes = {}
-        for j, vec in pairings:
+        for j, vec in pairings.items():
             key = _direction(vec)
             classes[key] = classes.get(key, 0) | 1 << j
         covers[f] = [f | c for c in classes.values()]
@@ -415,9 +416,9 @@ def build_lattice(arrangement: Arrangement,
                 ranks[g] = ranks[f] + 1
                 _charge_running("lattice of flats", per_flat * len(ranks),
                                 budget)
-                basis = int_kernel_basis([d], len(d))
-                queue.append((g, [(j, [sum(map(mul, vec, u)) for u in basis])
-                                  for j, vec in pairings if not c >> j & 1]))
+                rest = [j for j in pairings if not c >> j & 1]
+                queue.append((g, dict(zip(rest, _eliminate(
+                    d, [pairings[j] for j in rest])))))
     masks = sorted(ranks, key=lambda f: (f.bit_count(), _bits(f)))
     index = {f: i for i, f in enumerate(masks)}
     return FlatLattice(arrangement, masks, [ranks[f] for f in masks],
@@ -602,31 +603,26 @@ def _character_count(normals, p, alpha, target, budget):
 
 def localization(arrangement: Arrangement, flat):
     """Arrangement of the hyperplanes in the flat, written in rank F
-    coordinates: their normals paired against an integer basis of their
-    span, the kernel of the flat's own kernel basis.
+    coordinates: their normals in those of the kernel of K, the flat's
+    kernel, whose basis is the transpose of the unit vectors in K's.
     Returns (sub_arrangement, index_list)."""
     idx = sorted(flat)
     rows = [arrangement.normals[i] for i in idx]
-    span = int_kernel_basis(int_kernel_basis(rows, arrangement.m),
-                            arrangement.m)
-    return Arrangement([tuple(sum(map(mul, r, b)) for b in span)
-                        for r in rows]), idx
+    m = arrangement.m
+    units = [[int(i == j) for j in range(m)] for i in range(m)]
+    kernel = list(zip(*_restrict(rows, units)))
+    return Arrangement(_restrict(kernel, rows)), idx
 
 
 def restriction(arrangement: Arrangement, flat):
-    """Arrangement induced on the common intersection of the flat:
-    normals outside the flat paired against an integer basis of it.
+    """Arrangement induced on the common intersection of the flat: the
+    normals outside the flat in the coordinates of its kernel.
     Returns (sub_arrangement, index_list)."""
     flat = frozenset(flat)
-    kernel = int_kernel_basis([arrangement.normals[i] for i in sorted(flat)],
-                              arrangement.m)
     idx = [j for j in range(arrangement.n) if j not in flat]
-    new_rows = [
-        tuple(sum(a * x for a, x in zip(arrangement.normals[j], b))
-              for b in kernel)
-        for j in idx
-    ]
-    return Arrangement(new_rows), idx
+    return Arrangement(_restrict(
+        [arrangement.normals[i] for i in sorted(flat)],
+        [arrangement.normals[j] for j in idx])), idx
 
 
 def deletion(arrangement: Arrangement, flat):

@@ -82,7 +82,7 @@ def xi_is_generic(arrangement: Arrangement, lat: FlatLattice, p: int,
     for i, f in enumerate(lat.flats):
         if i == lat.top:
             continue
-        rows = arrangement.rows(f)
+        rows = [arrangement.normals[j] for j in f]
         if rank_mod_p(rows + [xi], p) == rank_mod_p(rows, p):
             return False
     return True

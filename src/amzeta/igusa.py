@@ -4,8 +4,8 @@ Two independent computations are provided and must agree exactly:
 
   igusa_chain      dynamic programming over the lattice of flats that
                    resums the chain formula, reduced once at the end,
-                     I = (q^m-1)/(q^m-t)
-                       + pref * sum_{I != top} W(I) q^(rk I - m),
+                     I = (q^m-1)/(q^m-t) + q^m (t-1)/(t (q^m-t))
+                         * sum_{I != top} W(I) q^(rk I - m),
                    with W(top) = 1, S(top) = 0 and, free of any chi or mu,
                      W(I) = t/(q^dI - t) * S(I),
                      S(I) = sum_{J > I} [W(J) q^(rk J - rk I) - W(J) - S(J)].
@@ -46,7 +46,13 @@ from .errors import (
     charge,
     partitions,
 )
-from .exact_algebra import BiRational, _clear
+from .exact_algebra import (
+    BiRational,
+    _b2_add_into,
+    _b2_mul,
+    _b2_times_factor,
+    _clear,
+)
 
 
 class IgusaZeta:
@@ -56,16 +62,6 @@ class IgusaZeta:
         self.arrangement = arrangement
         self.lattice = lattice
         self.value = value
-
-
-def _leading_term(m: int) -> BiRational:
-    # (q^m - 1)/(q^m - t)
-    return BiRational({(m, 0): 1, (0, 0): -1}, den=[(m, 1)])
-
-
-def _prefactor(m: int) -> BiRational:
-    # (1 - q^s)/(1 - q^(-(s+m))) = q^m (t - 1) / (t (q^m - t))
-    return BiRational({(m, 1): 1, (m, 0): -1}, (0, 1), [(m, 1)])
 
 
 def _check_pole_set(value: BiRational, lat):
@@ -283,13 +279,19 @@ def igusa_chain(arrangement: Arrangement, lat,
     """Resummed chain formula via one pass over ``lat``, the lattice of
     flats or the ``chain_poset`` of the arrangement: the terms
     sums[x](q) t^|x| / prod (q^a - t)^x_a of ``_chain_sums`` are cleared
-    over one common denominator by ``_clear`` and reduced once."""
+    by ``_clear`` to num / E, and the value is reduced once as
+    (t (q^m - 1) E + q^m (t - 1) num) / (t (q^m - t) E)."""
     _require_essential(arrangement)
     m = arrangement.m
     deltas, sums = _chain_sums(lat, budget)
     num, den = _clear(sums, deltas, budget)
-    total = BiRational(num, den=den)
-    value = _leading_term(m) + _prefactor(m) * total
+    common = {(0, 0): 1}
+    for a, mu in den:
+        for _ in range(mu):
+            common = _b2_times_factor(common, a)
+    total = _b2_mul(common, {(m, 1): 1, (0, 1): -1})
+    _b2_add_into(total, _b2_mul(num, {(m, 1): 1, (m, 0): -1}))
+    value = BiRational(total, (0, 1), den + [(m, 1)])
     _check_pole_set(value, lat)
     return IgusaZeta(arrangement, lat, value)
 
@@ -345,8 +347,9 @@ def igusa_recursion(arrangement: Arrangement, lat: FlatLattice,
                     * inner).times_unit(rk_j - rk_i, 0)
             acc = acc + term
         jprime[i] = acc.times_unit(-rk_i, 0)
-    tail = BiRational({(2 * m, 1): 1, (2 * m, 0): -1}, (0, 1), [(m, 1)])
-    value = _leading_term(m) + tail * jprime[lat.top]
+    value = (BiRational({(m, 0): 1, (0, 0): -1}, den=[(m, 1)])
+             + BiRational({(2 * m, 1): 1, (2 * m, 0): -1}, (0, 1), [(m, 1)])
+             * jprime[lat.top])
     _check_pole_set(value, lat)
     return IgusaZeta(arrangement, lat, value)
 

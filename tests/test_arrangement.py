@@ -345,6 +345,60 @@ def localizations_and_restrictions(arr):
             assert mapped == filt
 
 
+def pinned_subarrangements(arr, lat):
+    """Each flat's localization and restriction normals, as lists."""
+    return {tuple(sorted(f)): tuple([list(r) for r in sub(arr, f)[0].normals]
+                                    for sub in (localization, restriction))
+            for f in lat.flats}
+
+
+def test_localization_restriction_normals_pinned():
+    # the exact coordinates both return on every flat; they depend on the
+    # order of the column operations, not only on the lattices they span
+    arr = six_normals_rank3()
+    assert pinned_subarrangements(arr, build_lattice(arr)) == {
+        (): ([], [list(r) for r in arr.normals]),
+        (0,): ([[2]], [[1, 1], [-1, 1], [-2, 0], [1, -1], [1, 1]]),
+        (1,): ([[2]], [[1, -1], [1, 1], [1, 1], [0, -2], [-1, 1]]),
+        (2,): ([[2]], [[1, -1], [1, 1], [-1, -1], [1, -1], [0, 2]]),
+        (3,): ([[-2]], [[2, 0], [1, 1], [1, 1], [1, -1], [-1, 1]]),
+        (4,): ([[-2]], [[1, 1], [0, 2], [1, 1], [1, -1], [-1, 1]]),
+        (5,): ([[2]], [[1, 1], [1, 1], [0, 2], [-1, 1], [1, -1]]),
+        (0, 3): ([[1, 1], [1, -1]], [[1], [1], [-1], [1]]),
+        (1, 4): ([[1, 1], [1, -1]], [[1], [1], [1], [-1]]),
+        (2, 5): ([[1, 1], [-1, 1]], [[1], [1], [-1], [1]]),
+        (0, 1, 5): ([[2, -1], [1, 1], [-1, 2]], [[2], [2], [-2]]),
+        (0, 2, 4): ([[2, 1], [1, 2], [1, -1]], [[2], [-2], [2]]),
+        (1, 2, 3): ([[1, 1], [-1, 2], [-2, 1]], [[-2], [-2], [2]]),
+        (3, 4, 5): ([[-2, -1], [1, -1], [1, 2]], [[2], [2], [2]]),
+        (0, 1, 2, 3, 4, 5): ([list(r) for r in arr.normals], []),
+    }
+    rng = random.Random(3)
+    arr = Arrangement([tuple(rng.randint(-3, 3) for _ in range(3))
+                       for _ in range(5)])
+    assert arr.normals == ((-2, 1, 1), (-2, -1, 1), (0, 2, 1), (-3, 1, -3),
+                           (3, 0, -1))
+    assert pinned_subarrangements(arr, build_lattice(arr)) == {
+        (): ([], [list(r) for r in arr.normals]),
+        (0,): ([[6]], [[-4, 2], [4, -1], [-1, -4], [3, -1]]),
+        (1,): ([[6]], [[-4, 2], [-4, 3], [-5, -2], [3, -1]]),
+        (2,): ([[5]], [[-2, -1], [-2, -3], [-3, 7], [3, 2]]),
+        (3,): ([[19]], [[1, 4], [-5, -2], [6, 7], [3, -1]]),
+        (4,): ([[-10]], [[1, 1], [1, -1], [3, 2], [-12, 1]]),
+        (0, 1): ([[1, 5], [-1, 5]], [[2], [-9], [1]]),
+        (0, 2): ([[-3, 9], [2, 1]], [[4], [-17], [-1]]),
+        (0, 3): ([[2, 10], [-15, -26]], [[18], [-17], [-13]]),
+        (0, 4): ([[-1, 7], [3, -10]], [[2], [1], [-13]]),
+        (1, 2): ([[7, -1], [-6, 5]], [[-4], [-23], [5]]),
+        (1, 3): ([[20, 6], [25, 2]], [[18], [23], [-11]]),
+        (1, 4): ([[1, 7], [-3, -10]], [[2], [5], [-11]]),
+        (2, 3): ([[14, 5], [16, -1]], [[-17], [-23], [27]]),
+        (2, 4): ([[-4, 1], [-9, -10]], [[1], [-5], [27]]),
+        (3, 4): ([[37, 6], [-36, -10]], [[13], [-11], [27]]),
+        (0, 1, 2, 3, 4): ([list(r) for r in arr.normals], []),
+    }
+
+
 def test_deletion_restriction_fixtures():
     for arr in [n_origins(3), triangle(), triangle_doubled(),
                 six_normals_rank3()]:
@@ -457,6 +511,23 @@ def test_medium_tier_lattices():
         # Mobius recursion == chain count on every comparable pair, and
         # count_complement_Fq(p) == chi(p) above the largest |minor|
         lattice_invariants(arr, lat)
+
+
+def test_wide_entry_lattices_match_the_closure_reference():
+    # with entries in [-5, 5] most cover eliminations take more than one
+    # round of Euclid; the {-1, 0, 1} draws above take it in 6 of 898
+    rng = random.Random(DEFAULT_SEED + 7)
+    found = []
+    while len(found) < 3:
+        m = rng.randint(3, 5)
+        rows = [tuple(rng.randint(-5, 5) for _ in range(m))
+                for _ in range(rng.randint(m + 3, 8))]
+        arr = Arrangement([r for r in rows if any(r)])
+        lat = build_lattice(arr)
+        if len(lat.flats) >= 30:
+            assert dict(zip(lat.flats, lat.ranks)) == closure_lattice(arr)
+            found.append(arr)
+    localizations_and_restrictions(found[0])
 
 
 def test_medium_tier_zeta():
