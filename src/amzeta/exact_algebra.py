@@ -28,7 +28,8 @@ Sums over formal pole variables t/(q^d - t) (the zeta chain sum, and at
 t = 1 the symbols 1/(q^d - 1) of B_mu and of the quiver limit) are
 cleared by ``_clear``: one Horner pass per variable, each step a product
 with the single binomial q^d - t, the counterpart of the exact division
-``_b2_div_factor``.
+``_b2_div_factor``.  Only ``_b2_expand`` expands prod (q^a - t)^mu, besides
+the lifts of ``BiRational.__add__``, and only ``_b2_at`` reads at t = q^k.
 
 Everything is immutable after construction and safe to share.
 """
@@ -508,6 +509,23 @@ def _b2_times_factor(num: dict, a: int) -> dict:
     return out
 
 
+def _b2_expand(den) -> dict:
+    """prod (q^a - t)^mu over den = [(a, mu)], as a (q, t) dict."""
+    out = {(0, 0): 1}
+    for a, mu in den:
+        for _ in range(mu):
+            out = _b2_times_factor(out, a)
+    return out
+
+
+def _b2_at(num: dict, k: int) -> LaurentPoly:
+    """num at t = q^k, a Laurent polynomial in q."""
+    out = {}
+    for (e, f), c in num.items():
+        out[e + k * f] = out.get(e + k * f, 0) + c
+    return LaurentPoly("q", out)
+
+
 def _b2_add_into(out: dict, num: dict, dt: int = 0):
     """out += t^dt * num, in place."""
     for (e, f), c in num.items():
@@ -734,19 +752,12 @@ class BiRational:
 
     def cross_equal(self, other: "BiRational") -> bool:
         """Equality by cross-multiplication of fully expanded forms."""
-        left = _b2_mul(self.num, other.expanded_den())
-        right = _b2_mul(other.num, self.expanded_den())
+        left = _b2_mul(self.num, _b2_expand(other.den))
+        right = _b2_mul(other.num, _b2_expand(self.den))
         # align units
         du = (other.unit[0] - self.unit[0], other.unit[1] - self.unit[1])
         left = {(e + du[0], f + du[1]): c for (e, f), c in left.items()}
         return left == right
-
-    def expanded_den(self) -> dict:
-        out = {(0, 0): 1}
-        for a, mu in self.den:
-            for _ in range(mu):
-                out = _b2_times_factor(out, a)
-        return out
 
     # -- substitutions ------------------------------------------------------
 
@@ -767,21 +778,6 @@ class BiRational:
         unit = (-self.unit[0] - a_total, -self.unit[1] - mu_total)
         return BiRational(num, unit, self.den)
 
-    def substitute_t_qpower(self, mexp: int) -> RationalUni:
-        """Substitute t = q^mexp, returning a univariate rational function."""
-        num = {}
-        for (eq, et), c in self.num.items():
-            e = eq + mexp * et
-            num[e] = num.get(e, 0) + c
-        num_l = LaurentPoly("q", num)
-        den_l = LaurentPoly.monomial("q", self.unit[0] + mexp * self.unit[1])
-        for a, mu in self.den:
-            if a == mexp:
-                raise PreconditionError(
-                    f"substitution t = q^{mexp} hits the factor q^{a} - t")
-            den_l = den_l * (LaurentPoly("q", {a: 1, mexp: -1}) ** mu)
-        return RationalUni(num_l, den_l)
-
     def evaluate(self, q0, t0) -> Fraction:
         from fractions import Fraction
         q0, t0 = Fraction(q0), Fraction(t0)
@@ -796,34 +792,24 @@ class BiRational:
         return total / den
 
     def expand_in_t(self, q0: int, order: int):
-        """First order+1 coefficients of the t-power-series at q = q0."""
+        """First order+1 coefficients of the t-power-series at q = q0: one
+        division of num by q0^e1 * prod (q0^a - t)^mu, both read at q0."""
         if q0 < 2:
             raise PreconditionError("expansion point must satisfy q0 >= 2")
         from fractions import Fraction
-        by_t = {}
+        n, d = {}, {}
         for (eq, et), c in self.num.items():
             te = et - self.unit[1]
-            by_t[te] = by_t.get(te, Fraction(0)) + Fraction(c) * Fraction(q0) ** eq
-        if any(te < 0 and v for te, v in by_t.items()):
+            n[te] = n.get(te, 0) + c * q0 ** eq
+        if any(te < 0 and v for te, v in n.items()):
             raise PreconditionError("pole at t = 0 after substitution")
-        series = [Fraction(0)] * (order + 1)
-        for te, v in by_t.items():
-            if te <= order:
-                series[te] = v
-        scale = Fraction(1, q0 ** self.unit[0])
-        series = [scale * v for v in series]
-        for a, mu in self.den:
-            base = q0 ** a
-            geom = [Fraction(1, base ** (k + 1)) for k in range(order + 1)]
-            for _ in range(mu):
-                out = [Fraction(0)] * (order + 1)
-                for i in range(order + 1):
-                    si = series[i]
-                    if not si:
-                        continue
-                    for j in range(order + 1 - i):
-                        out[i + j] += si * geom[j]
-                series = out
+        for (e, f), c in _b2_expand(self.den).items():
+            d[f] = d.get(f, 0) + c * q0 ** e
+        scale = Fraction(q0) ** self.unit[0]
+        series = []
+        for i in range(order + 1):
+            series.append((n.get(i, 0) / scale - sum(
+                d.get(j, 0) * series[i - j] for j in range(1, i + 1))) / d[0])
         return series
 
     # -- display / serialization --------------------------------------------

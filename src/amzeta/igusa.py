@@ -49,8 +49,8 @@ from .errors import (
 from .exact_algebra import (
     BiRational,
     _b2_add_into,
+    _b2_expand,
     _b2_mul,
-    _b2_times_factor,
     _clear,
 )
 
@@ -285,11 +285,7 @@ def igusa_chain(arrangement: Arrangement, lat,
     m = arrangement.m
     deltas, sums = _chain_sums(lat, budget)
     num, den = _clear(sums, deltas, budget)
-    common = {(0, 0): 1}
-    for a, mu in den:
-        for _ in range(mu):
-            common = _b2_times_factor(common, a)
-    total = _b2_mul(common, {(m, 1): 1, (0, 1): -1})
+    total = _b2_mul(_b2_expand(den), {(m, 1): 1, (0, 1): -1})
     _b2_add_into(total, _b2_mul(num, {(m, 1): 1, (m, 0): -1}))
     value = BiRational(total, (0, 1), den + [(m, 1)])
     _check_pole_set(value, lat)

@@ -36,10 +36,10 @@ from .errors import (
     require_depth,
 )
 from .exact_algebra import (
-    BiRational,
     LaurentPoly,
     RationalUni,
-    _b2_mul,
+    _b2_at,
+    _b2_expand,
     _clear,
 )
 from .quiver_varieties import Quiver
@@ -161,10 +161,10 @@ def a_gamma_limit(quiver: Quiver,
             total[e] = total.get(e, 0) + c
     num, den = _clear({e: {0: c} for e, c in total.items()},
                       range(1, b_top + 1), budget)
-    # the factor (1 - 1/q)^b = (q - 1)^b / q^b, then t = 1
-    for _ in range(b_top):
-        num = _b2_mul(num, {(1, 0): 1, (0, 0): -1})
-    return BiRational(num, (b_top, 0), den).substitute_t_qpower(0)
+    # t = 1, times the factor (1 - 1/q)^b = (q - 1)^b / q^b
+    return RationalUni(
+        _b2_at(num, 0) * LaurentPoly("q", {1: 1, 0: -1}) ** b_top,
+        _b2_at(_b2_expand(den), 0).shift(b_top))
 
 
 # ---------------------------------------------------------------------------

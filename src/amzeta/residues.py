@@ -29,9 +29,10 @@ from .errors import (
     PreconditionError,
 )
 from .exact_algebra import (
-    BiRational,
     LaurentPoly,
     RationalUni,
+    _b2_at,
+    _b2_expand,
     _clear,
     exact_div,
     palindromic_check,
@@ -79,7 +80,7 @@ def b_mu(arrangement: Arrangement, lat,
         raise InvariantError("delta - m must be positive off the top")
     sums[(0,) * len(deltas)] = {0: 1}
     num, den = _clear(sums, [a - m for a in deltas], budget)
-    total = BiRational(num, den=den).substitute_t_qpower(0)
+    total = RationalUni(_b2_at(num, 0), _b2_at(_b2_expand(den), 0))
     if total.degree() != 0:
         raise InvariantError("normalized limit is not of degree 0")
     return total
@@ -91,13 +92,12 @@ def b_mu_via_residue(zeta: IgusaZeta, m: int) -> RationalUni:
     if orders.get(m, 0) != 1:
         raise PreconditionError(
             f"pole at -{m} is not simple (order {orders.get(m, 0)})")
-    # multiply by (q^m - t)/t, cancelling the simple factor, then set t = q^m
-    cancelled = BiRational(zeta.value.num,
-                           (zeta.value.unit[0], zeta.value.unit[1] + 1),
-                           [(a, mu) for a, mu in zeta.value.den if a != m])
-    value = cancelled.substitute_t_qpower(m)
-    return RationalUni(value.num.shift(m),
-                       value.den * LaurentPoly("q", {m: 1, 0: -1}))
+    # times (q^m - t)/t, cancelling the simple factor, at t = q^m
+    e1, e2 = zeta.value.unit
+    rest = [(a, mu) for a, mu in zeta.value.den if a != m]
+    return RationalUni(_b2_at(zeta.value.num, m).shift(m),
+                       _b2_at(_b2_expand(rest), m).shift(e1 + m * (e2 + 1))
+                       * LaurentPoly("q", {m: 1, 0: -1}))
 
 
 def b_prime(arrangement: Arrangement, lat,

@@ -15,7 +15,9 @@ from amzeta.exact_algebra import (
     BiRational,
     LaurentPoly,
     RationalUni,
+    _b2_at,
     _b2_div_factor,
+    _b2_expand,
     _clear,
     _cyclotomic,
     exact_div,
@@ -308,7 +310,8 @@ def test_clear_equals_termwise_sums():
             for d, e in zip(ds, x):
                 cleared = cleared * L({d: 1, 0: -1}, "q") ** e
             at_one = at_one + RationalUni(L(poly, "q"), cleared)
-        assert got.substitute_t_qpower(0) == at_one
+        assert RationalUni(_b2_at(num, 0),
+                           _b2_at(_b2_expand(den), 0)) == at_one
 
 
 def test_birational_laurent_numerator_normalization():
@@ -357,10 +360,70 @@ def test_expand_in_t_pole_at_zero_rejected():
 def test_substitute_t_qpower():
     # (q^3 - t)/(q - t) at t = q^2 -> (q^3 - q^2)/(q - q^2) = -q
     x = BiRational({(3, 0): 1, (0, 1): -1}, den=[(1, 1)])
-    r = x.substitute_t_qpower(2)
+    r = RationalUni(_b2_at(x.num, 2), _b2_at(_b2_expand(x.den), 2))
     assert r == RationalUni.from_laurent(LaurentPoly("q", {1: -1}))
+    # at t = q the factor q - t vanishes: a zero denominator is refused
     with pytest.raises(PreconditionError):
-        x.substitute_t_qpower(1)
+        RationalUni(_b2_at(x.num, 1), _b2_at(_b2_expand(x.den), 1))
+
+
+def test_expanded_denominator_read_at_q_powers():
+    # prod (q^a - t)^mu read at t = q^k equals prod (q^a - q^k)^mu
+    rng = random.Random(24)
+    for _ in range(60):
+        den = [(rng.randint(1, 5), rng.randint(1, 3))
+               for _ in range(rng.randint(0, 4))]
+        for k in (0, 1, 3):
+            want = LaurentPoly.one("q")
+            for a, mu in den:
+                binomial = LaurentPoly("q", {a: 1}) - LaurentPoly("q", {k: 1})
+                want = want * binomial ** mu
+            assert _b2_at(_b2_expand(den), k) == want
+
+
+def geometric_expand_in_t(x, q0, order):
+    """An independent route to the t-expansion: one convolution with the
+    geometric series 1/(q0^a - t) = sum_k t^k / q0^(a(k+1)) per
+    denominator factor."""
+    by_t = {}
+    for (eq, et), c in x.num.items():
+        te = et - x.unit[1]
+        by_t[te] = by_t.get(te, 0) + Fraction(c) * Fraction(q0) ** eq
+    if any(te < 0 and v for te, v in by_t.items()):
+        raise PreconditionError("pole at t = 0 after substitution")
+    scale = Fraction(1, q0) ** x.unit[0]
+    series = [scale * by_t.get(i, 0) for i in range(order + 1)]
+    for a, mu in x.den:
+        geom = [Fraction(1, q0 ** (a * (k + 1))) for k in range(order + 1)]
+        for _ in range(mu):
+            out = [Fraction(0)] * (order + 1)
+            for i in range(order + 1):
+                for j in range(order + 1 - i):
+                    out[i + j] += series[i] * geom[j]
+            series = out
+    return series
+
+
+def test_expand_in_t_matches_geometric_convolutions():
+    rng = random.Random(2410)
+    compared = refused = 0
+    while compared < 200:
+        num = {(rng.randint(0, 4), rng.randint(0, 3)): rng.randint(-4, 4)
+               for _ in range(rng.randint(1, 5))}
+        den = [(rng.randint(1, 4), rng.randint(1, 3))
+               for _ in range(rng.randint(1, 4))]
+        x = BiRational(num, (rng.randint(-3, 3), rng.randint(-3, 3)), den)
+        q0, order = rng.choice((2, 3, 5, 7)), rng.randint(0, 6)
+        try:
+            want = geometric_expand_in_t(x, q0, order)
+        except PreconditionError:
+            refused += 1
+            with pytest.raises(PreconditionError):
+                x.expand_in_t(q0, order)
+            continue
+        assert x.expand_in_t(q0, order) == want
+        compared += 1
+    assert refused
 
 
 def test_birational_json_roundtrip():

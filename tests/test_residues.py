@@ -13,7 +13,7 @@ from amzeta.arrangement import (
 )
 from amzeta import residues
 from amzeta.errors import InvariantError, PreconditionError
-from amzeta.exact_algebra import LaurentPoly, RationalUni
+from amzeta.exact_algebra import BiRational, LaurentPoly, RationalUni
 from amzeta.igusa import (
     chain_poset,
     igusa_chain,
@@ -104,7 +104,7 @@ def test_bmu_reduces_once(monkeypatch):
 
     monkeypatch.setattr(RationalUni, "__init__", counting)
     b_mu(arr, lat)
-    assert len(built) <= 2
+    assert len(built) == 1
 
 
 def test_each_univariate_result_is_reduced_once(monkeypatch):
@@ -126,10 +126,34 @@ def test_each_univariate_result_is_reduced_once(monkeypatch):
             (lambda: a_gamma_limit(cycle_quiver(5)), 1),
             (lambda: a_gamma_limit(complete_quiver(4)), 1),
             (lambda: check_lastone(complete_quiver(4)), 3),
-            (lambda: b_mu_via_residue(zeta5, k5.m), 2)]:
+            (lambda: b_mu_via_residue(zeta5, k5.m), 1)]:
         built.clear()
         call()
         assert len(built) == expected
+
+
+def test_t_one_and_residue_reads_build_no_birational(monkeypatch):
+    # B_mu, the quiver limit and the residue read the cleared (q, t) dicts
+    # at a point and reduce once as a RationalUni; a BiRational on the way
+    # would reduce the same value a second time
+    k5, lat5 = with_lattice(graphic_arrangement(complete_quiver(5)))
+    k6 = graphic_arrangement(complete_quiver(6))
+    types6 = chain_poset(k6)
+    zeta5 = igusa_chain(k5, lat5)
+    built = []
+    init = BiRational.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(BiRational, "__init__", counting)
+    for call in [lambda: b_mu(k5, lat5), lambda: b_mu(k6, types6),
+                 lambda: a_gamma_limit(cycle_quiver(5)),
+                 lambda: a_gamma_limit(complete_quiver(4)),
+                 lambda: b_mu_via_residue(zeta5, k5.m)]:
+        call()
+        assert built == []
 
 
 def test_bmu_via_residue_doubled_edge_value():
