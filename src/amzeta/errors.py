@@ -1,10 +1,10 @@
 """Exception taxonomy shared by all modules.
 
-The CLI maps these onto process exit codes: parse errors exit 1,
-precondition violations exit 2, exhausted budgets exit 3 and internal
-invariant violations exit 4.  The helpers every layer shares live here
-too: input parsing, the primality test, the partition enumerator and the
-budget charges.
+The CLI maps each AmzError class onto an exit code: parse errors exit 1,
+precondition violations exit 2, exhausted budgets exit 3 and invariant
+violations, a failed exact division among them, exit 4.  The helpers
+every layer shares live here too: input parsing, the primality test, the
+partition enumerator and the budget charges.
 """
 
 
@@ -129,14 +129,6 @@ class InvariantError(AmzError):
     hypothesis, never a user error."""
 
     exit_code = 4
-
-
-class NotDivisibleError(ArithmeticError):
-    """Signal raised by exact division when no exact quotient exists.
-
-    Deliberately not an AmzError: callers use it as a decision signal and
-    must either handle it or wrap it into an InvariantError.
-    """
 
 
 class UnsupportedDenominatorError(InvariantError):

@@ -31,6 +31,10 @@ with the single binomial q^d - t, the counterpart of the exact division
 ``_b2_div_factor``.  Only ``_b2_expand`` expands prod (q^a - t)^mu, besides
 the lifts of ``BiRational.__add__``, and only ``_b2_at`` reads at t = q^k.
 
+Errors are errors.py types: misuse (the degree of zero, a negative power, a
+vanishing denominator) is a PreconditionError, and a remainder in
+``exact_div`` is an InvariantError naming the cancellation that failed.
+
 Everything is immutable after construction and safe to share.
 """
 
@@ -41,7 +45,6 @@ import math
 from .errors import (
     DEFAULT_BUDGET,
     InvariantError,
-    NotDivisibleError,
     ParseError,
     PreconditionError,
     UnsupportedDenominatorError,
@@ -107,12 +110,12 @@ class LaurentPoly:
     def degree(self) -> int:
         """Largest exponent; raises on the zero polynomial."""
         if not self._c:
-            raise ValueError("degree of zero polynomial")
+            raise PreconditionError("degree of zero polynomial")
         return max(self._c)
 
     def low_degree(self) -> int:
         if not self._c:
-            raise ValueError("low degree of zero polynomial")
+            raise PreconditionError("low degree of zero polynomial")
         return min(self._c)
 
     def leading_coeff(self) -> int:
@@ -152,7 +155,7 @@ class LaurentPoly:
 
     def __pow__(self, k: int):
         if k < 0:
-            raise ValueError("negative power of a Laurent polynomial")
+            raise PreconditionError("negative power of a Laurent polynomial")
         out = LaurentPoly.one(self.var)
         base = self
         while k:
@@ -228,8 +231,9 @@ class LaurentPoly:
             raise ParseError(f"bad LaurentPoly JSON: {exc}") from exc
 
 
-def exact_div(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    """Exact quotient a/b in the Laurent ring; NotDivisibleError otherwise."""
+def exact_div(a: LaurentPoly, b: LaurentPoly, what: str = None) -> LaurentPoly:
+    """Exact quotient a/b in the Laurent ring; a remainder is an
+    InvariantError, ``what`` or by default "b does not divide a"."""
     a._check(b)
     if b.is_zero():
         raise PreconditionError("division by the zero polynomial")
@@ -240,7 +244,8 @@ def exact_div(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     qb = {e - lb: c for e, c in b._c.items()}
     quot = _poly_div_exact(qa, qb)
     if quot is None:
-        raise NotDivisibleError(f"{b.to_str()} does not divide {a.to_str()}")
+        raise InvariantError(
+            what or f"{b.to_str()} does not divide {a.to_str()}")
     return LaurentPoly(a.var, {e + la - lb: c for e, c in quot.items()})
 
 
@@ -401,7 +406,7 @@ class RationalUni:
     def degree(self) -> int:
         """Rational-function degree: deg num - deg den."""
         if self.is_zero():
-            raise ValueError("degree of zero")
+            raise PreconditionError("degree of zero")
         return self.num.degree() - self.den.degree()
 
     def __add__(self, other):
@@ -423,7 +428,7 @@ class RationalUni:
     def __truediv__(self, other):
         other = self._coerce(other)
         if other.is_zero():
-            raise ZeroDivisionError("division by zero rational function")
+            raise PreconditionError("division by zero rational function")
         return RationalUni(self.num * other.den, self.den * other.num)
 
     def __pow__(self, k: int):
@@ -456,7 +461,7 @@ class RationalUni:
     def evaluate(self, x) -> Fraction:
         d = self.den.evaluate(x)
         if d == 0:
-            raise ZeroDivisionError(f"denominator vanishes at {x}")
+            raise PreconditionError(f"denominator vanishes at {x}")
         return self.num.evaluate(x) / d
 
     def __repr__(self):
@@ -788,7 +793,7 @@ class BiRational:
         for a, mu in self.den:
             den *= (q0 ** a - t0) ** mu
         if den == 0:
-            raise ZeroDivisionError("denominator vanishes")
+            raise PreconditionError("denominator vanishes")
         return total / den
 
     def expand_in_t(self, q0: int, order: int):

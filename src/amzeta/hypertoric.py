@@ -23,7 +23,6 @@ from .arrangement import (
 from .errors import (
     DEFAULT_BUDGET,
     InvariantError,
-    NotDivisibleError,
     PreconditionError,
 )
 from .exact_algebra import LaurentPoly, exact_div
@@ -50,11 +49,8 @@ def hypertoric_class(arrangement: Arrangement, lat: FlatLattice,
     for i, f in enumerate(lat.flats):
         coeffs[len(f)] = coeffs.get(len(f), 0) + lat.mobius(i, lat.top)
     acc = LaurentPoly("L", coeffs)
-    try:
-        cleared = exact_div(acc, LaurentPoly("L", {1: 1, 0: -1}) ** m)
-    except NotDivisibleError as exc:
-        raise InvariantError(
-            f"(L-1)^{m} does not divide the flat sum") from exc
+    cleared = exact_div(acc, LaurentPoly("L", {1: 1, 0: -1}) ** m,
+                        f"(L-1)^{m} does not divide the flat sum")
     value = LaurentPoly.monomial("L", n - m) * cleared
     if n >= m and not value.is_zero() and value.low_degree() < 0:
         raise InvariantError("class has negative exponents with n >= m")
@@ -75,16 +71,16 @@ def e_polynomial(cls: HypertoricClass) -> LaurentPoly:
 
 def xi_is_generic(arrangement: Arrangement, lat: FlatLattice, p: int,
                   xi) -> bool:
-    """xi must avoid the F_p-span of every proper flat's normals."""
+    """xi must avoid the F_p-span of every proper flat's normals; a proper
+    flat's span lies in a coatom's, so only the coatoms are tested."""
     xi = [x % p for x in xi]
     if not any(xi):
         return False
-    for i, f in enumerate(lat.flats):
-        if i == lat.top:
-            continue
-        rows = [arrangement.normals[j] for j in f]
-        if rank_mod_p(rows + [xi], p) == rank_mod_p(rows, p):
-            return False
+    for f, r in zip(lat.flats, lat.ranks):
+        if r == lat.ranks[lat.top] - 1:
+            rows = [arrangement.normals[j] for j in f]
+            if rank_mod_p(rows + [xi], p) == rank_mod_p(rows, p):
+                return False
     return True
 
 

@@ -15,7 +15,6 @@ from math import factorial
 from .errors import (
     DEFAULT_BUDGET,
     InvariantError,
-    NotDivisibleError,
     PreconditionError,
     charge,
 )
@@ -106,11 +105,8 @@ def odr_class(inp: OdrInput, budget: int = DEFAULT_BUDGET) -> OdrClass:
             raise InvariantError(f"non-integer coefficient {c} at L^({e2}/2)")
     summed = LaurentPoly("H", {e2: int(c) for e2, c in acc.items()})
     lm1_doubled = LaurentPoly("H", {2: 1, 0: -1})
-    try:
-        cleared = exact_div(summed, lm1_doubled ** (n * d - 1))
-    except NotDivisibleError as exc:
-        raise InvariantError(
-            f"(L-1)^{n * d - 1} does not clear the partition sum") from exc
+    cleared = exact_div(summed, lm1_doubled ** (n * d - 1),
+                        f"(L-1)^{n * d - 1} does not clear the partition sum")
     prefix2 = k * (n * n - 2 * n) + 2 * n * (d - n) + 2
     final2 = cleared.shift(prefix2)
     if any(e % 2 for e, _ in final2.items()):

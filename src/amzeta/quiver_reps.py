@@ -25,7 +25,6 @@ additions, then one rational reduction of the total.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 
 from .arrangement import graphic_arrangement
 from .errors import (
@@ -210,10 +209,10 @@ def brute_force_indec(quiver: Quiver, p: int, alpha: int,
                     mask |= 1 << i
             aut *= p ** components(quiver, mask)
         total += count * aut
-    classes = Fraction(total, group_order)
-    if classes.denominator != 1:
+    classes, rest = divmod(total, group_order)
+    if rest:
         raise InvariantError("orbit count is not an integer")
-    return int(classes)
+    return classes
 
 
 def _brute_force_raw(quiver: Quiver, p: int, alpha: int, budget: int) -> int:

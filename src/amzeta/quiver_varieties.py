@@ -18,7 +18,6 @@ import operator
 from .errors import (
     DEFAULT_BUDGET,
     InvariantError,
-    NotDivisibleError,
     ParseError,
     PreconditionError,
     _charge_running,
@@ -230,13 +229,10 @@ def nakajima_gf(quiver: Quiver, w, bound: int,
         if acc.is_zero():
             continue
         cleared[v] = acc
-        try:
-            # D_v = prod_i P(v_i) is the known denominator at T^v
-            series[v] = exact_div(acc, functools.reduce(
-                operator.mul, map(q_factorial, v)))
-        except NotDivisibleError as exc:
-            raise InvariantError(
-                f"coefficient at {v} is not a Laurent polynomial") from exc
+        # D_v = prod_i P(v_i) is the known denominator at T^v
+        series[v] = exact_div(
+            acc, functools.reduce(operator.mul, map(q_factorial, v)),
+            f"coefficient at {v} is not a Laurent polynomial")
     if not series.get((0,) * quiver.vertices, LaurentPoly.zero("L")).is_one():
         raise InvariantError("series constant term is not 1")
     classes = {v: series[v].shift(-dimension_pairing(quiver, v, w))

@@ -25,7 +25,6 @@ from .arrangement import Arrangement, _require_essential
 from .errors import (
     DEFAULT_BUDGET,
     InvariantError,
-    NotDivisibleError,
     PreconditionError,
 )
 from .exact_algebra import (
@@ -116,11 +115,8 @@ def b_prime(arrangement: Arrangement, lat,
         factor = LaurentPoly("q", {e: 1 for e in range(a)})
         cleared = cleared * factor ** (lv.length + 1)
         declared_degree += a * (lv.length + 1)
-    try:
-        poly = exact_div(cleared, base.den)
-    except NotDivisibleError as exc:
-        raise InvariantError(
-            "expected denominator does not clear the normalized limit") from exc
+    poly = exact_div(cleared, base.den, "expected denominator does not "
+                     "clear the normalized limit")
     if not poly.is_polynomial():
         raise InvariantError("cleared numerator has negative exponents")
     palindromic, degree = palindromic_check(poly)

@@ -141,6 +141,29 @@ def test_nakajima_subcommand(capsys, tmp_path):
     assert payload["classes"]["2"]["coeffs"] == {"4": "1", "3": "1"}
 
 
+def test_failed_division_is_one_error_line(monkeypatch, capsys, tmp_path):
+    # a P(2) that P(1) does not divide breaks hua_term's exact division at
+    # the partition (2); amz reports an invariant violation, exit 4, with
+    # one error line and no traceback
+    from amzeta import quiver_varieties
+    from amzeta.reference import jordan_quiver
+    real = quiver_varieties.q_factorial
+    monkeypatch.setattr(quiver_varieties, "q_factorial",
+                        lambda n: real(n) + (n == 2))
+    path = tmp_path / "jordan.json"
+    path.write_text(json.dumps(jordan_quiver().to_json()))
+    try:
+        code, out, err = run(capsys, "nakajima", str(path), "--w", "1",
+                             "--depth", "2")
+    finally:
+        # no Gaussian binomial built from the broken P(n) outlives the test
+        quiver_varieties.gaussian_binomial.cache_clear()
+    assert code == 4
+    assert out == ""
+    assert err.splitlines() == [
+        "error: 1 - L^-1 does not divide 2 - L^-1 - L^-2 + L^-3"]
+
+
 def test_quiver_commands(capsys, tmp_path):
     path = tmp_path / "tri.json"
     path.write_text(json.dumps(cycle_quiver(3).to_json()))
@@ -690,7 +713,7 @@ FRESH_CALLS = [
 ]
 # the calls that evaluate nothing at a rational point load no fractions
 NO_FRACTIONS = {"lattice", "chi", "mobius", "hypertoric", "igusa", "poles",
-                "bmu", "bprime"}
+                "bmu", "bprime", "nakajima", "quiver-limit", "check-lastone"}
 _CHILD = (
     "import json, sys\n"
     "from amzeta.cli import main\n"

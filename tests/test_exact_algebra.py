@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from amzeta.errors import (
-    NotDivisibleError,
+    InvariantError,
     PreconditionError,
     UnsupportedDenominatorError,
 )
@@ -50,8 +50,11 @@ def test_var_mismatch_rejected():
 def test_exact_div_examples():
     lm1 = L({1: 1, 0: -1})
     assert exact_div(L({3: 1, 0: -1}), lm1) == L({2: 1, 1: 1, 0: 1})
-    with pytest.raises(NotDivisibleError):
+    with pytest.raises(InvariantError,
+                       match=r"^L \+ 2 does not divide L\^2 - 1$"):
         exact_div(L({2: 1, 0: -1}), L({1: 1, 0: 2}))
+    with pytest.raises(InvariantError, match=r"^L \+ 2 fails to clear$"):
+        exact_div(L({2: 1, 0: -1}), L({1: 1, 0: 2}), "L + 2 fails to clear")
     assert exact_div(L({3: 1, 1: -1}, "q"), L({1: 1}, "q")) == L({2: 1, 0: -1}, "q")
 
 
@@ -152,6 +155,28 @@ def test_rational_degree():
     assert r.degree() == 0
 
 
+_zero_q = RationalUni.const("q", 0)
+
+
+@pytest.mark.parametrize("misuse, message", [
+    (lambda: L({}).degree(), "degree of zero polynomial"),
+    (lambda: L({}).low_degree(), "low degree of zero polynomial"),
+    (lambda: L({1: 1}) ** -1, "negative power"),
+    (lambda: _zero_q.degree(), "degree of zero"),
+    (lambda: RationalUni.const("q", 1) / _zero_q, "division by zero"),
+    (lambda: RationalUni(L({0: 1}, "q"), L({1: 1, 0: -1}, "q")).evaluate(1),
+     "denominator vanishes at 1"),
+    (lambda: BiRational({(0, 0): 1}, (0, 0), [(1, 1)]).evaluate(2, 2),
+     "denominator vanishes"),
+], ids=["degree", "low_degree", "pow", "rational_degree", "truediv",
+        "rational_evaluate", "birational_evaluate"])
+def test_arithmetic_misuse_is_a_precondition_error(misuse, message):
+    # the arithmetic layer raises only errors.py types, so amz maps a
+    # misuse onto exit 2 instead of a traceback
+    with pytest.raises(PreconditionError, match=message):
+        misuse()
+
+
 def test_cyclotomic_products():
     for n in range(1, 41):
         prod = LaurentPoly.one("x")
@@ -196,9 +221,9 @@ def test_rational_canonical_form_random():
             phi = LaurentPoly("q", _cyclotomic(d))
             try:
                 exact_div(r.den, phi)
-            except NotDivisibleError:
+            except InvariantError:
                 continue
-            with pytest.raises(NotDivisibleError):
+            with pytest.raises(InvariantError):
                 exact_div(r.num, phi)
         # the reduced form does not depend on the representative
         extra = rand_den(rng)

@@ -1,12 +1,17 @@
+import itertools
+import random
+
 import pytest
 
 from amzeta.arrangement import (
     Arrangement,
     build_lattice,
     graphic_arrangement,
+    rank_mod_p,
     structural_flags,
 )
-from amzeta.errors import BudgetExceededError, PreconditionError
+from amzeta.errors import BudgetExceededError, InvariantError, \
+    PreconditionError
 from amzeta.exact_algebra import LaurentPoly
 from amzeta.hypertoric import (
     count_moment_fiber,
@@ -32,6 +37,23 @@ def test_class_n_origins():
     cls, _ = class_of(n_origins(3))
     assert cls.value == L({4: 1, 3: 1, 2: 1})
     assert not cls.formal
+
+
+def test_class_refuses_a_flat_sum_that_does_not_clear():
+    # one more at the bottom's Mobius value leaves the flat sum nonzero
+    # at L = 1, so (L-1)^m does not divide it
+    arr = triangle()
+    lat = build_lattice(arr)
+
+    class Skewed:
+        flats, top = lat.flats, lat.top
+
+        def mobius(self, i, j):
+            return lat.mobius(i, j) + (i == lat.bottom)
+
+    with pytest.raises(InvariantError,
+                       match=r"^\(L-1\)\^2 does not divide the flat sum$"):
+        hypertoric_class(arr, Skewed())
 
 
 def test_class_single_origin_point():
@@ -133,6 +155,42 @@ def test_genericity_rejects_bad_xi():
     assert not xi_is_generic(arr, lat, 5, (1, 0))
     with pytest.raises(PreconditionError):
         count_moment_fiber(arr, lat, 5, (0, 0))
+
+
+def _generic_over_all_proper_flats(arr, lat, p, xi):
+    xi = [x % p for x in xi]
+    if not any(xi):
+        return False
+    for i, f in enumerate(lat.flats):
+        if i == lat.top:
+            continue
+        rows = [arr.normals[j] for j in f]
+        if rank_mod_p(rows + [xi], p) == rank_mod_p(rows, p):
+            return False
+    return True
+
+
+def test_coatoms_decide_genericity():
+    # every proper flat lies in a coatom and spans over F_p grow with the
+    # flat, so the coatoms alone give the answer at every prime, bad ones
+    # included
+    rng = random.Random(26)
+    for _ in range(40):
+        m, n = rng.randint(1, 4), rng.randint(1, 7)
+        normals = []
+        while len(normals) < n:
+            v = tuple(rng.randint(-4, 4) for _ in range(m))
+            if any(v):
+                normals.append(v)
+        arr = Arrangement(normals)
+        lat = build_lattice(arr)
+        for p in (2, 3, 5, 7):
+            candidates = list(itertools.product(range(p), repeat=m))
+            if len(candidates) > 50:
+                candidates = rng.sample(candidates, 50)
+            for xi in candidates:
+                assert xi_is_generic(arr, lat, p, xi) == \
+                    _generic_over_all_proper_flats(arr, lat, p, xi)
 
 
 def test_fiber_budget_charges_the_character_sum():

@@ -1,6 +1,6 @@
 import pytest
 
-from amzeta.errors import PreconditionError
+from amzeta.errors import InvariantError, PreconditionError
 from amzeta.exact_algebra import LaurentPoly
 from amzeta.open_derham import OdrInput, gl_class, odr_class
 from amzeta.reference import odr_rank2_expected
@@ -14,6 +14,16 @@ def test_gl_class_small():
     assert gl_class(0) == L({0: 1})
     assert gl_class(1) == L({1: 1, 0: -1})
     assert gl_class(2) == L({4: 1, 3: -1, 2: -1, 1: 1})
+
+
+def test_odr_refuses_a_sum_that_does_not_clear(monkeypatch):
+    # GL_k's class shifted by 1 leaves a remainder in the division by
+    # (L-1)^(nd-1)
+    from amzeta import open_derham
+    monkeypatch.setattr(open_derham, "gl_class", lambda k: gl_class(k) + 1)
+    with pytest.raises(InvariantError, match=r"^\(L-1\)\^3 does not clear "
+                       "the partition sum$"):
+        odr_class(OdrInput(2, (2, 2)))
 
 
 def test_gl_class_negative_rejected():

@@ -21,6 +21,18 @@ def L(coeffs):
     return LaurentPoly("L", coeffs)
 
 
+def test_nakajima_refuses_a_coefficient_that_does_not_clear(monkeypatch):
+    # one more summand at every multipartition leaves a remainder in the
+    # division by D_v = P(1) at v = (1,)
+    from amzeta import quiver_varieties
+    real = quiver_varieties.hua_term
+    monkeypatch.setattr(quiver_varieties, "hua_term",
+                        lambda *args: real(*args) + 1)
+    with pytest.raises(InvariantError, match=r"^coefficient at \(1,\) is "
+                       "not a Laurent polynomial$"):
+        nakajima_gf(jordan_quiver(), (1,), 2)
+
+
 def test_partitions_enumeration():
     assert list(partitions(0)) == [()]
     assert list(partitions(4)) == [(4,), (3, 1), (2, 2), (2, 1, 1),
