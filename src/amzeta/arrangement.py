@@ -5,7 +5,7 @@ normals a_1..a_n (all nonzero); every hyperplane passes through the origin.
 A flat is an index set F closed under rational span: F = {i : a_i lies in
 the span of {a_j : j in F}}.  The lattice of flats carries the Mobius
 function, interval characteristic polynomials and the delta statistics
-that drive the zeta-function modules.
+that drive the zeta-function modules, each queried by flat index.
 
 Ranks and determinants are fraction-free integer eliminations (Bareiss).
 Flats and sub-arrangements come from Euclid's column operations, which
@@ -233,23 +233,24 @@ class FlatLattice:
     Flat i is built from a hyperplane mask and exposed as the frozenset
     ``flats[i]`` of 0-based hyperplane indices.  Flats are ordered by
     (size, sorted members), a linear extension of inclusion, top last.
-    ``up[i]`` and ``down[i]`` are masks over flat indices of the flats
-    H >= i and H <= i (both include i), so an interval is one ``&``.
-    ``above``, ``weight`` and ``mobius_top`` are shared with ``TypeQuotient``.
+    Every query names flats by index, as ``TypeQuotient`` names its nodes;
+    ``flat_index`` turns a set of hyperplanes into one.  ``up[i]`` and
+    ``down[i]`` are masks over flat indices of the flats H >= i and H <= i
+    (both include i), so an interval is one ``&``.  ``above``, ``weight``
+    and ``mobius_top`` are shared with ``TypeQuotient``.
 
     Mobius values are read from tables built once and cached: a column
     nu(., G) for ``mobius`` and a row nu(F, .) for the characteristic
     polynomials.  Each entry sums the entries of one interval.
     """
 
-    __slots__ = ("arrangement", "flats", "index", "ranks", "up", "down",
-                 "bottom", "top", "_rows", "_columns")
+    __slots__ = ("arrangement", "flats", "ranks", "up", "down", "bottom",
+                 "top", "_rows", "_columns")
 
     def __init__(self, arrangement: Arrangement, masks, ranks, covers):
         """``covers[i]`` lists the indices of the flats covering flat i."""
         self.arrangement = arrangement
         self.flats = tuple(frozenset(_bits(f)) for f in masks)
-        self.index = {f: i for i, f in enumerate(self.flats)}
         self.ranks = tuple(ranks)
         count = len(self.flats)
         # a cover has a larger index than the flat it covers
@@ -263,8 +264,8 @@ class FlatLattice:
                 down[c] |= down[i]
         self.up = tuple(up)
         self.down = tuple(down)
-        self.bottom = self.index[frozenset()]
-        self.top = self.index[frozenset(range(arrangement.n))]
+        # flats ascend in size: the empty flat first, all hyperplanes last
+        self.bottom, self.top = 0, count - 1
         self._rows = {}
         self._columns = {}
 
@@ -275,44 +276,37 @@ class FlatLattice:
         return len(self.flats)
 
     def flat_index(self, flat) -> int:
-        if isinstance(flat, int):
-            return flat
+        """Index of the flat whose hyperplanes are the set ``flat``."""
         f = frozenset(flat)
         try:
-            return self.index[f]
-        except KeyError:
+            return self.flats.index(f)
+        except ValueError:
             raise PreconditionError(f"{sorted(f)} is not a flat") from None
 
-    def leq(self, f, g) -> bool:
-        return bool(self.up[self.flat_index(f)] >> self.flat_index(g) & 1)
+    def leq(self, f: int, g: int) -> bool:
+        return bool(self.up[f] >> g & 1)
 
-    def rank_of(self, flat) -> int:
-        return self.ranks[self.flat_index(flat)]
-
-    def between(self, g, f):
+    def between(self, g: int, f: int):
         """Indices of flats H with g <= H <= f, ascending."""
-        return _bits(self.up[self.flat_index(g)]
-                     & self.down[self.flat_index(f)])
+        return _bits(self.up[g] & self.down[f])
 
-    def _comparable(self, f, g, what):
-        fi, gi = self.flat_index(f), self.flat_index(g)
-        if not self.leq(fi, gi):
+    def _comparable(self, f: int, g: int, what):
+        if not self.leq(f, g):
             raise PreconditionError(f"{what} on incomparable flats")
-        return fi, gi
 
-    def mobius(self, f, g) -> int:
+    def mobius(self, f: int, g: int) -> int:
         """Mobius value nu(F, G) for comparable flats F <= G."""
-        fi, gi = self._comparable(f, g, "mobius")
-        column = self._columns.get(gi)
+        self._comparable(f, g, "mobius")
+        column = self._columns.get(g)
         if column is None:
             # nu(H, G) = -sum of nu(K, G) over H < K <= G, from G down
             column = {}
-            below = self.down[gi]
+            below = self.down[g]
             for h in reversed(_bits(below)):
-                column[h] = 1 if h == gi else -sum(
+                column[h] = 1 if h == g else -sum(
                     column[k] for k in _bits((self.up[h] & below) ^ (1 << h)))
-            self._columns[gi] = column
-        return column[fi]
+            self._columns[g] = column
+        return column[f]
 
     def _mobius_row(self, fi: int) -> dict:
         row = self._rows.get(fi)
@@ -326,32 +320,32 @@ class FlatLattice:
             self._rows[fi] = row
         return row
 
-    def mobius_via_chains(self, f, g) -> int:
+    def mobius_via_chains(self, f: int, g: int) -> int:
         """Alternating count of strict chains from f to g; independent of
         the Mobius tables and used to cross-check them."""
-        fi, gi = self._comparable(f, g, "mobius")
+        self._comparable(f, g, "mobius")
         total = 0
         sign = 1
-        counts = {fi: 1}
+        counts = {f: 1}
         while counts:
-            total += sign * counts.get(gi, 0)
+            total += sign * counts.get(g, 0)
             nxt = {}
             for h, c in counts.items():
-                for k in self.between(h, gi):
+                for k in self.between(h, g):
                     if k != h:
                         nxt[k] = nxt.get(k, 0) + c
             counts = nxt
             sign = -sign
         return total
 
-    def char_poly_interval(self, g, f) -> LaurentPoly:
+    def char_poly_interval(self, g: int, f: int) -> LaurentPoly:
         """Characteristic polynomial of the interval [g, f], a monic
         polynomial in q of degree rank(f) - rank(g)."""
-        gi, fi = self._comparable(g, f, "interval")
-        row = self._mobius_row(gi)
-        rf = self.ranks[fi]
+        self._comparable(g, f, "interval")
+        row = self._mobius_row(g)
+        rf = self.ranks[f]
         coeffs = {}
-        for h in _bits(self.up[gi] & self.down[fi]):
+        for h in _bits(self.up[g] & self.down[f]):
             e = rf - self.ranks[h]
             coeffs[e] = coeffs.get(e, 0) + row[h]
         return LaurentPoly("q", coeffs)
@@ -362,9 +356,8 @@ class FlatLattice:
         return self.char_poly_interval(self.bottom, self.top).shift(
             self.arrangement.m - self.ranks[self.top])
 
-    def delta(self, flat) -> int:
+    def delta(self, i: int) -> int:
         """delta_I = n - |I| + rank(I)."""
-        i = self.flat_index(flat)
         return self.arrangement.n - len(self.flats[i]) + self.ranks[i]
 
     def above(self, i):

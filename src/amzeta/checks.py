@@ -94,22 +94,22 @@ def lattice_invariants(arr, lat, budget=DEFAULT_BUDGET):
     require(chi.degree() == arr.m and chi.leading_coeff() == 1,
             "chi is not monic of degree m")
     require(chi.evaluate(1) == 0, "chi is not divisible by q - 1")
-    for fi in range(len(lat.flats)):
-        for gi in range(len(lat.flats)):
-            if lat.leq(fi, gi):
-                require(lat.mobius(fi, gi) == lat.mobius_via_chains(fi, gi),
-                        f"Mobius recursion != chain count on ({fi}, {gi})")
-                r = lat.ranks[gi] - lat.ranks[fi]
-                require((-1) ** r * lat.mobius(fi, gi) > 0,
-                        f"Mobius sign wrong on ({fi}, {gi})")
+    for fi in range(len(lat)):
+        for gi in lat.indices(lat.up[fi]):
+            require(lat.mobius(fi, gi) == lat.mobius_via_chains(fi, gi),
+                    f"Mobius recursion != chain count on ({fi}, {gi})")
+            r = lat.ranks[gi] - lat.ranks[fi]
+            require((-1) ** r * lat.mobius(fi, gi) > 0,
+                    f"Mobius sign wrong on ({fi}, {gi})")
     for i in range(arr.n):
-        # the flat of hyperplane i is the closure of {i}
-        fi = min((f for f in lat.flats if i in f), key=len)
-        deleted, _ = deletion(arr, fi)
-        restricted, _ = restriction(arr, fi)
+        # the flat of hyperplane i is the closure of {i}, the first flat
+        # holding i as flats ascend in size
+        fi = next(k for k, f in enumerate(lat.flats) if i in f)
+        deleted, _ = deletion(arr, lat.flats[fi])
+        restricted, _ = restriction(arr, lat.flats[fi])
         require(chi == (char_poly_of(deleted, arr.m, budget)
                         - char_poly_of(restricted,
-                                       arr.m - lat.rank_of(fi), budget)),
+                                       arr.m - lat.ranks[fi], budget)),
                 f"deletion-restriction fails at hyperplane {i}")
     p = next_prime_above(structural_flags(
         arr, "max_abs_minor", budget=budget)["max_abs_minor"])

@@ -39,13 +39,14 @@ class _Parser(argparse.ArgumentParser):
 def _prime(text):
     """argparse type of every --p: the oracles count over F_p."""
     p = int(text)
-    if p >= PRIME_TEST_BOUND:
+    try:
+        if is_prime(p):
+            return p
+    except ValueError:
         raise argparse.ArgumentTypeError(
             f"{text} is not below {PRIME_TEST_BOUND}, the bound of the "
-            "deterministic primality test")
-    if not is_prime(p):
-        raise argparse.ArgumentTypeError(f"{text} is not prime")
-    return p
+            "deterministic primality test") from None
+    raise argparse.ArgumentTypeError(f"{text} is not prime")
 
 
 def _load_json(path):
@@ -144,7 +145,8 @@ def cmd_mobius(args):
     lower = _parse_flat(args.lower, arr.n)
     upper = _parse_flat(args.upper, arr.n)
     _emit({"lower": _flat_json(lower), "upper": _flat_json(upper),
-           "mobius": str(lat.mobius(lower, upper))})
+           "mobius": str(lat.mobius(lat.flat_index(lower),
+                                    lat.flat_index(upper)))})
 
 
 def cmd_hypertoric(args):
@@ -307,75 +309,67 @@ def build_parser() -> _Parser:
                              "the call charges (default 10^9)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, **kwargs):
-        p = sub.add_parser(name, **kwargs)
+    with_format = []
+
+    def add(name, fn, help, input=True, formats=None):
+        """A subcommand reading the file ``input`` unless told otherwise,
+        with ``--format`` over ``formats`` when given."""
+        p = sub.add_parser(name, help=help)
         p.set_defaults(handler=fn)
+        if input:
+            p.add_argument("input")
+        if formats:
+            with_format.append((p, formats))
         return p
 
-    p = add("lattice", cmd_lattice, help="flats, ranks, Mobius data")
-    p.add_argument("input")
+    add("lattice", cmd_lattice, "flats, ranks, Mobius data")
 
-    p = add("chi", cmd_chi, help="characteristic polynomial")
-    p.add_argument("input")
-    p.add_argument("--format", choices=["json", "plain"], default="json")
+    add("chi", cmd_chi, "characteristic polynomial", formats=["json", "plain"])
 
-    p = add("mobius", cmd_mobius, help="Mobius value between two flats")
-    p.add_argument("input")
+    p = add("mobius", cmd_mobius, "Mobius value between two flats")
     p.add_argument("--lower", default="empty",
                    help="comma list of 1-based indices, 'empty' or 'all'")
     p.add_argument("--upper", default="all")
 
-    p = add("hypertoric", cmd_hypertoric, help="class of the arrangement")
-    p.add_argument("input")
+    add("hypertoric", cmd_hypertoric, "class of the arrangement")
 
-    p = add("nakajima", cmd_nakajima, help="quiver-variety classes")
-    p.add_argument("input")
+    p = add("nakajima", cmd_nakajima, "quiver-variety classes")
     p.add_argument("--w", required=True, help="comma list framing vector")
     p.add_argument("--depth", type=int, default=5)
 
-    p = add("odr", cmd_odr, help="class for prescribed pole orders")
+    p = add("odr", cmd_odr, "class for prescribed pole orders", input=False)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--orders", required=True, help="comma list, each >= 2")
 
-    p = add("igusa", cmd_igusa, help="zeta function of the moment map")
-    p.add_argument("input")
+    p = add("igusa", cmd_igusa, "zeta function of the moment map",
+            formats=["json", "latex", "plain"])
     p.add_argument("--method", choices=["chain", "recursion"],
                    default="chain")
-    p.add_argument("--format", choices=["json", "latex", "plain"],
-                   default="json")
 
-    p = add("poles", cmd_poles, help="pole orders and criteria")
-    p.add_argument("input")
+    add("poles", cmd_poles, "pole orders and criteria")
 
-    p = add("bmu", cmd_bmu, help="normalized limit of solution counts")
-    p.add_argument("input")
-    p.add_argument("--format", choices=["json", "plain"], default="json")
+    add("bmu", cmd_bmu, "normalized limit of solution counts",
+        formats=["json", "plain"])
 
-    p = add("bprime", cmd_bprime, help="cleared numerator polynomial")
-    p.add_argument("input")
-    p.add_argument("--format", choices=["json", "plain"], default="json")
+    add("bprime", cmd_bprime, "cleared numerator polynomial",
+        formats=["json", "plain"])
 
     p = add("quiver-indec", cmd_quiver_indec,
-            help="indecomposable class count polynomial at fixed depth")
-    p.add_argument("input")
+            "indecomposable class count polynomial at fixed depth")
     p.add_argument("--alpha", type=int, required=True)
     p.add_argument("--p", type=_prime)
 
-    p = add("quiver-limit", cmd_quiver_limit,
-            help="normalized limit of indecomposable counts")
-    p.add_argument("input")
-    p.add_argument("--format", choices=["json", "plain"], default="json")
+    add("quiver-limit", cmd_quiver_limit,
+        "normalized limit of indecomposable counts", formats=["json", "plain"])
 
-    p = add("check-lastone", cmd_check_lastone,
-            help="compare graph counts against the arrangement numerator")
-    p.add_argument("input")
+    add("check-lastone", cmd_check_lastone,
+        "compare graph counts against the arrangement numerator")
 
-    p = add("oracle", cmd_oracle, help="congruence counts modulo p^alpha")
-    p.add_argument("input")
+    p = add("oracle", cmd_oracle, "congruence counts modulo p^alpha")
     p.add_argument("--p", type=_prime, required=True)
     p.add_argument("--alpha", type=int, required=True)
 
-    p = add("verify", cmd_verify, help="run a verification suite")
+    p = add("verify", cmd_verify, "run a verification suite", input=False)
     p.add_argument("--suite", required=True,
                    help="paper: transcribed reference values; oracle: "
                         "series vs brute-force counts; properties: "
@@ -383,6 +377,10 @@ def build_parser() -> _Parser:
     p.add_argument("--p", type=_prime)
     p.add_argument("--alpha", type=int)
     p.add_argument("--seed", type=int)
+
+    # after each subcommand's own options, where the help has always shown it
+    for p, choices in with_format:
+        p.add_argument("--format", choices=choices, default="json")
 
     return parser
 

@@ -316,9 +316,8 @@ def igusa_recursion(arrangement: Arrangement, lat: FlatLattice,
         len(flat) * rk * down.bit_count()
         for flat, rk, down in zip(lat.flats, lat.ranks, lat.down)), budget)
     m = arrangement.m
-    order = sorted(range(len(lat.flats)), key=lambda i: len(lat.flats[i]))
     jprime = {}
-    for i in order:
+    for i in range(len(lat)):       # flat indices extend the order
         flat = lat.flats[i]
         if not flat:
             jprime[i] = BiRational.zero()
@@ -328,12 +327,13 @@ def igusa_recursion(arrangement: Arrangement, lat: FlatLattice,
             raise InvariantError("localization shape mismatch")
         sub = build_lattice(loc, budget)
         mapped = {frozenset(idx[k] for k in g) for g in sub.flats}
-        if mapped != {g for g in lat.flats if g <= flat}:
+        ideal = lat.indices(lat.down[i])
+        if mapped != {lat.flats[j] for j in ideal}:
             raise InvariantError(
                 "localization lattice differs from the order ideal")
         rk_i = lat.ranks[i]
         acc = BiRational.zero()
-        for j in lat.indices(lat.down[i] ^ (1 << i)):
+        for j in ideal[:-1]:        # the flats J < F; F is the largest index
             rk_j = lat.ranks[j]
             d_j = len(flat) - len(lat.flats[j]) + rk_j
             chi = lat.char_poly_interval(j, i)

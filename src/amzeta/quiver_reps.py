@@ -201,7 +201,7 @@ def brute_force_indec(quiver: Quiver, p: int, alpha: int,
         count = 1
         for v in pattern:
             count *= weights[v]
-        aut = (p - 1) ** components(quiver, support)
+        aut = p - 1                 # the support is connected
         for k in range(1, alpha):
             mask = 0
             for i, v in enumerate(pattern):

@@ -132,7 +132,8 @@ def q_factorial(n: int) -> LaurentPoly:
 @functools.lru_cache(maxsize=None)
 def gaussian_binomial(n: int, k: int) -> LaurentPoly:
     """[n, k] = P(n) / (P(k) P(n-k)), a polynomial in L^-1."""
-    return exact_div(q_factorial(n), q_factorial(k) * q_factorial(n - k))
+    return exact_div(q_factorial(n), q_factorial(k) * q_factorial(n - k),
+                     f"P({k}) P({n - k}) does not divide P({n}) in [{n}, {k}]")
 
 
 def hua_term(quiver: Quiver, w, blam) -> LaurentPoly:
@@ -149,7 +150,9 @@ def hua_term(quiver: Quiver, w, blam) -> LaurentPoly:
         num = num * q_factorial(sum(lam))
         for mult in multiplicities(lam).values():
             den = den * q_factorial(mult)
-    return exact_div(num, den).shift(exp)
+    cleared = exact_div(num, den, "centralizer factor does not divide the "
+                        f"summand of multipartition {list(map(list, blam))}")
+    return cleared.shift(exp)
 
 
 def _graded(nvars, bound):

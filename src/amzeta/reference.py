@@ -234,5 +234,7 @@ def odr_rank2_expected(d: int, k: int) -> LaurentPoly:
     lp1 = LaurentPoly("L", {1: 1, 0: 1})
     inner = (LaurentPoly.monomial("L", k - d - 1) * lp1 ** (d - 1)
              - LaurentPoly.const("L", 2 ** (d - 1)))
-    quo = exact_div(inner, LaurentPoly("L", {1: 1, 0: -1}))
+    quo = exact_div(inner, LaurentPoly("L", {1: 1, 0: -1}),
+                    f"L - 1 does not divide the rank-2 numerator at d={d}, "
+                    f"k={k}")
     return LaurentPoly.monomial("L", k - 3) * quo

@@ -64,7 +64,7 @@ def test_lattice_n_origins():
 def test_lattice_triangle():
     lat = build_lattice(triangle())
     assert flat_sets(lat) == {(), (0,), (1,), (2,), (0, 1, 2)}
-    assert lat.rank_of(lat.top) == 2
+    assert lat.ranks[lat.top] == 2
 
 
 def test_lattice_empty():
@@ -103,7 +103,7 @@ def test_mobius_examples():
 def test_mobius_incomparable_rejected():
     lat = build_lattice(triangle())
     with pytest.raises(PreconditionError):
-        lat.mobius(frozenset({0}), frozenset({1}))
+        lat.mobius(lat.flat_index({0}), lat.flat_index({1}))
 
 
 def test_mobius_recursion_equals_chain_count_fixtures():
@@ -125,7 +125,7 @@ def test_char_poly_interval_examples():
     assert lat.char_poly_interval(lat.bottom, lat.top) == LaurentPoly(
         "q", {2: 1, 1: -3, 0: 2})
     assert lat.char_poly_interval(lat.top, lat.top) == LaurentPoly("q", {0: 1})
-    assert lat.char_poly_interval(frozenset({0}), lat.top) == LaurentPoly(
+    assert lat.char_poly_interval(lat.flat_index({0}), lat.top) == LaurentPoly(
         "q", {1: 1, 0: -1})
 
 
@@ -133,7 +133,7 @@ def test_delta_examples():
     lat = build_lattice(triangle())
     assert lat.delta(lat.top) == 2
     assert lat.delta(lat.bottom) == 3
-    assert lat.delta(frozenset({0})) == 3
+    assert lat.delta(lat.flat_index({0})) == 3
 
 
 # ---------------------------------------------------------------------------
@@ -326,11 +326,11 @@ def test_localization_restriction_lattices():
 
 def localizations_and_restrictions(arr):
     lat = build_lattice(arr)
-    for f in lat.flats:
+    for rank, f in zip(lat.ranks, lat.flats):
         loc, idx = localization(arr, f)
         assert loc.n == len(f)
         if f:
-            assert loc.rank() == loc.m == lat.rank_of(f)
+            assert loc.rank() == loc.m == rank
             sub = build_lattice(loc)
             mapped = {frozenset(idx[i] for i in g) for g in sub.flats}
             ideal = {g for g in lat.flats if g <= f}
@@ -338,7 +338,7 @@ def localizations_and_restrictions(arr):
         res, idx = restriction(arr, f)
         assert res.n == arr.n - len(f)
         if res.n:
-            assert res.m == arr.m - lat.rank_of(f)
+            assert res.m == arr.m - rank
             sub = build_lattice(res)
             mapped = {frozenset(idx[i] for i in g) | f for g in sub.flats}
             filt = {g for g in lat.flats if g >= f}
@@ -410,8 +410,8 @@ def test_deletion_restriction_fixtures():
             deleted, _ = deletion(arr, fi)
             restricted, _ = restriction(arr, fi)
             chi_del = char_poly_of(deleted, ambient_m=arr.m)
-            chi_res = char_poly_of(restricted,
-                                   ambient_m=arr.m - lat.rank_of(fi))
+            chi_res = char_poly_of(
+                restricted, ambient_m=arr.m - lat.ranks[lat.flat_index(fi)])
             assert chi == chi_del - chi_res
 
 

@@ -115,6 +115,20 @@ def test_mobius_subcommand(capsys, triangle_file):
     assert json.loads(out)["mobius"] == "2"
 
 
+def test_mobius_reads_flats_as_hyperplane_sets(capsys, triangle_file):
+    # --lower and --upper are the one place a set of hyperplanes becomes a
+    # flat index; a set that is not closed, or an incomparable pair, exits 2
+    code, out, _ = run(capsys, "mobius", triangle_file,
+                       "--lower", "1", "--upper", "all")
+    assert code == 0 and json.loads(out)["mobius"] == "-1"
+    for lower, upper, message in [
+            ("1,2", "all", "error: [0, 1] is not a flat"),
+            ("1", "2", "error: mobius on incomparable flats")]:
+        code, out, err = run(capsys, "mobius", triangle_file,
+                             "--lower", lower, "--upper", upper)
+        assert (code, out, err.splitlines()) == (2, "", [message])
+
+
 def test_hypertoric_subcommand(capsys, triangle_file):
     code, out, _ = run(capsys, "hypertoric", triangle_file)
     payload = json.loads(out)
@@ -144,7 +158,7 @@ def test_nakajima_subcommand(capsys, tmp_path):
 def test_failed_division_is_one_error_line(monkeypatch, capsys, tmp_path):
     # a P(2) that P(1) does not divide breaks hua_term's exact division at
     # the partition (2); amz reports an invariant violation, exit 4, with
-    # one error line and no traceback
+    # one error line naming the multipartition and no traceback
     from amzeta import quiver_varieties
     from amzeta.reference import jordan_quiver
     real = quiver_varieties.q_factorial
@@ -161,7 +175,8 @@ def test_failed_division_is_one_error_line(monkeypatch, capsys, tmp_path):
     assert code == 4
     assert out == ""
     assert err.splitlines() == [
-        "error: 1 - L^-1 does not divide 2 - L^-1 - L^-2 + L^-3"]
+        "error: centralizer factor does not divide the summand of "
+        "multipartition [[2]]"]
 
 
 def test_quiver_commands(capsys, tmp_path):

@@ -11,6 +11,7 @@ from amzeta.arrangement import (
     structural_flags,
 )
 from amzeta import igusa
+from amzeta.checks import lattice_invariants
 from amzeta.errors import (
     BudgetExceededError,
     InvariantError,
@@ -23,6 +24,7 @@ from amzeta.igusa import (
     level_sets,
     pole_report,
 )
+from amzeta.padic_oracle import poincare_check
 from amzeta.reference import (
     complete_quiver,
     cycle_quiver,
@@ -34,6 +36,7 @@ from amzeta.reference import (
     zeta_six_normals,
     zeta_triangle,
 )
+from amzeta.residues import b_mu, b_mu_via_residue
 
 
 def zeta_pair(arr):
@@ -487,3 +490,62 @@ def test_braid_recognition():
         arr = Arrangement(rows)
         assert igusa._braid_order(arr) == 0, what
         assert isinstance(igusa.chain_poset(arr), FlatLattice), what
+
+
+# ---------------------------------------------------------------------------
+# signed graphs at rank 4-5: sub-arrangements of the type-B root system,
+# whose minors are 0 or +-2^k, so they reduce well at every odd prime
+# ---------------------------------------------------------------------------
+
+def signed_graph_draws():
+    """12 seeded essential sub-arrangements of B4 and B5, normals e_i and
+    e_i +- e_j, with 50 to 120 flats, and their lattices."""
+    rng = random.Random(11)
+    draws = []
+    while len(draws) < 12:
+        m = rng.randint(4, 5)
+        units = [tuple(int(i == c) for c in range(m)) for i in range(m)]
+        roots = units + [tuple(a + s * b for a, b in zip(ei, ej))
+                         for i, ei in enumerate(units) for ej in units[i + 1:]
+                         for s in (1, -1)]
+        arr = Arrangement(rng.sample(roots, rng.randint(m + 2, 2 * m + 2)))
+        if arr.rank() == m:
+            lat = build_lattice(arr)
+            if 50 <= len(lat) <= 120:
+                draws.append((arr, lat))
+    return draws
+
+
+@pytest.fixture(scope="module")
+def signed_graphs():
+    return [(arr, lat, igusa_chain(arr, lat),
+             structural_flags(arr, "max_abs_minor")["max_abs_minor"])
+            for arr, lat in signed_graph_draws()]
+
+
+def test_signed_graph_routes_agree_at_rank_4_and_5(signed_graphs):
+    assert {arr.m for arr, *_ in signed_graphs} == {4, 5}
+    simple = 0
+    for arr, lat, zeta, _ in signed_graphs:
+        assert zeta.value == igusa_recursion(arr, lat).value
+        pole_report(zeta, arr, lat)
+        if zeta.value.pole_orders().get(arr.m) == 1:
+            simple += 1
+            assert b_mu(arr, lat) == b_mu_via_residue(zeta, arr.m)
+        lattice_invariants(arr, lat)
+    assert simple >= 6
+
+
+def test_signed_graph_series_equal_counts_at_p3(signed_graphs):
+    admitted = [draw for draw in signed_graphs if draw[3] <= 2]
+    assert len(admitted) >= 4
+    for arr, lat, _, _ in admitted:
+        poincare_check(arr, lat, 3, 2)
+
+
+def test_signed_graph_with_minor_4_is_refused_at_p3(signed_graphs):
+    # bad reduction is the guard's refusal, never a series/oracle mismatch
+    arr, lat, _, _ = next(d for d in signed_graphs if d[3] == 4)
+    with pytest.raises(PreconditionError,
+                       match=r"prime 3 not larger than max \|minor\| 4"):
+        poincare_check(arr, lat, 3, 2)
