@@ -7,14 +7,14 @@ the span of {a_j : j in F}}.  The lattice of flats carries the Mobius
 function, interval characteristic polynomials and the delta statistics
 that drive the zeta-function modules, each queried by flat index.
 
-Ranks and determinants are fraction-free integer eliminations (Bareiss).
-Flats and sub-arrangements come from Euclid's column operations, which
-write integer vectors in the coordinates of a saturated kernel without
-forming its basis, so the lattice is exact for arbitrary integer entries.
+Determinants are fraction-free integer eliminations (Bareiss).  Ranks
+over Q and F_p, the flags ``essential`` and ``coloop_free``, flats and
+sub-arrangements all come from Euclid's column operations, which write
+integer vectors in the coordinates of a saturated kernel without forming
+its basis, so the lattice is exact for arbitrary integer entries.
 The structural flags ``unimodular`` and ``max_abs_minor`` scan square
 minors, skipping those with an all-zero column (they vanish) and charging
-a work budget first: on the graphic arrangement of K7 the unimodularity
-scan evaluates 27,364 of the 54,264 maximal minors in about 0.2 s of CPU.
+a work budget first.
 """
 
 from __future__ import annotations
@@ -38,30 +38,6 @@ from .exact_algebra import LaurentPoly
 # ---------------------------------------------------------------------------
 # fraction-free integer linear algebra
 # ---------------------------------------------------------------------------
-
-def bareiss_rank(rows) -> int:
-    """Rank over Q of a list of integer row vectors."""
-    M = [list(r) for r in rows]
-    if not M:
-        return 0
-    nrows, ncols = len(M), len(M[0])
-    prev = 1
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if M[i][c]), None)
-        if pivot is None:
-            continue
-        M[r], M[pivot] = M[pivot], M[r]
-        for i in range(r + 1, nrows):
-            for j in range(c + 1, ncols):
-                M[i][j] = (M[r][c] * M[i][j] - M[i][c] * M[r][j]) // prev
-            M[i][c] = 0
-        prev = M[r][c]
-        r += 1
-        if r == nrows:
-            break
-    return r
-
 
 def int_det(rows) -> int:
     """Determinant of a square integer matrix (Bareiss).
@@ -133,28 +109,19 @@ def _restrict(rows, vecs) -> list:
     return vecs
 
 
-def rank_mod_p(rows, p: int) -> int:
-    """Rank of an integer matrix over F_p."""
-    M = [[x % p for x in r] for r in rows]
-    if not M:
-        return 0
-    nrows, ncols = len(M), len(M[0])
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if M[i][c] % p), None)
-        if pivot is None:
-            continue
-        M[r], M[pivot] = M[pivot], M[r]
-        inv = pow(M[r][c], -1, p)
-        M[r] = [(x * inv) % p for x in M[r]]
-        for i in range(nrows):
-            if i != r and M[i][c]:
-                f = M[i][c]
-                M[i] = [(x - f * y) % p for x, y in zip(M[i], M[r])]
-        r += 1
-        if r == nrows:
-            break
-    return r
+def rank(rows, p: int = 0) -> int:
+    """Rank of a list of integer row vectors over Q, or over F_p for a
+    prime p.  Each row, in the kernel coordinates the earlier rows left
+    (read mod p), counts when nonzero and is then eliminated.  Mod p this
+    is exact: the column operations are unimodular, and the pivot gcd of a
+    row read mod p lies in [1, p), a unit."""
+    vecs, count = list(rows), 0
+    while vecs:
+        d = [x % p for x in vecs.pop(0)] if p else vecs.pop(0)
+        if any(d):
+            count += 1
+            vecs = _eliminate(d, vecs)
+    return count
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +155,7 @@ class Arrangement:
         return len(self.normals[0]) if self.normals else 0
 
     def rank(self) -> int:
-        return bareiss_rank(self.normals)
+        return rank(self.normals)
 
     def __eq__(self, other):
         return isinstance(other, Arrangement) and self.normals == other.normals
@@ -475,13 +442,16 @@ def structural_flags(arrangement: Arrangement, *extra,
                      budget: int = DEFAULT_BUDGET) -> dict:
     """Exact structural predicates; each is computed only when asked for.
 
-    ``essential`` and ``coloop_free`` always, from n + 1 ranks.  ``extra``
-    names any of ``"unimodular"`` (one pass over the C(n, m) maximal
-    minors, stopping at the first |det| > 1) and ``"max_abs_minor"`` (the
-    largest |det| over square minors of every size, exponential in m).
-    Both skip the minors with an all-zero column, which vanish: the
-    graphic arrangement of K7 evaluates 27,364 of its 54,264 maximal
-    minors, in about 0.2 s of CPU.
+    ``essential`` and ``coloop_free`` always, from one elimination of the
+    transposed normals against the n unit vectors, which writes them in
+    the coordinates of the lattice of row dependencies sum x_i a_i = 0:
+    the rank is n minus its dimension, and hyperplane i is a coloop, in no
+    dependency, iff its row there is zero.  ``extra`` names any of
+    ``"unimodular"`` (one pass over the C(n, m) maximal minors, stopping at
+    the first |det| > 1) and ``"max_abs_minor"`` (the largest |det| over
+    square minors of every size, exponential in m).  Both skip the minors
+    with an all-zero column, which vanish: the graphic arrangement of K7
+    evaluates 27,364 of its 54,264 maximal minors, in about 0.2 s of CPU.
 
     Before any routine runs, ``budget`` is charged k^3 for each k x k
     minor the routines asked for may evaluate: K7 minus a 5-cycle costs
@@ -494,14 +464,12 @@ def structural_flags(arrangement: Arrangement, *extra,
     cached = _FLAGS_CACHE.get(arrangement.normals)
     if cached is None:
         n, m = arrangement.n, arrangement.m
-        rank = arrangement.rank()
-        cached = {
-            "essential": rank == m and m > 0,
-            "coloop_free": n > 0 and all(
-                bareiss_rank(arrangement.normals[:i]
-                             + arrangement.normals[i + 1:]) == rank
-                for i in range(n)),
-        }
+        cached = {"essential": False, "coloop_free": False}
+        if n:
+            units = [[int(i == j) for j in range(n)] for i in range(n)]
+            pairings = _restrict(list(zip(*arrangement.normals)), units)
+            cached = {"essential": n - len(pairings[0]) == m,
+                      "coloop_free": all(map(any, pairings))}
         if len(_FLAGS_CACHE) < 10 ** 4:
             _FLAGS_CACHE[arrangement.normals] = cached
     missing = [key for key in extra if key not in cached]
@@ -653,6 +621,6 @@ def graphic_arrangement(quiver) -> Arrangement:
         row[t - 1] -= 1
         rows.append(tuple(row[:-1]))
     # the normals of a graph on k vertices span rank k - c, c = components
-    if bareiss_rank(rows) != k - 1:
+    if rank(rows) != k - 1:
         raise PreconditionError("graph must be connected")
     return Arrangement(rows)

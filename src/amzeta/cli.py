@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 
 from .arrangement import Arrangement, build_lattice, structural_flags
 from .errors import (
@@ -260,37 +261,41 @@ def cmd_verify(args):
         raise ParseError(f"--suite: {args.suite!r} is not in {list(SUITES)}")
     args.seed = DEFAULT_SEED if args.seed is None else args.seed
     checks, conjectures = SUITES[args.suite](args)
-    lines = []
+    lines, conjecture_lines = [], []
     failed = refused = 0
+
+    def record(out, kind, name, start, status, **fields):
+        # stdout's entry, and on stderr a status line with the CPU time
+        out.append({kind: name, "status": status, **fields})
+        ms = (time.process_time() - start) * 1000
+        note = (f": {fields['detail']}" if "detail" in fields
+                else f" ({fields['cases']} cases)" if "cases" in fields
+                else "")
+        print(f"{status:9} {ms:8.1f} ms  {name}{note}", file=sys.stderr)
+
     for name, fn in checks:
+        start = time.process_time()
         try:
             fn()
-            lines.append({"check": name, "status": "ok"})
-            print(f"ok        {name}", file=sys.stderr)
+            record(lines, "check", name, start, "ok")
         except BudgetExceededError as exc:
             refused += 1
-            lines.append({"check": name, "status": "REFUSED",
-                          "detail": str(exc)})
-            print(f"REFUSED   {name}: {exc}", file=sys.stderr)
+            record(lines, "check", name, start, "REFUSED", detail=str(exc))
         except AmzError as exc:
             failed += 1
-            lines.append({"check": name, "status": "FAIL",
-                          "detail": str(exc)})
-            print(f"FAIL      {name}: {exc}", file=sys.stderr)
-    conjecture_lines = []
+            record(lines, "check", name, start, "FAIL", detail=str(exc))
     for name, fn in conjectures:
+        start = time.process_time()
         try:
             seen, violated = fn()
         except BudgetExceededError as exc:
             refused += 1
-            conjecture_lines.append({"conjecture": name, "status": "REFUSED",
-                                     "detail": str(exc)})
-            print(f"REFUSED   {name}: {exc}", file=sys.stderr)
+            record(conjecture_lines, "conjecture", name, start, "REFUSED",
+                   detail=str(exc))
             continue
-        status = "observed" if violated == 0 else "VIOLATED"
-        conjecture_lines.append({"conjecture": name, "cases": seen,
-                                 "violations": violated, "status": status})
-        print(f"{status:9} {name} ({seen} cases)", file=sys.stderr)
+        record(conjecture_lines, "conjecture", name, start,
+               "VIOLATED" if violated else "observed", cases=seen,
+               violations=violated)
     _emit({"suite": args.suite, "checks": lines,
            "conjectures": conjecture_lines,
            "failed": failed})

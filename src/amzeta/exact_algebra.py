@@ -49,6 +49,7 @@ from .errors import (
     PreconditionError,
     UnsupportedDenominatorError,
     _charge_running,
+    charge,
 )
 
 
@@ -579,6 +580,26 @@ def _clear(sums: dict, ds, budget: int = DEFAULT_BUDGET):
             if acc:
                 terms[prefix] = acc
     return terms.get((), {}), den
+
+
+def _charge_reduction(num: LaurentPoly, den, budget: int):
+    """Charge, before it runs, the ``RationalUni`` reduction of num over
+    prod (q^a - 1)^mu, den = [(a, mu)] as ``_clear`` returns it.
+
+    It strips Phi_d, d = 1..A (A the largest a), from the denominator, of
+    degree D = sum a mu: with k_d the multiplicity of Phi_d, k_d + 1 trial
+    divisions of the stripped copy and at most k_d each of the numerator
+    (degree span N) and the denominator, each of a degree-e dividend making
+    at most (e + 1)(phi(d) + 1) updates.  As sum k_d phi(d) = D, sum k_d
+    <= D and sum_{d <= A} (phi(d) + 1) <= A (A + 3) / 2, the charge is
+    (2 D + A (A + 3) / 2) (2 D + N + 2): 9,762,402 steps for K10's B_mu,
+    which makes about 1.5M updates."""
+    top = max((a for a, _ in den), default=0)
+    degree = sum(a * mu for a, mu in den)
+    span = 0 if num.is_zero() else num.degree() - num.low_degree()
+    charge("rational function reduction",
+           (2 * degree + top * (top + 3) // 2) * (2 * degree + span + 2),
+           budget)
 
 
 def _b2_div_factor(num: dict, a: int):

@@ -17,7 +17,7 @@ from .arrangement import (
     FlatLattice,
     _character_count,
     _require_essential,
-    rank_mod_p,
+    rank,
     require_prime_above_minors,
 )
 from .errors import (
@@ -79,7 +79,7 @@ def xi_is_generic(arrangement: Arrangement, lat: FlatLattice, p: int,
     for f, r in zip(lat.flats, lat.ranks):
         if r == lat.ranks[lat.top] - 1:
             rows = [arrangement.normals[j] for j in f]
-            if rank_mod_p(rows + [xi], p) == rank_mod_p(rows, p):
+            if rank(rows + [xi], p) == rank(rows, p):
                 return False
     return True
 

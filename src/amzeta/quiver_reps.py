@@ -39,6 +39,7 @@ from .exact_algebra import (
     RationalUni,
     _b2_at,
     _b2_expand,
+    _charge_reduction,
     _clear,
 )
 from .quiver_varieties import Quiver
@@ -161,9 +162,9 @@ def a_gamma_limit(quiver: Quiver,
     num, den = _clear({e: {0: c} for e, c in total.items()},
                       range(1, b_top + 1), budget)
     # t = 1, times the factor (1 - 1/q)^b = (q - 1)^b / q^b
-    return RationalUni(
-        _b2_at(num, 0) * LaurentPoly("q", {1: 1, 0: -1}) ** b_top,
-        _b2_at(_b2_expand(den), 0).shift(b_top))
+    num = _b2_at(num, 0) * LaurentPoly("q", {1: 1, 0: -1}) ** b_top
+    _charge_reduction(num, den, budget)
+    return RationalUni(num, _b2_at(_b2_expand(den), 0).shift(b_top))
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,7 @@ from .exact_algebra import (
     RationalUni,
     _b2_at,
     _b2_expand,
+    _charge_reduction,
     _clear,
     exact_div,
     palindromic_check,
@@ -79,7 +80,9 @@ def b_mu(arrangement: Arrangement, lat,
         raise InvariantError("delta - m must be positive off the top")
     sums[(0,) * len(deltas)] = {0: 1}
     num, den = _clear(sums, [a - m for a in deltas], budget)
-    total = RationalUni(_b2_at(num, 0), _b2_at(_b2_expand(den), 0))
+    num = _b2_at(num, 0)
+    _charge_reduction(num, den, budget)
+    total = RationalUni(num, _b2_at(_b2_expand(den), 0))
     if total.degree() != 0:
         raise InvariantError("normalized limit is not of degree 0")
     return total

@@ -2,6 +2,7 @@ import argparse
 import json
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 
@@ -675,6 +676,23 @@ def test_verify_properties_suite(capsys):
     assert payload["failed"] == 0
     assert [c["status"] for c in payload["checks"]] == ["ok"] * 20
     assert [c["status"] for c in payload["conjectures"]] == ["observed"] * 2
+
+
+def test_verify_prints_each_checks_cpu_time_on_stderr(capsys):
+    # one stderr line per check and conjecture, in the stdout order: its
+    # status, its CPU time in ms, its name
+    for argv in (["verify", "--suite", "properties"],
+                 ["--budget", "1", "verify", "--suite", "paper"]):
+        _, out, err = run(capsys, *argv)
+        payload = json.loads(out)
+        entries = payload["checks"] + payload["conjectures"]
+        lines = err.splitlines()
+        assert len(lines) == len(entries)
+        for line, entry in zip(lines, entries):
+            match = re.fullmatch(r"(\S+) +(\d+\.\d) ms  (.+)", line)
+            assert match and match[1] == entry["status"]
+            assert match[3].startswith(entry.get("check")
+                                       or entry["conjecture"])
 
 
 def test_verify_fails_under_optimize():

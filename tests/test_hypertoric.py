@@ -7,7 +7,7 @@ from amzeta.arrangement import (
     Arrangement,
     build_lattice,
     graphic_arrangement,
-    rank_mod_p,
+    rank,
     structural_flags,
 )
 from amzeta.errors import BudgetExceededError, InvariantError, \
@@ -165,7 +165,7 @@ def _generic_over_all_proper_flats(arr, lat, p, xi):
         if i == lat.top:
             continue
         rows = [arr.normals[j] for j in f]
-        if rank_mod_p(rows + [xi], p) == rank_mod_p(rows, p):
+        if rank(rows + [xi], p) == rank(rows, p):
             return False
     return True
 

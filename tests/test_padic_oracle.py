@@ -77,6 +77,7 @@ def test_every_refusal_says_what_it_needs(monkeypatch):
     from amzeta.hypertoric import count_moment_fiber, hypertoric_class
     from amzeta.quiver_reps import _brute_force_raw, brute_force_indec
     from amzeta.reference import cycle_quiver
+    from amzeta.exact_algebra import LaurentPoly, _charge_reduction
     from amzeta.residues import b_mu
     # a cold cache, so that the minor scans are charged before they run
     monkeypatch.setattr(arrangement, "_FLAGS_CACHE", {})
@@ -93,6 +94,7 @@ def test_every_refusal_says_what_it_needs(monkeypatch):
             lambda: depth_counts(arr, 5, 1, budget=1)[-1],
             lambda: igusa_chain(arr, lat, budget=1),
             lambda: b_mu(arr, lat, budget=1),
+            lambda: _charge_reduction(LaurentPoly.one("q"), [(1, 1)], 1),
             lambda: brute_force_indec(cycle_quiver(3), 3, 1, budget=1),
             lambda: _brute_force_raw(cycle_quiver(3), 3, 1, 1)]:
         with pytest.raises(BudgetExceededError,

@@ -11,8 +11,12 @@ from amzeta.arrangement import (
     graphic_arrangement,
     structural_flags,
 )
-from amzeta import residues
-from amzeta.errors import InvariantError, PreconditionError
+from amzeta import quiver_reps, residues
+from amzeta.errors import (
+    BudgetExceededError,
+    InvariantError,
+    PreconditionError,
+)
 from amzeta.exact_algebra import BiRational, LaurentPoly, RationalUni
 from amzeta.igusa import (
     chain_poset,
@@ -105,6 +109,28 @@ def test_bmu_reduces_once(monkeypatch):
     monkeypatch.setattr(RationalUni, "__init__", counting)
     b_mu(arr, lat)
     assert len(built) == 1
+
+
+def test_reduction_is_charged_before_it_runs(monkeypatch):
+    # K4's B_mu is charged 1,178 steps for its reduction and the quiver
+    # limit of K4 2,279, each more than its walk and clear; one step short
+    # is refused before RationalUni is built
+    arr, lat = with_lattice(graphic_arrangement(complete_quiver(4)))
+    assert b_mu(arr, lat, 1178) == b_mu(arr, lat)
+    assert a_gamma_limit(complete_quiver(4), 2279) == a_gamma_limit(
+        complete_quiver(4))
+
+    def refuse(num, den):
+        raise AssertionError("reduction ran past the budget")
+    for module in (residues, quiver_reps):
+        monkeypatch.setattr(module, "RationalUni", refuse)
+    for call, steps in [(lambda budget: b_mu(arr, lat, budget), 1178),
+                        (lambda budget: a_gamma_limit(complete_quiver(4),
+                                                      budget), 2279)]:
+        with pytest.raises(BudgetExceededError, match=(
+                f"rational function reduction needs {steps} steps, "
+                f"budget allows {steps - 1}$")):
+            call(steps - 1)
 
 
 def test_each_univariate_result_is_reduced_once(monkeypatch):
