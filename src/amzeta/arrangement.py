@@ -12,9 +12,9 @@ over Q and F_p, the flags ``essential`` and ``coloop_free``, flats and
 sub-arrangements all come from Euclid's column operations, which write
 integer vectors in the coordinates of a saturated kernel without forming
 its basis, so the lattice is exact for arbitrary integer entries.
-The structural flags ``unimodular`` and ``max_abs_minor`` scan square
-minors, skipping those with an all-zero column (they vanish) and charging
-a work budget first.
+``unimodular`` runs Bareiss on the maximal minors, and ``max_abs_minor``
+builds every nonzero minor once, by Laplace expansion along its last row;
+each charges a work budget for its scan first.
 """
 
 from __future__ import annotations
@@ -389,78 +389,14 @@ def build_lattice(arrangement: Arrangement,
 # structural predicates
 # ---------------------------------------------------------------------------
 
-def _square_submatrices(normals, m: int, k: int):
-    """The k x k submatrices of the n x m matrix ``normals`` whose chosen
-    columns each have a nonzero entry in some chosen row.
-
-    The others have an all-zero column and determinant 0, so they are
-    skipped: a column choice is taken only when its mask lies inside the
-    OR of the chosen rows' support masks.  Every row is restricted to each
-    column choice once, so a submatrix is a list of shared rows.
-    """
-    supports = [sum(1 << c for c, x in enumerate(r) if x) for r in normals]
-    choices = [(sum(1 << c for c in cols), [[r[c] for c in cols]
-                                            for r in normals])
-               for cols in itertools.combinations(range(m), k)]
-    for rows_idx in itertools.combinations(range(len(normals)), k):
-        seen = 0
-        for i in rows_idx:
-            seen |= supports[i]
-        for mask, restricted in choices:
-            if mask & seen == mask:
-                yield [restricted[i] for i in rows_idx]
-
-
-def _unimodular(arrangement: Arrangement) -> bool:
-    """Every maximal (m x m) minor lies in {-1, 0, 1}."""
-    m = arrangement.m
-    return all(abs(int_det(sub)) <= 1
-               for sub in _square_submatrices(arrangement.normals, m, m))
-
-
-def _max_abs_minor(arrangement: Arrangement) -> int:
-    """Largest |det| over the square minors of every size."""
-    normals, m = arrangement.normals, arrangement.m
-    return max((abs(int_det(sub)) for k in range(1, m + 1)
-                for sub in _square_submatrices(normals, m, k)), default=0)
-
-
-def _flag_steps(key: str, n: int, m: int) -> int:
-    """Budget charge of a flag routine: k^3 for each k x k minor it may
-    evaluate (the maximal ones for ``unimodular``, all for
-    ``max_abs_minor``)."""
-    sizes = (m,) if key == "unimodular" else range(1, m + 1)
-    return sum(math.comb(n, k) * math.comb(m, k) * k ** 3 for k in sizes)
-
-
-_FLAG_ROUTINES = {"unimodular": _unimodular, "max_abs_minor": _max_abs_minor}
-
 _FLAGS_CACHE: dict = {}
 
 
-def structural_flags(arrangement: Arrangement, *extra,
-                     budget: int = DEFAULT_BUDGET) -> dict:
-    """Exact structural predicates; each is computed only when asked for.
-
-    ``essential`` and ``coloop_free`` always, from one elimination of the
-    transposed normals against the n unit vectors, which writes them in
-    the coordinates of the lattice of row dependencies sum x_i a_i = 0:
-    the rank is n minus its dimension, and hyperplane i is a coloop, in no
-    dependency, iff its row there is zero.  ``extra`` names any of
-    ``"unimodular"`` (one pass over the C(n, m) maximal minors, stopping at
-    the first |det| > 1) and ``"max_abs_minor"`` (the largest |det| over
-    square minors of every size, exponential in m).  Both skip the minors
-    with an all-zero column, which vanish: the graphic arrangement of K7
-    evaluates 27,364 of its 54,264 maximal minors, in about 0.2 s of CPU.
-
-    Before any routine runs, ``budget`` is charged k^3 for each k x k
-    minor the routines asked for may evaluate: K7 minus a 5-cycle costs
-    1.73M steps for ``unimodular``, and K8 about 1.3 * 10^9 for
-    ``max_abs_minor``, over the default budget.
-
-    Values are cached per normal matrix: several modules consult the flags
-    repeatedly.
-    """
+def _cached_flags(arrangement: Arrangement) -> dict:
+    """The flags of the normal matrix computed so far; ``essential`` and
+    ``coloop_free`` from one elimination of the transposed normals against
+    the unit vectors, which leaves the lattice of row dependencies: the rank
+    is n minus its dimension, and a coloop's row there is zero."""
     cached = _FLAGS_CACHE.get(arrangement.normals)
     if cached is None:
         n, m = arrangement.n, arrangement.m
@@ -472,20 +408,77 @@ def structural_flags(arrangement: Arrangement, *extra,
                       "coloop_free": all(map(any, pairings))}
         if len(_FLAGS_CACHE) < 10 ** 4:
             _FLAGS_CACHE[arrangement.normals] = cached
-    missing = [key for key in extra if key not in cached]
-    for key in missing:
-        charge(key, _flag_steps(key, arrangement.n, arrangement.m), budget)
-    for key in missing:
-        cached[key] = _FLAG_ROUTINES[key](arrangement)
-    return {key: cached[key] for key in ("essential", "coloop_free") + extra}
+    return cached
 
 
-def _require_essential(arrangement: Arrangement, *extra, coloop_free=False,
-                       budget: int = DEFAULT_BUDGET) -> dict:
-    """``structural_flags(arrangement, *extra, budget=budget)``, refusing
-    an arrangement that is not essential or, when ``coloop_free`` is asked
-    for, has a coloop."""
-    flags = structural_flags(arrangement, *extra, budget=budget)
+def structural_flags(arrangement: Arrangement) -> dict:
+    """``essential`` and ``coloop_free``, cached per normal matrix."""
+    cached = _cached_flags(arrangement)
+    return {key: cached[key] for key in ("essential", "coloop_free")}
+
+
+def _charge_unimodular(arr: Arrangement, budget: int):
+    """C(n, m) m^3, a bound, as the skip's count is known only by
+    enumerating: K9 costs 15,493,294,080 steps."""
+    charge("unimodular", math.comb(arr.n, arr.m) * arr.m ** 3, budget)
+
+
+def unimodular(arrangement: Arrangement,
+               budget: int = DEFAULT_BUDGET) -> bool:
+    """Every maximal minor lies in {-1, 0, 1}: ``int_det`` on the m-row
+    choices without an all-zero column (K7: 27,364 of 54,264), up to the
+    first |det| > 1.  Charged by ``_charge_unimodular`` first."""
+    cached = _cached_flags(arrangement)
+    if "unimodular" not in cached:
+        _charge_unimodular(arrangement, budget)
+        cached["unimodular"] = all(
+            abs(int_det(rows)) <= 1
+            for rows in itertools.combinations(arrangement.normals,
+                                               arrangement.m)
+            if all(map(any, zip(*rows))))
+    return cached["unimodular"]
+
+
+def _minors(normals, start: int, minors: dict, left: int):
+    """For each choice of 1 to ``left`` more rows from ``normals[start:]``,
+    the nonzero minors on the rows so far and those, keyed by column mask
+    as ``minors`` is.  Below row a, the minor on columns D is the sum over
+    c in D of (-1)^(#columns of D after c) a_c times the minor on D - c."""
+    for r in range(start, len(normals)):
+        entries = [(c, x) for c, x in enumerate(normals[r]) if x]
+        grown = {}
+        for mask, d in minors.items():
+            for c, x in entries:
+                if not mask >> c & 1:
+                    term = -x * d if (mask >> c).bit_count() & 1 else x * d
+                    grown[mask | 1 << c] = grown.get(mask | 1 << c, 0) + term
+        grown = {key: d for key, d in grown.items() if d}
+        if grown:
+            yield grown
+            if left > 1:
+                yield from _minors(normals, r + 1, grown, left - 1)
+
+
+def max_abs_minor(arrangement: Arrangement,
+                  budget: int = DEFAULT_BUDGET) -> int:
+    """Largest |det| over the square minors of every size, from one
+    depth-first Laplace walk over the row choices that builds each nonzero
+    minor once.  Charged sum_k C(n, k) C(m, k) k first, a bound on its
+    products, exact when no minor vanishes: K8 costs 37,657,312 steps."""
+    cached = _cached_flags(arrangement)
+    if "max_abs_minor" not in cached:
+        n, m = arrangement.n, arrangement.m
+        charge("max_abs_minor", sum(math.comb(n, k) * math.comb(m, k) * k
+                                    for k in range(1, m + 1)), budget)
+        cached["max_abs_minor"] = max(
+            (abs(d) for grown in _minors(arrangement.normals, 0, {0: 1}, m)
+             for d in grown.values()), default=0)
+    return cached["max_abs_minor"]
+
+
+def _require_essential(arrangement: Arrangement, coloop_free=False):
+    """Refuse a non-essential arrangement, or a coloop if ``coloop_free``."""
+    flags = structural_flags(arrangement)
     if not flags["essential"]:
         raise PreconditionError(
             "arrangement is not essential; restrict to the span of the "
@@ -493,14 +486,12 @@ def _require_essential(arrangement: Arrangement, *extra, coloop_free=False,
     if coloop_free and not flags["coloop_free"]:
         raise PreconditionError(
             "arrangement has a coloop: the normalized limit diverges")
-    return flags
 
 
 def require_prime_above_minors(arrangement: Arrangement, p: int,
                                budget: int = DEFAULT_BUDGET):
     """The counting oracles need p larger than every |minor|."""
-    bound = structural_flags(arrangement, "max_abs_minor",
-                             budget=budget)["max_abs_minor"]
+    bound = max_abs_minor(arrangement, budget)
     if p <= bound:
         raise PreconditionError(
             f"prime {p} not larger than max |minor| {bound}")

@@ -20,6 +20,7 @@ from .arrangement import (
     count_complement_Fq,
     deletion,
     graphic_arrangement,
+    max_abs_minor,
     restriction,
     structural_flags,
 )
@@ -111,8 +112,7 @@ def lattice_invariants(arr, lat, budget=DEFAULT_BUDGET):
                         - char_poly_of(restricted,
                                        arr.m - lat.ranks[fi], budget)),
                 f"deletion-restriction fails at hyperplane {i}")
-    p = next_prime_above(structural_flags(
-        arr, "max_abs_minor", budget=budget)["max_abs_minor"])
+    p = next_prime_above(max_abs_minor(arr, budget))
     require(count_complement_Fq(arr, p, budget) == chi.evaluate(p),
             f"F_{p} complement count != chi({p})")
 
@@ -231,21 +231,14 @@ def _suite_oracle(args):
     budget = args.budget
     checks = []
 
-    def origin1():
-        arr = reference.n_origins(1)
-        poincare_check(arr, build_lattice(arr, budget), p, max(alpha, 3),
-                       budget)
-    checks.append((f"series vs counts, single origin, p={p}", origin1))
-
-    def origin2():
-        arr = reference.n_origins(2)
-        poincare_check(arr, build_lattice(arr, budget), p, alpha, budget)
-    checks.append((f"series vs counts, two origins, p={p}", origin2))
-
-    def tri():
-        arr = reference.triangle()
-        poincare_check(arr, build_lattice(arr, budget), p, alpha, budget)
-    checks.append((f"series vs counts, triangle, p={p}", tri))
+    def series(arr, depth):
+        return lambda: poincare_check(arr, build_lattice(arr, budget), p,
+                                      depth, budget)
+    for name, arr, depth in [
+            ("single origin", reference.n_origins(1), max(alpha, 3)),
+            ("two origins", reference.n_origins(2), alpha),
+            ("triangle", reference.triangle(), alpha)]:
+        checks.append((f"series vs counts, {name}, p={p}", series(arr, depth)))
 
     def probes():
         arr = reference.triangle()
@@ -286,8 +279,7 @@ def _suite_properties(args):
     def positivity():
         seen = violated = 0
         for arr in arrangements:
-            flags = structural_flags(arr, budget=budget)
-            if not (flags["essential"] and flags["coloop_free"]):
+            if not all(structural_flags(arr).values()):
                 continue
             seen += 1
             if not b_prime(arr, build_lattice(arr, budget),

@@ -19,7 +19,8 @@ import json
 import sys
 import time
 
-from .arrangement import Arrangement, build_lattice, structural_flags
+from .arrangement import (Arrangement, _charge_unimodular, build_lattice,
+                          max_abs_minor, structural_flags, unimodular)
 from .errors import (
     DEFAULT_BUDGET,
     PRIME_TEST_BOUND,
@@ -125,8 +126,11 @@ def _int_list(text, option):
 
 def cmd_lattice(args):
     arr, lat = _lattice(args)
-    flags = structural_flags(arr, "unimodular", "max_abs_minor",
-                             budget=args.budget)
+    # both minor scans are charged before either runs
+    _charge_unimodular(arr, args.budget)
+    flags = {**structural_flags(arr),
+             "max_abs_minor": max_abs_minor(arr, args.budget),
+             "unimodular": unimodular(arr, args.budget)}
     _emit({
         "flats": [_flat_json(f) for f in lat.flats],
         "ranks": list(lat.ranks),

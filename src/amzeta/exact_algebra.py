@@ -32,8 +32,8 @@ with the single binomial q^d - t, the counterpart of the exact division
 the lifts of ``BiRational.__add__``, and only ``_b2_at`` reads at t = q^k.
 
 Errors are errors.py types: misuse (the degree of zero, a negative power, a
-vanishing denominator) is a PreconditionError, and a remainder in
-``exact_div`` is an InvariantError naming the cancellation that failed.
+vanishing denominator, a pole at 0) is a PreconditionError, and a remainder
+in ``exact_div`` is an InvariantError naming the cancellation that failed.
 
 Everything is immutable after construction and safe to share.
 """
@@ -193,6 +193,8 @@ class LaurentPoly:
     def evaluate(self, x) -> Fraction:
         from fractions import Fraction
         x = Fraction(x)
+        if x == 0 and not self.is_polynomial():
+            raise PreconditionError(f"negative power of {self.var} at 0")
         total = Fraction(0)
         for e, c in self._c.items():
             total += c * x ** e

@@ -19,6 +19,7 @@ from .arrangement import (
     _require_essential,
     rank,
     require_prime_above_minors,
+    unimodular,
 )
 from .errors import (
     DEFAULT_BUDGET,
@@ -43,7 +44,8 @@ class HypertoricClass:
 def hypertoric_class(arrangement: Arrangement, lat: FlatLattice,
                      budget: int = DEFAULT_BUDGET) -> HypertoricClass:
     """``budget`` bounds the scan of maximal minors for unimodularity."""
-    flags = _require_essential(arrangement, "unimodular", budget=budget)
+    _require_essential(arrangement)
+    smooth = unimodular(arrangement, budget)
     n, m = arrangement.n, arrangement.m
     coeffs = {}
     for i, f in enumerate(lat.flats):
@@ -54,7 +56,7 @@ def hypertoric_class(arrangement: Arrangement, lat: FlatLattice,
     value = LaurentPoly.monomial("L", n - m) * cleared
     if n >= m and not value.is_zero() and value.low_degree() < 0:
         raise InvariantError("class has negative exponents with n >= m")
-    return HypertoricClass(value, flags["unimodular"])
+    return HypertoricClass(value, smooth)
 
 
 def e_polynomial(cls: HypertoricClass) -> LaurentPoly:

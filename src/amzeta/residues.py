@@ -89,7 +89,8 @@ def b_mu(arrangement: Arrangement, lat,
 
 
 def b_mu_via_residue(zeta: IgusaZeta, m: int) -> RationalUni:
-    """q^m (q^(s+m) - 1)/(q^m - 1) * I at s = -m; requires a simple pole."""
+    """q^m (q^(s+m) - 1)/(q^m - 1) * I at s = -m; requires a simple pole.
+    The reduction is charged to DEFAULT_BUDGET over q^m - 1 and q^|a-m| - 1."""
     orders = zeta.value.pole_orders()
     if orders.get(m, 0) != 1:
         raise PreconditionError(
@@ -97,7 +98,10 @@ def b_mu_via_residue(zeta: IgusaZeta, m: int) -> RationalUni:
     # times (q^m - t)/t, cancelling the simple factor, at t = q^m
     e1, e2 = zeta.value.unit
     rest = [(a, mu) for a, mu in zeta.value.den if a != m]
-    return RationalUni(_b2_at(zeta.value.num, m).shift(m),
+    num = _b2_at(zeta.value.num, m).shift(m)
+    _charge_reduction(num, [(abs(a - m), mu) for a, mu in rest] + [(m, 1)],
+                      DEFAULT_BUDGET)
+    return RationalUni(num,
                        _b2_at(_b2_expand(rest), m).shift(e1 + m * (e2 + 1))
                        * LaurentPoly("q", {m: 1, 0: -1}))
 

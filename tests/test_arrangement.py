@@ -15,9 +15,11 @@ from amzeta.arrangement import (
     graphic_arrangement,
     int_det,
     localization,
+    max_abs_minor,
     rank,
     restriction,
     structural_flags,
+    unimodular,
 )
 from amzeta.checks import (
     DEFAULT_SEED,
@@ -141,9 +143,9 @@ def test_delta_examples():
 # ---------------------------------------------------------------------------
 
 def test_flags_triangle():
-    flags = structural_flags(triangle(), "unimodular", "max_abs_minor")
-    assert flags == {"essential": True, "coloop_free": True,
-                     "unimodular": True, "max_abs_minor": 1}
+    assert structural_flags(triangle()) == {"essential": True,
+                                            "coloop_free": True}
+    assert unimodular(triangle()) and max_abs_minor(triangle()) == 1
 
 
 def test_flags_single_hyperplane_rank2():
@@ -249,22 +251,28 @@ def fraction_det(rows):
             det = -det
         det *= M[c][c]
         for i in range(c + 1, len(M)):
-            f = M[i][c] / M[c][c]
-            M[i] = [x - f * y for x, y in zip(M[i], M[c])]
+            if M[i][c]:
+                f = M[i][c] / M[c][c]
+                M[i] = [x - f * y for x, y in zip(M[i], M[c])]
     return det
 
 
 ENTRIES = (0, 0, 0, 1, -1, 2, -2, 9, -9)
 
 
-def flag_matrices(count=320):
-    """Seeded n x m normal matrices, n in 1..8 and m in 1..5, cycling
-    through four shapes: plain, a zero column, a repeated row and rows
-    parallel to one another."""
+def flag_matrices(count=320, wide=20):
+    """Seeded n x m normal matrices, n in 1..8 and m in 1..5, then
+    ``wide`` more with n in 6..7 and m = 6, so that the Laplace walk of
+    ``max_abs_minor`` reaches depth 6; each cycles through four shapes:
+    plain, a zero column, a repeated row and rows parallel to one
+    another."""
     rng = random.Random(DEFAULT_SEED + 14)
     out = []
-    while len(out) < count:
-        n, m = rng.randint(1, 8), rng.randint(1, 5)
+    while len(out) < count + wide:
+        if len(out) < count:
+            n, m = rng.randint(1, 8), rng.randint(1, 5)
+        else:
+            n, m = rng.randint(6, 7), 6
         shape = len(out) % 4
         if shape == 3:
             base = [rng.choice((0, 1, -1)) for _ in range(m)]
@@ -302,9 +310,9 @@ def test_flags_equal_a_fraction_scan_of_every_minor(monkeypatch):
         expected = {"unimodular": all(abs(d) <= 1 for d in dets.get(m, [])),
                     "max_abs_minor": max((abs(d) for ds in dets.values()
                                           for d in ds), default=0)}
-        flags = structural_flags(arr, "unimodular", "max_abs_minor")
-        assert {key: flags[key] for key in expected} == expected, arr
-    # the scans skip every submatrix with an all-zero column
+        assert {"unimodular": unimodular(arr),
+                "max_abs_minor": max_abs_minor(arr)} == expected, arr
+    # unimodular skips every submatrix with an all-zero column
     assert all(any(r[c] for r in rows)
                for rows in seen for c in range(len(rows)))
 
@@ -338,7 +346,7 @@ def test_unimodular_scan_at_rank_six_skips_zero_columns(monkeypatch):
     monkeypatch.setattr(arrangement_module, "int_det", record)
     arr = graphic_arrangement(complete_quiver(7))
     assert arr.m == 6
-    assert structural_flags(arr, "unimodular")["unimodular"]
+    assert unimodular(arr)
     assert all(any(r[c] for r in rows) for rows in seen for c in range(6))
     assert len(seen) == sum((-1) ** j * math.comb(6, j)
                             * math.comb(math.comb(7 - j, 2), 6)
@@ -379,8 +387,7 @@ def test_graphic_single_edge():
 def test_graphic_four_cycle():
     arr = graphic_arrangement(cycle_quiver(4))
     assert arr.n == 4 and arr.m == 3
-    flags = structural_flags(arr, "unimodular")
-    assert flags["coloop_free"] and flags["unimodular"]
+    assert structural_flags(arr)["coloop_free"] and unimodular(arr)
 
 
 def test_graphic_rejects_loops_and_disconnected():
@@ -571,7 +578,7 @@ def medium_arrangements(count=5):
         arr = Arrangement(rows)
         if arr.rank() != m:
             continue
-        bound = structural_flags(arr, "max_abs_minor")["max_abs_minor"]
+        bound = max_abs_minor(arr)
         if next_prime_above(bound) ** m > 10 ** 5:
             continue
         if len(build_lattice(arr).flats) >= 50:
@@ -627,20 +634,19 @@ def test_medium_tier_oracle():
     # the congruence counts at depth 1 against the t-expansion of the
     # zeta function, at the first prime above the largest |minor|
     for arr in medium_arrangements():
-        bound = structural_flags(arr, "max_abs_minor")["max_abs_minor"]
+        bound = max_abs_minor(arr)
         poincare_check(arr, build_lattice(arr), next_prime_above(bound), 1)
 
 
 def test_zeta_and_class_never_enumerate_all_minors(monkeypatch):
-    def refuse(arrangement):
+    def refuse(*args):
         raise AssertionError("square minors of every size enumerated")
 
     monkeypatch.setattr(arrangement_module, "_FLAGS_CACHE", {})
-    monkeypatch.setitem(arrangement_module._FLAG_ROUTINES, "max_abs_minor",
-                        refuse)
+    monkeypatch.setattr(arrangement_module, "_minors", refuse)
     arr = graphic_arrangement(complete_quiver(5))
     with pytest.raises(AssertionError):
-        structural_flags(arr, "max_abs_minor")
+        max_abs_minor(arr)
     lat = build_lattice(arr)
     assert hypertoric_class(arr, lat).unimodular
     igusa_chain(arr, lat)

@@ -335,6 +335,7 @@ def test_depth_below_one_is_refused_before_any_work(capsys, tmp_path,
         raise AssertionError("work started before the depth was checked")
     for module, name in [(cli, "build_lattice"), (checks, "build_lattice"),
                          (arrangement, "structural_flags"),
+                         (arrangement, "max_abs_minor"),
                          (padic_oracle, "_character_count")]:
         monkeypatch.setattr(module, name, refuse)
     inputs = {"triangle": triangle(),
@@ -366,18 +367,20 @@ def test_budget_refusal_says_what_it_needs(capsys, triangle_file, argv):
 
 def test_minor_scans_draw_on_the_budget(capsys, six_file, monkeypatch):
     # six normals in rank 3: the lattice costs 15 flats * 18 = 270 steps,
-    # the maximal minors C(6, 3) * 3^3 = 540, those of every size
-    # 6 * 3 + 15 * 3 * 2^3 + 540 = 918
+    # the maximal minors C(6, 3) * 3^3 = 540, the Laplace walk over the
+    # minors of every size 6 * 3 * 1 + 15 * 3 * 2 + 20 * 1 * 3 = 168
     from amzeta import arrangement
     monkeypatch.setattr(arrangement, "_FLAGS_CACHE", {})
-    for argv, needs in ((["--budget", "539", "hypertoric"],
+    for argv, needs in ((["--budget", "539", "hypertoric", six_file],
                          "unimodular needs 540 steps"),
-                        (["--budget", "917", "lattice"],
-                         "max_abs_minor needs 918 steps")):
-        code, out, err = run(capsys, *argv, six_file)
+                        (["--budget", "539", "lattice", six_file],
+                         "unimodular needs 540 steps"),
+                        (["--budget", "167", "oracle", six_file, "--p", "5",
+                          "--alpha", "1"], "max_abs_minor needs 168 steps")):
+        code, out, err = run(capsys, *argv)
         assert code == 3 and out == ""
         assert needs in err and "budget allows" in err
-    code, out, _ = run(capsys, "--budget", "918", "lattice", six_file)
+    code, out, _ = run(capsys, "--budget", "540", "lattice", six_file)
     assert code == 0 and json.loads(out)["flags"]["max_abs_minor"] == 2
 
 
@@ -405,10 +408,13 @@ def test_every_budget_defaults_to_the_one_budget():
 
 # (stage, argv, refusal, steps): each input is refused first at its stage,
 # whose charge is steps; the triangle / six normals / 5-cycle / K7 - e
-# lattices cost 30 / 270 / 540 / 99,000 steps.  A stage that charges as it
-# goes (the lattice, the chain walk, the partition types) knows only a
-# lower bound when it stops, and says "at least"; a charge one step short
-# stops it at its last step, so the bound is its exact charge.  igusa and
+# lattices cost 30 / 270 / 540 / 99,000 steps, and the 64 flats of the
+# coordinate arrangement of rank 6 cost 2,304, its one maximal minor 216
+# and the walk over its minors of every size sum_k C(6, k)^2 k = 2,772.
+# A stage that charges as it goes (the lattice, the chain walk, the
+# partition types) knows only a lower bound when it stops, and says "at
+# least"; a charge one step short stops it at its last step, so the bound
+# is its exact charge.  igusa and
 # bmu walk K7 (a braid arrangement) over its 15 partition types, 15^2
 # charged, and build no lattice
 BUDGET_STAGES = [
@@ -424,9 +430,9 @@ BUDGET_STAGES = [
     ("localization lattices", ["igusa", "triangle", "--method", "recursion"],
      "localization lattices needs", 36),
     ("unimodular", ["hypertoric", "six"], "unimodular needs", 540),
-    ("max_abs_minor", ["lattice", "six"], "max_abs_minor needs", 918),
+    ("max_abs_minor", ["lattice", "coords6"], "max_abs_minor needs", 2772),
     ("prime guard", ["oracle", "six", "--p", "5", "--alpha", "1"],
-     "max_abs_minor needs", 918),
+     "max_abs_minor needs", 168),
     ("character sum", ["oracle", "triangle", "--p", "5", "--alpha", "3"],
      "character sum needs", 558),
     ("quiver-limit walk", ["quiver-limit", "c5"], "normalized limit needs",
@@ -462,7 +468,9 @@ def test_budget_reaches_every_stage(capsys, tmp_path, monkeypatch, stage,
               "c5": cycle_quiver(5).to_json(),
               "jordan": jordan_quiver().to_json(),
               "k7": k7.to_json(),
-              "k7e": Arrangement(k7.normals[:-1]).to_json()}
+              "k7e": Arrangement(k7.normals[:-1]).to_json(),
+              "coords6": Arrangement([[int(i == j) for j in range(6)]
+                                      for i in range(6)]).to_json()}
     if argv[1] in inputs:
         path = tmp_path / argv[1]
         path.write_text(json.dumps(inputs[argv[1]]))
@@ -473,6 +481,26 @@ def test_budget_reaches_every_stage(capsys, tmp_path, monkeypatch, stage,
     # one step more and the stage runs
     _, _, err = run(capsys, "--budget", str(steps), *argv)
     assert refusal not in err
+
+
+def test_lattice_charges_both_minor_scans_first(capsys, tmp_path,
+                                                monkeypatch):
+    # the coordinate arrangement of rank 6 charges its walk 2,772 steps,
+    # more than its unimodularity scan's 216: one step short of the walk
+    # is refused before either scan runs
+    from amzeta import arrangement
+
+    def refuse(*args):
+        raise AssertionError("a minor scan ran past the budget")
+    monkeypatch.setattr(arrangement, "_FLAGS_CACHE", {})
+    monkeypatch.setattr(arrangement, "int_det", refuse)
+    monkeypatch.setattr(arrangement, "_minors", refuse)
+    path = tmp_path / "coords6"
+    path.write_text(json.dumps(Arrangement(
+        [[int(i == j) for j in range(6)] for i in range(6)]).to_json()))
+    code, out, err = run(capsys, "--budget", "2771", "lattice", str(path))
+    assert code == 3 and out == ""
+    assert "max_abs_minor needs 2772 steps, budget allows 2771" in err
 
 
 # sha256 of the stdout of every --format path on the fixtures: a change to

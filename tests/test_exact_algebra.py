@@ -168,8 +168,12 @@ _zero_q = RationalUni.const("q", 0)
      "denominator vanishes at 1"),
     (lambda: BiRational({(0, 0): 1}, (0, 0), [(1, 1)]).evaluate(2, 2),
      "denominator vanishes"),
+    (lambda: L({-1: 1}, "q").evaluate(0), "negative power of q at 0"),
+    (lambda: RationalUni(L({-1: 1, 0: 1}, "q"), L({1: 1, 0: -1}, "q"))
+     .evaluate(0), "negative power of q at 0"),
 ], ids=["degree", "low_degree", "pow", "rational_degree", "truediv",
-        "rational_evaluate", "birational_evaluate"])
+        "rational_evaluate", "birational_evaluate", "laurent_at_zero",
+        "rational_at_zero"])
 def test_arithmetic_misuse_is_a_precondition_error(misuse, message):
     # the arithmetic layer raises only errors.py types, so amz maps a
     # misuse onto exit 2 instead of a traceback

@@ -7,8 +7,8 @@ from amzeta.arrangement import (
     Arrangement,
     build_lattice,
     graphic_arrangement,
+    max_abs_minor,
     rank,
-    structural_flags,
 )
 from amzeta.errors import BudgetExceededError, InvariantError, \
     PreconditionError
@@ -196,12 +196,12 @@ def test_coatoms_decide_genericity():
 def test_fiber_budget_charges_the_character_sum():
     # K5 at p = 5 (m = 4) is charged ten inner products for each of the
     # (5^4 - 1) / 4 = 156 unit-scaling orbits of nonzero xi in F_5^4; the
-    # prime guard's minor scan (28,600 steps) is run first, so that the
+    # prime guard's minor walk (2,860 steps) is run first, so that the
     # character sum is the stage these budgets refuse
     arr = graphic_arrangement(complete_quiver(5))
     cls, lat = class_of(arr)
     xi = find_generic_xi(arr, lat, 5)
-    structural_flags(arr, "max_abs_minor", budget=28600)
+    max_abs_minor(arr, budget=2860)
     count = count_moment_fiber(arr, lat, 5, xi, budget=1560)
     assert count == 151316000000 == cls.value.evaluate(5) * 4 ** 4
     with pytest.raises(BudgetExceededError,

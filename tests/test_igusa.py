@@ -8,6 +8,7 @@ from amzeta.arrangement import (
     FlatLattice,
     build_lattice,
     graphic_arrangement,
+    max_abs_minor,
     structural_flags,
 )
 from amzeta import igusa
@@ -519,7 +520,7 @@ def signed_graph_draws():
 @pytest.fixture(scope="module")
 def signed_graphs():
     return [(arr, lat, igusa_chain(arr, lat),
-             structural_flags(arr, "max_abs_minor")["max_abs_minor"])
+             max_abs_minor(arr))
             for arr, lat in signed_graph_draws()]
 
 

@@ -73,18 +73,26 @@ def test_character_sum_is_charged_before_its_walk(monkeypatch):
 
 
 def test_every_refusal_says_what_it_needs(monkeypatch):
-    from amzeta.arrangement import count_complement_Fq, structural_flags
+    from amzeta.arrangement import (
+        count_complement_Fq,
+        max_abs_minor,
+        unimodular,
+    )
     from amzeta.hypertoric import count_moment_fiber, hypertoric_class
     from amzeta.quiver_reps import _brute_force_raw, brute_force_indec
     from amzeta.reference import cycle_quiver
     from amzeta.exact_algebra import LaurentPoly, _charge_reduction
-    from amzeta.residues import b_mu
+    from amzeta import residues
+    from amzeta.residues import b_mu, b_mu_via_residue
     # a cold cache, so that the minor scans are charged before they run
     monkeypatch.setattr(arrangement, "_FLAGS_CACHE", {})
     arr, lat = with_lattice(triangle())
+    zeta = igusa_chain(arr, lat)
+    # the residue route charges its reduction to the default budget
+    monkeypatch.setattr(residues, "DEFAULT_BUDGET", 1)
     for refused in [
-            lambda: structural_flags(arr, "unimodular", budget=1),
-            lambda: structural_flags(arr, "max_abs_minor", budget=1),
+            lambda: unimodular(arr, budget=1),
+            lambda: max_abs_minor(arr, budget=1),
             lambda: hypertoric_class(arr, lat, budget=1),
             lambda: build_lattice(arr, budget=1),
             lambda: count_complement_Fq(arr, 5, budget=1),
@@ -94,6 +102,7 @@ def test_every_refusal_says_what_it_needs(monkeypatch):
             lambda: depth_counts(arr, 5, 1, budget=1)[-1],
             lambda: igusa_chain(arr, lat, budget=1),
             lambda: b_mu(arr, lat, budget=1),
+            lambda: b_mu_via_residue(zeta, arr.m),
             lambda: _charge_reduction(LaurentPoly.one("q"), [(1, 1)], 1),
             lambda: brute_force_indec(cycle_quiver(3), 3, 1, budget=1),
             lambda: _brute_force_raw(cycle_quiver(3), 3, 1, 1)]:
@@ -167,7 +176,7 @@ def test_character_sum_matches_direct_count_on_random_arrangements():
     # against direct enumeration
     import random
 
-    from amzeta.arrangement import Arrangement, structural_flags
+    from amzeta.arrangement import Arrangement, max_abs_minor
     from amzeta.hypertoric import count_moment_fiber, find_generic_xi
 
     rng = random.Random(16)
@@ -183,7 +192,7 @@ def test_character_sum_matches_direct_count_on_random_arrangements():
         assert (count_moment_fiber(arr, lat, 5, xi)
                 == _count_direct(arr.normals, 5, 1, xi, 10 ** 5))
         fibers += 1
-        if structural_flags(arr, "max_abs_minor")["max_abs_minor"] < 2:
+        if max_abs_minor(arr) < 2:
             assert (depth_counts(arr, 2, 2)[-1].count
                     == _count_direct(arr.normals, 2, 2, (0,) * m, 10 ** 5))
             depth_two += 1
@@ -194,7 +203,7 @@ def test_poincare_random_arrangements():
     # the zeta function against raw congruence counts
     import random
 
-    from amzeta.arrangement import Arrangement, structural_flags
+    from amzeta.arrangement import Arrangement, max_abs_minor
 
     rng = random.Random(60229)
     produced = 0
@@ -209,7 +218,7 @@ def test_poincare_random_arrangements():
         arr = Arrangement(rows)
         if arr.rank() != m:
             continue
-        bound = structural_flags(arr, "max_abs_minor")["max_abs_minor"]
+        bound = max_abs_minor(arr)
         if bound > 4:
             continue
         p = next(c for c in (3, 5) if c > bound)
