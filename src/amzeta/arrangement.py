@@ -14,7 +14,7 @@ integer vectors in the coordinates of a saturated kernel without forming
 its basis, so the lattice is exact for arbitrary integer entries.
 ``unimodular`` runs Bareiss on the maximal minors, and ``max_abs_minor``
 builds every nonzero minor once, by Laplace expansion along its last row;
-each charges a work budget for its scan first.
+each charges the work budget for its scan first.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ import math
 from operator import mul
 
 from .errors import (
-    DEFAULT_BUDGET,
     ParseError,
     PreconditionError,
     _charge_running,
@@ -344,8 +343,7 @@ def _direction(vec) -> tuple:
     return tuple(vec) if g == 1 else tuple([x // g for x in vec])
 
 
-def build_lattice(arrangement: Arrangement,
-                  budget: int = DEFAULT_BUDGET) -> FlatLattice:
+def build_lattice(arrangement: Arrangement) -> FlatLattice:
     """Enumerate all flats by a search over covers from the empty flat.
 
     Each queued flat F carries the pairings of the normals a_j outside F
@@ -374,8 +372,7 @@ def build_lattice(arrangement: Arrangement,
             g = f | c
             if g not in ranks:
                 ranks[g] = ranks[f] + 1
-                _charge_running("lattice of flats", per_flat * len(ranks),
-                                budget)
+                _charge_running("lattice of flats", per_flat * len(ranks))
                 rest = [j for j in pairings if not c >> j & 1]
                 queue.append((g, dict(zip(rest, _eliminate(
                     d, [pairings[j] for j in rest])))))
@@ -417,20 +414,19 @@ def structural_flags(arrangement: Arrangement) -> dict:
     return {key: cached[key] for key in ("essential", "coloop_free")}
 
 
-def _charge_unimodular(arr: Arrangement, budget: int):
+def _charge_unimodular(arr: Arrangement):
     """C(n, m) m^3, a bound, as the skip's count is known only by
     enumerating: K9 costs 15,493,294,080 steps."""
-    charge("unimodular", math.comb(arr.n, arr.m) * arr.m ** 3, budget)
+    charge("unimodular", math.comb(arr.n, arr.m) * arr.m ** 3)
 
 
-def unimodular(arrangement: Arrangement,
-               budget: int = DEFAULT_BUDGET) -> bool:
+def unimodular(arrangement: Arrangement) -> bool:
     """Every maximal minor lies in {-1, 0, 1}: ``int_det`` on the m-row
     choices without an all-zero column (K7: 27,364 of 54,264), up to the
     first |det| > 1.  Charged by ``_charge_unimodular`` first."""
     cached = _cached_flags(arrangement)
     if "unimodular" not in cached:
-        _charge_unimodular(arrangement, budget)
+        _charge_unimodular(arrangement)
         cached["unimodular"] = all(
             abs(int_det(rows)) <= 1
             for rows in itertools.combinations(arrangement.normals,
@@ -459,8 +455,7 @@ def _minors(normals, start: int, minors: dict, left: int):
                 yield from _minors(normals, r + 1, grown, left - 1)
 
 
-def max_abs_minor(arrangement: Arrangement,
-                  budget: int = DEFAULT_BUDGET) -> int:
+def max_abs_minor(arrangement: Arrangement) -> int:
     """Largest |det| over the square minors of every size, from one
     depth-first Laplace walk over the row choices that builds each nonzero
     minor once.  Charged sum_k C(n, k) C(m, k) k first, a bound on its
@@ -469,7 +464,7 @@ def max_abs_minor(arrangement: Arrangement,
     if "max_abs_minor" not in cached:
         n, m = arrangement.n, arrangement.m
         charge("max_abs_minor", sum(math.comb(n, k) * math.comb(m, k) * k
-                                    for k in range(1, m + 1)), budget)
+                                    for k in range(1, m + 1)))
         cached["max_abs_minor"] = max(
             (abs(d) for grown in _minors(arrangement.normals, 0, {0: 1}, m)
              for d in grown.values()), default=0)
@@ -488,21 +483,19 @@ def _require_essential(arrangement: Arrangement, coloop_free=False):
             "arrangement has a coloop: the normalized limit diverges")
 
 
-def require_prime_above_minors(arrangement: Arrangement, p: int,
-                               budget: int = DEFAULT_BUDGET):
+def require_prime_above_minors(arrangement: Arrangement, p: int):
     """The counting oracles need p larger than every |minor|."""
-    bound = max_abs_minor(arrangement, budget)
+    bound = max_abs_minor(arrangement)
     if p <= bound:
         raise PreconditionError(
             f"prime {p} not larger than max |minor| {bound}")
 
 
-def count_complement_Fq(arrangement: Arrangement, p: int,
-                        budget: int = DEFAULT_BUDGET) -> int:
+def count_complement_Fq(arrangement: Arrangement, p: int) -> int:
     """Points of F_p^m lying on none of the hyperplanes (brute force)."""
-    require_prime_above_minors(arrangement, p, budget)
+    require_prime_above_minors(arrangement, p)
     m = arrangement.m
-    charge(f"complement count over F_{p}^{m}", p ** m, budget)
+    charge(f"complement count over F_{p}^{m}", p ** m)
     count = 0
     for v in itertools.product(range(p), repeat=m):
         if all(sum(a * x for a, x in zip(row, v)) % p
@@ -520,7 +513,7 @@ def _orbit_representatives(p, depth, m):
                                      *[range(mod)] * (m - k - 1))
 
 
-def _character_count(normals, p, alpha, target, budget):
+def _character_count(normals, p, alpha, target):
     """[|{(x, y) in (Z/p^d)^2n : sum x_i y_i a_i = target}| for d = 1..alpha]
     by additive characters.  Since sum_{x,y} e(x y c / p^d) = p^d gcd(c, p^d),
     the count is p^(d (n - m)) sum_xi e(-<target, xi> / p^d) w(xi) over
@@ -534,7 +527,7 @@ def _character_count(normals, p, alpha, target, budget):
     n, m = len(normals), len(target)
     reps = sum((p ** (d * m) - p ** (d * m - m)) // (p ** d - p ** (d - 1))
                for d in range(1, alpha + 1))
-    charge("character sum", n * reps, budget)
+    charge("character sum", n * reps)
     total, counts = 1, []
     for d in range(1, alpha + 1):
         mod, unit = p ** d, p ** (d - 1)
@@ -585,11 +578,10 @@ def deletion(arrangement: Arrangement, flat):
     return Arrangement([arrangement.normals[j] for j in idx]), idx
 
 
-def char_poly_of(arrangement: Arrangement, ambient_m: int,
-                 budget: int = DEFAULT_BUDGET) -> LaurentPoly:
+def char_poly_of(arrangement: Arrangement, ambient_m: int) -> LaurentPoly:
     """Characteristic polynomial in an ambient space of dimension
     ambient_m (deletions live in the original space)."""
-    return build_lattice(arrangement, budget).char_poly().shift(
+    return build_lattice(arrangement).char_poly().shift(
         ambient_m - arrangement.m)
 
 

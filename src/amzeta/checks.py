@@ -1,12 +1,13 @@
 """Verification suites: each invariant checked a second way, in one table.
 
 ``amz verify --suite NAME`` runs ``SUITES[NAME]``, and the acceptance gate
-runs the same entries.  A suite takes the parsed options (``p``, ``alpha``,
-``seed``, ``budget``: every lattice, walk and oracle of the suite draws on
-``budget``) and returns ``(checks, conjectures)``, two lists of
+runs the same entries.  A suite takes the parsed options (``p``,
+``alpha``, ``seed``) and returns ``(checks, conjectures)``, two lists of
 ``(name, fn)``: a check raises an ``AmzError`` on failure (``require``
 raises ``InvariantError``, so the checks also run under ``python -O``), a
 conjecture returns ``(cases seen, violations)`` and never fails the run.
+Every lattice, walk and oracle of a suite draws on the one budget,
+``errors.BUDGET``.
 """
 
 from __future__ import annotations
@@ -24,12 +25,7 @@ from .arrangement import (
     restriction,
     structural_flags,
 )
-from .errors import (
-    DEFAULT_BUDGET,
-    InvariantError,
-    is_prime,
-    require_depth,
-)
+from .errors import InvariantError, is_prime, require_depth
 from .exact_algebra import LaurentPoly
 from .hypertoric import hypertoric_class
 from .igusa import (
@@ -87,7 +83,7 @@ def next_prime_above(bound):
     return p
 
 
-def lattice_invariants(arr, lat, budget=DEFAULT_BUDGET):
+def lattice_invariants(arr, lat):
     """chi monic of degree m and divisible by q - 1; Mobius sign and
     recursion == chain count on every comparable pair; deletion-restriction
     for each hyperplane; chi(p) == the F_p complement count."""
@@ -108,22 +104,20 @@ def lattice_invariants(arr, lat, budget=DEFAULT_BUDGET):
         fi = next(k for k, f in enumerate(lat.flats) if i in f)
         deleted, _ = deletion(arr, lat.flats[fi])
         restricted, _ = restriction(arr, lat.flats[fi])
-        require(chi == (char_poly_of(deleted, arr.m, budget)
-                        - char_poly_of(restricted,
-                                       arr.m - lat.ranks[fi], budget)),
+        require(chi == (char_poly_of(deleted, arr.m)
+                        - char_poly_of(restricted, arr.m - lat.ranks[fi])),
                 f"deletion-restriction fails at hyperplane {i}")
-    p = next_prime_above(max_abs_minor(arr, budget))
-    require(count_complement_Fq(arr, p, budget) == chi.evaluate(p),
+    p = next_prime_above(max_abs_minor(arr))
+    require(count_complement_Fq(arr, p) == chi.evaluate(p),
             f"F_{p} complement count != chi({p})")
 
 
 def _suite_paper(args):
-    budget = args.budget
     checks = []
 
     def zeta_of(arr):
-        lat = build_lattice(arr, budget)
-        return igusa_chain(arr, lat, budget), lat
+        lat = build_lattice(arr)
+        return igusa_chain(arr, lat), lat
 
     def origin_zetas():
         for n in range(1, 6):
@@ -148,26 +142,26 @@ def _suite_paper(args):
     def toric_classes():
         for n in range(1, 5):
             arr = reference.n_origins(n)
-            cls = hypertoric_class(arr, build_lattice(arr, budget), budget)
+            cls = hypertoric_class(arr, build_lattice(arr))
             expected = (LaurentPoly.monomial("L", n - 1)
                         * LaurentPoly("L", {e: 1 for e in range(n)}))
             require(cls.value == expected, f"hypertoric class of {n} origins")
     checks.append(("hypertoric origin family classes", toric_classes))
 
     def odr_values():
-        require(odr_class(OdrInput(1, (2, 5)), budget).value
+        require(odr_class(OdrInput(1, (2, 5))).value
                 == LaurentPoly.one("L"),
                 "odr class of rank 1, orders (2, 5)")
         for d in (2, 3, 4):
             for k in range(2 * d, 9):
                 orders = (k - 2 * (d - 1),) + (2,) * (d - 1)
-                got = odr_class(OdrInput(2, orders), budget).value
+                got = odr_class(OdrInput(2, orders)).value
                 require(got == reference.odr_rank2_expected(d, k),
                         f"odr rank-2 class, d={d}, k={k}")
     checks.append(("open de Rham rank-2 family", odr_values))
 
     def one_loop_series():
-        gf = nakajima_gf(reference.jordan_quiver(), (1,), 5, budget)
+        gf = nakajima_gf(reference.jordan_quiver(), (1,), 5)
         expected = reference.hilbert_series_coefficients(5)
         for n in range(6):
             require(gf.series.get((n,), LaurentPoly.zero("L")) == expected[n],
@@ -181,29 +175,29 @@ def _suite_paper(args):
 
     def residue_values():
         arr = reference.triangle()
-        lat = build_lattice(arr, budget)
-        require(b_mu(arr, lat, budget) == reference.bmu_triangle(),
+        lat = build_lattice(arr)
+        require(b_mu(arr, lat) == reference.bmu_triangle(),
                 "B_mu of the triangle")
-        require(b_prime(arr, lat, budget).b_prime == reference.EULERIAN[3],
+        require(b_prime(arr, lat).b_prime == reference.EULERIAN[3],
                 "B' of the triangle")
         arr4 = graphic_arrangement(reference.cycle_quiver(4))
-        require(b_prime(arr4, build_lattice(arr4, budget), budget).b_prime
+        require(b_prime(arr4, build_lattice(arr4)).b_prime
                 == reference.EULERIAN[4], "B' of the 4-cycle")
         arrd = reference.triangle_doubled()
-        latd = build_lattice(arrd, budget)
-        require(b_mu(arrd, latd, budget) == reference.bmu_triangle_doubled(),
+        latd = build_lattice(arrd)
+        require(b_mu(arrd, latd) == reference.bmu_triangle_doubled(),
                 "B_mu of the doubled triangle")
         arr6 = reference.six_normals_rank3()
-        require(b_prime(arr6, build_lattice(arr6, budget), budget).b_prime
+        require(b_prime(arr6, build_lattice(arr6)).b_prime
                 == reference.SIX_NORMALS_BPRIME, "B' of the six normals")
         for n in (2, 3):
             arrn = reference.n_origins(n)
-            require(b_mu(arrn, build_lattice(arrn, budget), budget)
+            require(b_mu(arrn, build_lattice(arrn))
                     == reference.bmu_n_origins(n), f"B_mu of {n} origins")
     checks.append(("residues and numerators", residue_values))
 
     def divisor_counts():
-        for c in depth_counts(reference.n_origins(1), 5, 3, budget):
+        for c in depth_counts(reference.n_origins(1), 5, 3):
             require(c.count == (c.alpha + 1) * 5 ** c.alpha
                     - c.alpha * 5 ** (c.alpha - 1),
                     f"single-origin count at depth {c.alpha}")
@@ -211,12 +205,12 @@ def _suite_paper(args):
 
     def rep_limits():
         for k in (3, 4):
-            require(a_gamma_limit(reference.cycle_quiver(k), budget)
+            require(a_gamma_limit(reference.cycle_quiver(k))
                     == reference.a_limit_cycle(k), f"limit of the {k}-cycle")
-        require(a_gamma_limit(reference.cycle3_doubled_quiver(), budget)
+        require(a_gamma_limit(reference.cycle3_doubled_quiver())
                 == reference.a_limit_cycle3_doubled(),
                 "limit of the doubled triangle")
-        require(a_gamma_alpha(reference.cycle_quiver(3), 1, budget)
+        require(a_gamma_alpha(reference.cycle_quiver(3), 1)
                 == LaurentPoly("q", {1: 1, 0: 2}),
                 "depth-1 count of the triangle")
     checks.append(("indecomposable count limits", rep_limits))
@@ -228,12 +222,10 @@ def _suite_oracle(args):
     p = args.p or 5
     alpha = 2 if args.alpha is None else args.alpha
     require_depth(alpha)
-    budget = args.budget
     checks = []
 
     def series(arr, depth):
-        return lambda: poincare_check(arr, build_lattice(arr, budget), p,
-                                      depth, budget)
+        return lambda: poincare_check(arr, build_lattice(arr), p, depth)
     for name, arr, depth in [
             ("single origin", reference.n_origins(1), max(alpha, 3)),
             ("two origins", reference.n_origins(2), alpha),
@@ -242,8 +234,8 @@ def _suite_oracle(args):
 
     def probes():
         arr = reference.triangle()
-        probe = limit_probe(arr, build_lattice(arr, budget),
-                            depth_counts(arr, p, alpha, budget), budget)
+        probe = limit_probe(arr, build_lattice(arr),
+                            depth_counts(arr, p, alpha))
         # one depth gives one distance, so there is nothing to compare
         require(probe.converges and (alpha == 1 or probe.distances[-1]
                                      < probe.distances[0]),
@@ -255,7 +247,6 @@ def _suite_oracle(args):
 
 def _suite_properties(args):
     rng = random.Random(args.seed)
-    budget = args.budget
     arrangements = [random_arrangement(rng, require_essential=True)
                     for _ in range(20)]
     checks = []
@@ -263,10 +254,10 @@ def _suite_properties(args):
 
     def core(arr):
         def run():
-            lat = build_lattice(arr, budget)
-            lattice_invariants(arr, lat, budget)
-            zeta = igusa_chain(arr, lat, budget)
-            require(zeta.value == igusa_recursion(arr, lat, budget).value,
+            lat = build_lattice(arr)
+            lattice_invariants(arr, lat)
+            zeta = igusa_chain(arr, lat)
+            require(zeta.value == igusa_recursion(arr, lat).value,
                     "chain != recursion")
             require(functional_equation_check(zeta),
                     "functional equation fails")
@@ -282,8 +273,7 @@ def _suite_properties(args):
             if not all(structural_flags(arr).values()):
                 continue
             seen += 1
-            if not b_prime(arr, build_lattice(arr, budget),
-                           budget).positive_coeffs:
+            if not b_prime(arr, build_lattice(arr)).positive_coeffs:
                 violated += 1
         return seen, violated
     conjectures.append(("positivity of the cleared numerator", positivity))
@@ -294,7 +284,7 @@ def _suite_properties(args):
                        reference.cycle3_doubled_quiver()]:
             if is_two_edge_connected(quiver):
                 seen += 1
-                if not check_lastone(quiver, budget).equal:
+                if not check_lastone(quiver).equal:
                     violated += 1
         return seen, violated
     conjectures.append(("graph-count vs numerator bridge", bridge))

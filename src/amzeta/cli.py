@@ -9,7 +9,9 @@ exceeded, 4 internal invariant violation / failed verification.
 Only ``errors`` and ``arrangement`` are imported at module level; each
 handler imports its own layer when called, as every call is a fresh
 process that compiles what it imports: ``amz igusa`` loads no quiver or
-oracle layer, and only ``verify`` loads the whole package.
+oracle layer, and only ``verify`` loads the whole package.  ``main`` sets
+``errors.BUDGET`` from --budget for the length of one call and restores it
+however the call ends, so in-process callers see their own value after.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import json
 import sys
 import time
 
+from . import errors
 from .arrangement import (Arrangement, _charge_unimodular, build_lattice,
                           max_abs_minor, structural_flags, unimodular)
 from .errors import (
@@ -68,14 +71,14 @@ def _arrangement(args) -> Arrangement:
 def _lattice(args):
     """The arrangement of ``args.input`` and its lattice of flats."""
     arr = _arrangement(args)
-    return arr, build_lattice(arr, args.budget)
+    return arr, build_lattice(arr)
 
 
 def _poset(args):
     """The arrangement of ``args.input`` and the poset its chain sums walk."""
     from .igusa import chain_poset
     arr = _arrangement(args)
-    return arr, chain_poset(arr, args.budget)
+    return arr, chain_poset(arr)
 
 
 def _quiver(args):
@@ -127,10 +130,10 @@ def _int_list(text, option):
 def cmd_lattice(args):
     arr, lat = _lattice(args)
     # both minor scans are charged before either runs
-    _charge_unimodular(arr, args.budget)
+    _charge_unimodular(arr)
     flags = {**structural_flags(arr),
-             "max_abs_minor": max_abs_minor(arr, args.budget),
-             "unimodular": unimodular(arr, args.budget)}
+             "max_abs_minor": max_abs_minor(arr),
+             "unimodular": unimodular(arr)}
     _emit({
         "flats": [_flat_json(f) for f in lat.flats],
         "ranks": list(lat.ranks),
@@ -156,7 +159,7 @@ def cmd_mobius(args):
 
 def cmd_hypertoric(args):
     from .hypertoric import e_polynomial, hypertoric_class
-    cls = hypertoric_class(*_lattice(args), args.budget)
+    cls = hypertoric_class(*_lattice(args))
     payload = {"class": cls.value.to_json(), "formal": cls.formal,
                "unimodular": cls.unimodular}
     if cls.value.is_polynomial():
@@ -166,16 +169,14 @@ def cmd_hypertoric(args):
 
 def cmd_nakajima(args):
     from .quiver_varieties import nakajima_gf
-    gf = nakajima_gf(_quiver(args), _int_list(args.w, "--w"), args.depth,
-                     args.budget)
+    gf = nakajima_gf(_quiver(args), _int_list(args.w, "--w"), args.depth)
     _emit({"classes": {",".join(map(str, v)): cls.to_json()
                        for v, cls in gf.classes.items()}})
 
 
 def cmd_odr(args):
     from .open_derham import OdrInput, odr_class
-    cls = odr_class(OdrInput(args.n, _int_list(args.orders, "--orders")),
-                    args.budget)
+    cls = odr_class(OdrInput(args.n, _int_list(args.orders, "--orders")))
     _emit({"class": cls.value.to_json(),
            "dimension": cls.input.dimension(),
            "positive_coeffs_observed": cls.positive_coeffs})
@@ -183,16 +184,15 @@ def cmd_odr(args):
 
 def cmd_igusa(args):
     from .igusa import igusa_chain, igusa_recursion
-    zeta = (igusa_recursion(*_lattice(args), args.budget)
-            if args.method == "recursion"
-            else igusa_chain(*_poset(args), args.budget))
+    zeta = (igusa_recursion(*_lattice(args)) if args.method == "recursion"
+            else igusa_chain(*_poset(args)))
     _show(zeta.value, args.format)
 
 
 def cmd_poles(args):
     from .igusa import functional_equation_check, igusa_chain, pole_report
     arr, poset = _poset(args)
-    zeta = igusa_chain(arr, poset, args.budget)
+    zeta = igusa_chain(arr, poset)
     payload = pole_report(zeta, arr, poset).to_json()
     payload["functional_equation"] = functional_equation_check(zeta)
     _emit(payload)
@@ -200,23 +200,22 @@ def cmd_poles(args):
 
 def cmd_bmu(args):
     from .residues import b_mu
-    _show(b_mu(*_poset(args), args.budget), args.format)
+    _show(b_mu(*_poset(args)), args.format)
 
 
 def cmd_bprime(args):
     from .residues import b_prime
-    data = b_prime(*_poset(args), args.budget)
+    data = b_prime(*_poset(args))
     _show(data.b_prime, args.format, data.to_json())
 
 
 def cmd_quiver_indec(args):
     from .quiver_reps import a_gamma_alpha, brute_force_indec
     quiver = _quiver(args)
-    poly = a_gamma_alpha(quiver, args.alpha, args.budget)
+    poly = a_gamma_alpha(quiver, args.alpha)
     payload = {"poly": poly.to_json(), "alpha": args.alpha}
     if args.p is not None:
-        count = brute_force_indec(quiver, args.p, args.alpha,
-                                  budget=args.budget)
+        count = brute_force_indec(quiver, args.p, args.alpha)
         payload["brute_force"] = {"p": args.p, "count": str(count)}
         if count != poly.evaluate(args.p):
             raise InvariantError("brute force disagrees with the polynomial")
@@ -225,12 +224,12 @@ def cmd_quiver_indec(args):
 
 def cmd_quiver_limit(args):
     from .quiver_reps import a_gamma_limit
-    _show(a_gamma_limit(_quiver(args), args.budget), args.format)
+    _show(a_gamma_limit(_quiver(args)), args.format)
 
 
 def cmd_check_lastone(args):
     from .quiver_reps import check_lastone
-    report = check_lastone(_quiver(args), args.budget)
+    report = check_lastone(_quiver(args))
     _emit({
         "equal": report.equal,
         "lhs": report.lhs.to_json(),
@@ -244,9 +243,8 @@ def cmd_oracle(args):
     from .padic_oracle import depth_counts, limit_probe
     arr = _arrangement(args)
     # the depth and the prime are checked before the poset is built
-    counts = depth_counts(arr, args.p, args.alpha, budget=args.budget)
-    probe = limit_probe(arr, chain_poset(arr, args.budget), counts,
-                        args.budget)
+    counts = depth_counts(arr, args.p, args.alpha)
+    probe = limit_probe(arr, chain_poset(arr), counts)
     payload = {
         "p": args.p,
         "counts": [{"alpha": c.alpha, "count": str(c.count),
@@ -396,8 +394,10 @@ def build_parser() -> _Parser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    budget = errors.BUDGET          # restored however the call ends
     try:
         args = parser.parse_args(argv)
+        errors.BUDGET = args.budget
         result = args.handler(args)
         return int(result) if result is not None else 0
     except AmzError as exc:
@@ -405,6 +405,8 @@ def main(argv=None) -> int:
         return exc.exit_code
     except BrokenPipeError:
         return 0
+    finally:
+        errors.BUDGET = budget
 
 
 if __name__ == "__main__":

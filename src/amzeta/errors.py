@@ -4,7 +4,8 @@ The CLI maps each AmzError class onto an exit code: parse errors exit 1,
 precondition violations exit 2, exhausted budgets exit 3 and invariant
 violations, a failed exact division among them, exit 4.  The helpers
 every layer shares live here too: input parsing, the primality test, the
-partition enumerator and the budget charges.
+partition enumerator and the budget charges, which read the one work
+budget ``BUDGET``.
 """
 
 
@@ -104,24 +105,27 @@ class BudgetExceededError(AmzError):
     exit_code = 3
 
 
-# the one work budget: every stage of a call charges its steps against it
+# the one work budget: every stage of a call charges its steps against
+# BUDGET, which ``amz --budget`` sets for the length of one call and a
+# library caller may set itself; only the two charges below read it
 DEFAULT_BUDGET = 10 ** 9
+BUDGET = DEFAULT_BUDGET
 
 
-def charge(what: str, steps: int, budget: int):
-    """Refuse, before any work, an enumeration of more steps than budget."""
-    if steps > budget:
+def charge(what: str, steps: int):
+    """Refuse, before any work, an enumeration of more steps than BUDGET."""
+    if steps > BUDGET:
         raise BudgetExceededError(
-            f"{what} needs {steps} steps, budget allows {budget}")
+            f"{what} needs {steps} steps, budget allows {BUDGET}")
 
 
-def _charge_running(what: str, steps: int, budget: int):
-    """Refuse a walk whose running count of steps has passed budget.  The
+def _charge_running(what: str, steps: int):
+    """Refuse a walk whose running count of steps has passed BUDGET.  The
     walk stops there, so its whole cost is only known to be at least
     steps."""
-    if steps > budget:
+    if steps > BUDGET:
         raise BudgetExceededError(
-            f"{what} needs at least {steps} steps, budget allows {budget}")
+            f"{what} needs at least {steps} steps, budget allows {BUDGET}")
 
 
 class InvariantError(AmzError):

@@ -43,7 +43,6 @@ from __future__ import annotations
 import math
 
 from .errors import (
-    DEFAULT_BUDGET,
     InvariantError,
     ParseError,
     PreconditionError,
@@ -545,7 +544,7 @@ def _b2_add_into(out: dict, num: dict, dt: int = 0):
             del out[k]
 
 
-def _clear(sums: dict, ds, budget: int = DEFAULT_BUDGET):
+def _clear(sums: dict, ds):
     """Sum over x of sums[x](q) * prod_k (t/(q^ds[k] - t))^x[k], where sums
     maps exponent tuples over ds to integer polynomial dicts {e: c}, as the
     unreduced pair (num, den): num a dict over (q, t) exponent pairs and
@@ -574,7 +573,7 @@ def _clear(sums: dict, ds, budget: int = DEFAULT_BUDGET):
             acc = {}
             for j in range(min(row), top + 1):
                 steps += len(acc) + len(row.get(j, ()))
-                _charge_running("denominator clear", steps, budget)
+                _charge_running("denominator clear", steps)
                 if acc:
                     acc = _b2_times_factor(acc, ds[k])
                 if j in row:
@@ -584,7 +583,7 @@ def _clear(sums: dict, ds, budget: int = DEFAULT_BUDGET):
     return terms.get((), {}), den
 
 
-def _charge_reduction(num: LaurentPoly, den, budget: int):
+def _charge_reduction(num: LaurentPoly, den):
     """Charge, before it runs, the ``RationalUni`` reduction of num over
     prod (q^a - 1)^mu, den = [(a, mu)] as ``_clear`` returns it.
 
@@ -600,8 +599,7 @@ def _charge_reduction(num: LaurentPoly, den, budget: int):
     degree = sum(a * mu for a, mu in den)
     span = 0 if num.is_zero() else num.degree() - num.low_degree()
     charge("rational function reduction",
-           (2 * degree + top * (top + 3) // 2) * (2 * degree + span + 2),
-           budget)
+           (2 * degree + top * (top + 3) // 2) * (2 * degree + span + 2))
 
 
 def _b2_div_factor(num: dict, a: int):

@@ -21,11 +21,7 @@ from .arrangement import (
     require_prime_above_minors,
     unimodular,
 )
-from .errors import (
-    DEFAULT_BUDGET,
-    InvariantError,
-    PreconditionError,
-)
+from .errors import InvariantError, PreconditionError, _charge_running
 from .exact_algebra import LaurentPoly, exact_div
 
 
@@ -41,11 +37,11 @@ class HypertoricClass:
         self.formal = not unimodular
 
 
-def hypertoric_class(arrangement: Arrangement, lat: FlatLattice,
-                     budget: int = DEFAULT_BUDGET) -> HypertoricClass:
-    """``budget`` bounds the scan of maximal minors for unimodularity."""
+def hypertoric_class(arrangement: Arrangement,
+                     lat: FlatLattice) -> HypertoricClass:
+    """The budget bounds the scan of maximal minors for unimodularity."""
     _require_essential(arrangement)
-    smooth = unimodular(arrangement, budget)
+    smooth = unimodular(arrangement)
     n, m = arrangement.n, arrangement.m
     coeffs = {}
     for i, f in enumerate(lat.flats):
@@ -87,17 +83,21 @@ def xi_is_generic(arrangement: Arrangement, lat: FlatLattice, p: int,
 
 
 def find_generic_xi(arrangement: Arrangement, lat: FlatLattice, p: int):
-    """First generic vector in lexicographic order; exists for admissible p."""
-    for xi in itertools.product(range(p), repeat=arrangement.m):
+    """First generic vector in lexicographic order; exists for admissible p.
+    Each candidate tried is charged the flats it may read: K6 at p = 3
+    tries all 3^5 and is refused by a budget of 243 * 203 - 1."""
+    for tries, xi in enumerate(
+            itertools.product(range(p), repeat=arrangement.m), 1):
+        _charge_running("generic vector search", tries * len(lat))
         if xi_is_generic(arrangement, lat, p, xi):
             return xi
     raise PreconditionError(f"no generic vector mod {p}")
 
 
 def count_moment_fiber(arrangement: Arrangement, lat: FlatLattice, p: int,
-                       xi, budget: int = DEFAULT_BUDGET) -> int:
+                       xi) -> int:
     """|{(v, w) in F_p^2n : sum v_i w_i a_i = xi}| for generic xi."""
-    require_prime_above_minors(arrangement, p, budget)
+    require_prime_above_minors(arrangement, p)
     if not xi_is_generic(arrangement, lat, p, xi):
         raise PreconditionError(f"{tuple(xi)} is not generic mod {p}")
-    return _character_count(arrangement.normals, p, 1, xi, budget)[0]
+    return _character_count(arrangement.normals, p, 1, xi)[0]

@@ -12,12 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
-from .errors import (
-    DEFAULT_BUDGET,
-    InvariantError,
-    PreconditionError,
-    charge,
-)
+from .errors import InvariantError, PreconditionError, charge
 from .exact_algebra import LaurentPoly, exact_div
 from .quiver_varieties import _partition_counts, multiplicities, partitions
 
@@ -70,15 +65,14 @@ def _doubled(poly: LaurentPoly) -> dict:
     return {2 * e: c for e, c in poly.items()}
 
 
-def odr_class(inp: OdrInput, budget: int = DEFAULT_BUDGET) -> OdrClass:
+def odr_class(inp: OdrInput) -> OdrClass:
     """The partition sum over lambda |- n, cleared by (L-1)^(nd-1).  Before
-    any work, ``budget`` is charged n^2 (d-1) + 1 steps for each of the
+    any work, the budget is charged n^2 (d-1) + 1 steps for each of the
     p(n) terms, a bound on the coefficients its power of the stabilizer
     class adds: 10 steps for rank 2 with two poles."""
     n, d, k = inp.n, inp.d, inp.total
     what = "open de Rham sum"
-    charge(what, _partition_counts(n, what, budget)[n]
-           * (n * n * (d - 1) + 1), budget)
+    charge(what, _partition_counts(n, what)[n] * (n * n * (d - 1) + 1))
     acc = {}
     for lam in partitions(n):
         length = len(lam)

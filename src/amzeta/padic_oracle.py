@@ -23,7 +23,7 @@ from .arrangement import (
     require_prime_above_minors,
     structural_flags,
 )
-from .errors import DEFAULT_BUDGET, InvariantError, charge, require_depth
+from .errors import InvariantError, charge, require_depth
 from .igusa import IgusaZeta, igusa_chain
 from .residues import b_mu
 
@@ -39,13 +39,13 @@ class OracleCount:
         self.normalized = Fraction(count, p ** (alpha * (2 * n - m)))
 
 
-def _count_direct(normals, p, alpha, target, budget):
+def _count_direct(normals, p, alpha, target):
     """|{(x, y) in (Z/p^alpha)^2n : sum x_i y_i a_i = target}| by
     enumerating all p^(2 n alpha) pairs: the reference that the character
     sum ``_character_count`` is tested against, for the fiber count
     (alpha = 1, target xi) and the congruence count (target 0) alike."""
     n, mod = len(normals), p ** alpha
-    charge("direct enumeration", mod ** (2 * n), budget)
+    charge("direct enumeration", mod ** (2 * n))
     target = tuple(t % mod for t in target)
     return sum(all(sum(xy[i] * xy[n + i] * normals[i][k]
                        for i in range(n)) % mod == t
@@ -53,15 +53,14 @@ def _count_direct(normals, p, alpha, target, budget):
                for xy in itertools.product(range(mod), repeat=2 * n))
 
 
-def depth_counts(arrangement: Arrangement, p: int, alpha_max: int,
-                 budget: int = DEFAULT_BUDGET):
+def depth_counts(arrangement: Arrangement, p: int, alpha_max: int):
     """OracleCounts of depths 1..alpha_max at the prime p, from one walk:
     the solutions of sum x_i y_i a_i = 0 in (Z/p^alpha)^(2n).  A depth
     below 1 is refused before the prime guard scans any minor."""
     require_depth(alpha_max)
-    require_prime_above_minors(arrangement, p, budget)
+    require_prime_above_minors(arrangement, p)
     counts = _character_count(arrangement.normals, p, alpha_max,
-                              (0,) * arrangement.m, budget)
+                              (0,) * arrangement.m)
     return [OracleCount(arrangement, p, alpha, count)
             for alpha, count in enumerate(counts, 1)]
 
@@ -88,15 +87,14 @@ def series_counts_from_zeta(zeta: IgusaZeta, p: int, alpha_max: int):
 
 
 def poincare_check(arrangement: Arrangement, lat, p: int,
-                   alpha_max: int,
-                   budget: int = DEFAULT_BUDGET) -> PoincareReport:
+                   alpha_max: int) -> PoincareReport:
     """Exact equality of the series coefficients with the brute-force
     normalized counts, for every depth up to alpha_max; a mismatch
     raises."""
-    zeta = igusa_chain(arrangement, lat, budget)
+    zeta = igusa_chain(arrangement, lat)
     n = arrangement.n
     expected = series_counts_from_zeta(zeta, p, alpha_max)
-    counts = depth_counts(arrangement, p, alpha_max, budget)
+    counts = depth_counts(arrangement, p, alpha_max)
     got = [Fraction(c.count, p ** (2 * n * c.alpha)) for c in counts]
     if got != expected:
         raise InvariantError(
@@ -114,8 +112,7 @@ class LimitProbe:
         self.converges = converges
 
 
-def limit_probe(arrangement: Arrangement, lat, counts,
-                budget: int = DEFAULT_BUDGET) -> LimitProbe:
+def limit_probe(arrangement: Arrangement, lat, counts) -> LimitProbe:
     """Normalized count sequence and exact distances to the symbolic limit.
 
     ``counts`` are the OracleCounts of depths 1..alpha_max at one prime,
@@ -126,7 +123,7 @@ def limit_probe(arrangement: Arrangement, lat, counts,
     values = [c.normalized for c in counts]
     flags = structural_flags(arrangement)
     if flags["essential"] and flags["coloop_free"]:
-        limit = b_mu(arrangement, lat, budget).evaluate(p)
+        limit = b_mu(arrangement, lat).evaluate(p)
         distances = [abs(v - limit) for v in values]
         return LimitProbe(values, limit, distances, True)
     return LimitProbe(values, None, None, False)

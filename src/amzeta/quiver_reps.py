@@ -28,7 +28,6 @@ import itertools
 
 from .arrangement import graphic_arrangement
 from .errors import (
-    DEFAULT_BUDGET,
     InvariantError,
     PreconditionError,
     charge,
@@ -89,18 +88,17 @@ def is_two_edge_connected(quiver: Quiver) -> bool:
 # the finite-depth polynomial
 # ---------------------------------------------------------------------------
 
-def a_gamma_alpha(quiver: Quiver, alpha: int,
-                  budget: int = DEFAULT_BUDGET) -> LaurentPoly:
+def a_gamma_alpha(quiver: Quiver, alpha: int) -> LaurentPoly:
     """Polynomial count of indecomposable classes at depth alpha.
 
     Each level is one subset-sum (zeta) transform over the 2^E edge masks,
     E * 2^E Laurent additions, instead of a sum over every pair; the
-    alpha * E * 2^E additions are charged against ``budget``."""
+    alpha * E * 2^E additions are charged against the budget."""
     require_depth(alpha)
     if not is_connected(quiver):
         raise PreconditionError("graph must be connected")
     ne = len(quiver.edges)
-    charge("depth polynomial", alpha * ne * 2 ** ne, budget)
+    charge("depth polynomial", alpha * ne * 2 ** ne)
     masks = range(1 << ne)
     comps = [components(quiver, mask) for mask in masks]
     b = [comps[mask] - quiver.vertices + bin(mask).count("1")
@@ -126,20 +124,19 @@ def a_gamma_alpha(quiver: Quiver, alpha: int,
     return total
 
 
-def a_gamma_limit(quiver: Quiver,
-                  budget: int = DEFAULT_BUDGET) -> RationalUni:
+def a_gamma_limit(quiver: Quiver) -> RationalUni:
     """Normalized limit of q^(-alpha b) A(alpha) for 2-edge-connected graphs.
 
     Every chain weight is u_k = 1/(q^k - 1) with k = b(G) - b(G'_j) in
     1..b(G), so the chain sums are integer polynomials in the symbols
     u_1..u_b(G), dicts from exponent tuples to ints.  The 3^E (subset,
-    submask) steps are integer dict additions, charged against ``budget``;
+    submask) steps are integer dict additions, charged against the budget;
     the sum becomes one rational function, reduced once, only at the end."""
     if not is_two_edge_connected(quiver):
         raise PreconditionError(
             "graph has a bridge: the normalized limit diverges")
     ne = len(quiver.edges)
-    charge("normalized limit", 3 ** ne, budget)
+    charge("normalized limit", 3 ** ne)
     full = (1 << ne) - 1
     b_top = betti(quiver, full)
     one = (0,) * b_top
@@ -160,10 +157,10 @@ def a_gamma_limit(quiver: Quiver,
         for e, c in val.items():
             total[e] = total.get(e, 0) + c
     num, den = _clear({e: {0: c} for e, c in total.items()},
-                      range(1, b_top + 1), budget)
+                      range(1, b_top + 1))
     # t = 1, times the factor (1 - 1/q)^b = (q - 1)^b / q^b
     num = _b2_at(num, 0) * LaurentPoly("q", {1: 1, 0: -1}) ** b_top
-    _charge_reduction(num, den, budget)
+    _charge_reduction(num, den)
     return RationalUni(num, _b2_at(_b2_expand(den), 0).shift(b_top))
 
 
@@ -177,8 +174,7 @@ def _unit_weights(p: int, alpha: int):
             for v in range(alpha + 1)]
 
 
-def brute_force_indec(quiver: Quiver, p: int, alpha: int,
-                      budget: int = DEFAULT_BUDGET) -> int:
+def brute_force_indec(quiver: Quiver, p: int, alpha: int) -> int:
     """Number of isomorphism classes of indecomposable all-ones
     representations over Z/p^alpha: edge valuation patterns, each weighted
     by the automorphism count (q-1)^c_alpha q^(sum c_k) via the
@@ -188,7 +184,7 @@ def brute_force_indec(quiver: Quiver, p: int, alpha: int,
     if not is_connected(quiver):
         raise PreconditionError("graph must be connected")
     ne = len(quiver.edges)
-    charge("valuation pattern enumeration", (alpha + 1) ** ne, budget)
+    charge("valuation pattern enumeration", (alpha + 1) ** ne)
     weights = _unit_weights(p, alpha)
     group_order = ((p - 1) * p ** (alpha - 1)) ** quiver.vertices
     total = 0
@@ -216,14 +212,13 @@ def brute_force_indec(quiver: Quiver, p: int, alpha: int,
     return classes
 
 
-def _brute_force_raw(quiver: Quiver, p: int, alpha: int, budget: int) -> int:
+def _brute_force_raw(quiver: Quiver, p: int, alpha: int) -> int:
     """``brute_force_indec`` by enumerating representations and
     canonicalizing their orbits explicitly."""
     ne = len(quiver.edges)
     mod = p ** alpha
     units = [u for u in range(1, mod) if u % p]
-    charge("raw orbit enumeration", mod ** ne * len(units) ** quiver.vertices,
-           budget)
+    charge("raw orbit enumeration", mod ** ne * len(units) ** quiver.vertices)
     seen = set()
     classes = 0
     for rep in itertools.product(range(mod), repeat=ne):
@@ -257,19 +252,18 @@ class LastOneReport:
         self.equal = equal
 
 
-def check_lastone(quiver: Quiver,
-                  budget: int = DEFAULT_BUDGET) -> LastOneReport:
+def check_lastone(quiver: Quiver) -> LastOneReport:
     """Compare (q^b - 1)^(V-1) * A(q) with the numerator polynomial of the
-    graphic arrangement, whose chain poset and walk draw on ``budget``
+    graphic arrangement, whose chain poset and walk draw on the budget
     too.  A mismatch is reported, never raised: the equality is
     conjectural."""
-    limit = a_gamma_limit(quiver, budget)
+    limit = a_gamma_limit(quiver)
     b_top = betti(quiver, (1 << len(quiver.edges)) - 1)
     lhs = RationalUni(limit.num * LaurentPoly("q", {b_top: 1, 0: -1})
                       ** (quiver.vertices - 1), limit.den)
     arr = graphic_arrangement(quiver)
     from .igusa import chain_poset
     from .residues import b_prime
-    rhs = b_prime(arr, chain_poset(arr, budget), budget).b_prime
+    rhs = b_prime(arr, chain_poset(arr)).b_prime
     equal = lhs.den.is_one() and lhs.num == rhs
     return LastOneReport(lhs, rhs, equal)

@@ -16,7 +16,6 @@ import itertools
 import operator
 
 from .errors import (
-    DEFAULT_BUDGET,
     InvariantError,
     ParseError,
     PreconditionError,
@@ -33,10 +32,10 @@ from .exact_algebra import LaurentPoly, exact_div
 # partitions
 # ---------------------------------------------------------------------------
 
-def _partition_counts(n: int, what: str, budget: int) -> list:
+def _partition_counts(n: int, what: str) -> list:
     """[p(0), ..., p(n)] by Euler's pentagonal number recurrence.  Each
     caller's cost is at least p(n), so ``what`` is refused as soon as a
-    count passes budget, and the count itself stays short."""
+    count passes the budget, and the count itself stays short."""
     counts = [1]
     for total in range(1, n + 1):
         value, j = 0, 1
@@ -46,7 +45,7 @@ def _partition_counts(n: int, what: str, budget: int) -> list:
                 if g <= total:
                     value += sign * counts[total - g]
             j += 1
-        _charge_running(what, value, budget)
+        _charge_running(what, value)
         counts.append(value)
     return counts
 
@@ -191,14 +190,13 @@ class NakajimaGF:
         self.classes = classes
 
 
-def nakajima_gf(quiver: Quiver, w, bound: int,
-                budget: int = DEFAULT_BUDGET) -> NakajimaGF:
+def nakajima_gf(quiver: Quiver, w, bound: int) -> NakajimaGF:
     """Build the quotient series and extract one class per coefficient.
 
     With N_v, Den_v the partition sums' coefficients and Q = N / Den, the
     cleared Q~_v = D_v Q_v obey the integer recurrence
     Q~_v = N~_v - sum_{0<u<=v} prod_i [v_i, u_i] Den~_u Q~_(v-u),
-    and Q_v = Q~_v / D_v must be exact.  Before any work, ``budget`` is
+    and Q_v = Q~_v / D_v must be exact.  Before any work, the budget is
     charged one step per term of the two partition sums, the
     multipartitions of every v of degree <= bound: 2 sum_v prod_i p(v_i),
     38 steps for one loop at bound 5."""
@@ -210,12 +208,12 @@ def nakajima_gf(quiver: Quiver, w, bound: int,
     if bound < 0:
         raise PreconditionError("truncation bound must be >= 0")
     what = "Nakajima partition sums"
-    counts = _partition_counts(bound, what, budget)
+    counts = _partition_counts(bound, what)
     terms = [1] + [0] * bound       # multipartition counts by degree
     for _ in range(quiver.vertices):
         terms = [sum(terms[a] * counts[d - a] for a in range(d + 1))
                  for d in range(bound + 1)]
-    charge(what, 2 * sum(terms), budget)
+    charge(what, 2 * sum(terms))
     num = _partition_sum(quiver, w, bound)
     den = _partition_sum(quiver, (0,) * quiver.vertices, bound)
     cleared, series = {}, {}

@@ -22,11 +22,7 @@ discrepancy flag is raised when they differ.
 from __future__ import annotations
 
 from .arrangement import Arrangement, _require_essential
-from .errors import (
-    DEFAULT_BUDGET,
-    InvariantError,
-    PreconditionError,
-)
+from .errors import InvariantError, PreconditionError
 from .exact_algebra import (
     LaurentPoly,
     RationalUni,
@@ -65,8 +61,7 @@ class ResidueData:
                 "positive_coeffs_observed": self.positive_coeffs}
 
 
-def b_mu(arrangement: Arrangement, lat,
-         budget: int = DEFAULT_BUDGET) -> RationalUni:
+def b_mu(arrangement: Arrangement, lat) -> RationalUni:
     """Chain-sum value of the normalized limit, as a reduced degree-0
     rational function of q, over ``lat``, the lattice of flats or the
     ``chain_poset`` of the arrangement: the sums of ``_chain_sums`` at
@@ -75,13 +70,13 @@ def b_mu(arrangement: Arrangement, lat,
     at t = 1 and reduced once."""
     _require_essential(arrangement, coloop_free=True)
     m = arrangement.m
-    deltas, sums = _chain_sums(lat, budget)
+    deltas, sums = _chain_sums(lat)
     if deltas and deltas[0] <= m:
         raise InvariantError("delta - m must be positive off the top")
     sums[(0,) * len(deltas)] = {0: 1}
-    num, den = _clear(sums, [a - m for a in deltas], budget)
+    num, den = _clear(sums, [a - m for a in deltas])
     num = _b2_at(num, 0)
-    _charge_reduction(num, den, budget)
+    _charge_reduction(num, den)
     total = RationalUni(num, _b2_at(_b2_expand(den), 0))
     if total.degree() != 0:
         raise InvariantError("normalized limit is not of degree 0")
@@ -90,7 +85,7 @@ def b_mu(arrangement: Arrangement, lat,
 
 def b_mu_via_residue(zeta: IgusaZeta, m: int) -> RationalUni:
     """q^m (q^(s+m) - 1)/(q^m - 1) * I at s = -m; requires a simple pole.
-    The reduction is charged to DEFAULT_BUDGET over q^m - 1 and q^|a-m| - 1."""
+    The reduction is charged over q^m - 1 and q^|a-m| - 1."""
     orders = zeta.value.pole_orders()
     if orders.get(m, 0) != 1:
         raise PreconditionError(
@@ -99,19 +94,17 @@ def b_mu_via_residue(zeta: IgusaZeta, m: int) -> RationalUni:
     e1, e2 = zeta.value.unit
     rest = [(a, mu) for a, mu in zeta.value.den if a != m]
     num = _b2_at(zeta.value.num, m).shift(m)
-    _charge_reduction(num, [(abs(a - m), mu) for a, mu in rest] + [(m, 1)],
-                      DEFAULT_BUDGET)
+    _charge_reduction(num, [(abs(a - m), mu) for a, mu in rest] + [(m, 1)])
     return RationalUni(num,
                        _b2_at(_b2_expand(rest), m).shift(e1 + m * (e2 + 1))
                        * LaurentPoly("q", {m: 1, 0: -1}))
 
 
-def b_prime(arrangement: Arrangement, lat,
-            budget: int = DEFAULT_BUDGET) -> ResidueData:
+def b_prime(arrangement: Arrangement, lat) -> ResidueData:
     """num(B_mu) times the clearing factor, divided once, exactly, by
     den(B_mu); a remainder means the factor does not clear B_mu."""
     m = arrangement.m
-    base = b_mu(arrangement, lat, budget)
+    base = b_mu(arrangement, lat)
     cleared = base.num.shift(m)
     declared_degree = m
     for eps, lv in sorted(level_sets(lat).items()):

@@ -15,7 +15,6 @@ from amzeta.arrangement import build_lattice, graphic_arrangement, \
     structural_flags
 from amzeta.checks import DEFAULT_SEED, SUITES, lattice_invariants, \
     random_arrangement
-from amzeta.errors import DEFAULT_BUDGET
 from amzeta.exact_algebra import LaurentPoly
 from amzeta.hypertoric import count_moment_fiber, find_generic_xi, \
     hypertoric_class
@@ -41,8 +40,7 @@ def _passed(num, text):
 @functools.cache
 def _table(suite):
     checks, conjectures = SUITES[suite](
-        SimpleNamespace(p=None, alpha=None, seed=DEFAULT_SEED,
-                        budget=DEFAULT_BUDGET))
+        SimpleNamespace(p=None, alpha=None, seed=DEFAULT_SEED))
     return dict(checks + conjectures)
 
 

@@ -80,13 +80,15 @@ def test_zero_row_rejected():
         Arrangement([(1, 0), (0, 0)])
 
 
-def test_flat_budget_enforced():
+def test_flat_budget_enforced(monkeypatch):
     # the triangle (n = 3, m = 2): 5 flats at n * m = 6 steps each
-    from amzeta.errors import BudgetExceededError
-    with pytest.raises(BudgetExceededError,
+    from amzeta import errors
+    monkeypatch.setattr(errors, "BUDGET", 29)
+    with pytest.raises(errors.BudgetExceededError,
                        match="lattice of flats needs at least 30 steps"):
-        build_lattice(triangle(), 29)
-    assert len(build_lattice(triangle(), 30).flats) == 5
+        build_lattice(triangle())
+    monkeypatch.setattr(errors, "BUDGET", 30)
+    assert len(build_lattice(triangle()).flats) == 5
 
 
 # ---------------------------------------------------------------------------

@@ -267,7 +267,9 @@ def test_recursion_charges_its_localization_lattices(capsys, tmp_path,
     code, out, err = run(capsys, "--budget", "5189", *argv)
     assert code == 3 and out == ""
     assert "localization lattices needs 5190 steps, budget allows 5189" in err
-    code, chain, _ = run(capsys, "--budget", "2080", "igusa", str(k5))
+    # the chain route walks K5's 7 partition types; its largest charge is
+    # the zeta reduction, 8,096 steps
+    code, chain, _ = run(capsys, "--budget", "8096", "igusa", str(k5))
     assert code == 0 and chain
     # the environment has no say: only --budget sets the budget
     monkeypatch.setenv("AMZ_BUDGET", "100")
@@ -384,26 +386,45 @@ def test_minor_scans_draw_on_the_budget(capsys, six_file, monkeypatch):
     assert code == 0 and json.loads(out)["flags"]["max_abs_minor"] == 2
 
 
-def test_every_budget_defaults_to_the_one_budget():
+def test_the_budget_is_one_value_that_main_restores(capsys, triangle_file,
+                                                    monkeypatch):
     import importlib
     import inspect
-    from amzeta.errors import DEFAULT_BUDGET
-    defaults = {}
+    from amzeta import cli, errors
+    # no function, private ones and methods included, takes a budget
+    takers = []
     for name in sorted(ALL_MODULES):
         module = importlib.import_module(f"amzeta.{name}")
-        for fname, fn in inspect.getmembers(module, inspect.isfunction):
-            params = inspect.signature(fn).parameters
-            if (fn.__module__ == module.__name__
-                    and not fname.startswith("_") and "budget" in params):
-                defaults[f"{name}.{fname}"] = params["budget"].default
-    # charge is the one that takes whatever budget it is handed
-    assert defaults.pop("errors.charge") is inspect.Parameter.empty
-    assert set(defaults.values()) == {DEFAULT_BUDGET}
-    assert {"arrangement.build_lattice", "igusa.igusa_recursion",
-            "arrangement.require_prime_above_minors",
-            "quiver_reps.check_lastone"} <= set(defaults)
-    assert DEFAULT_BUDGET == build_parser().parse_args(
+        members = [(fname, fn) for fname, fn in vars(module).items()
+                   if getattr(fn, "__module__", None) == module.__name__]
+        for fname, obj in list(members):
+            if inspect.isclass(obj):
+                members += [(f"{fname}.{key}", fn)
+                            for key, fn in vars(obj).items()]
+        for fname, fn in members:
+            fn = getattr(fn, "__func__", fn)
+            if (inspect.isfunction(fn)
+                    and "budget" in inspect.signature(fn).parameters):
+                takers.append(f"{name}.{fname}")
+    assert takers == []
+    assert errors.DEFAULT_BUDGET == build_parser().parse_args(
         ["lattice", "x.json"]).budget == 10 ** 9
+    # main sets the budget for one call and restores what it found: after
+    # an exit 0, an exit 3 and an exception that escapes
+    monkeypatch.setattr(errors, "BUDGET", 12345)
+    assert run(capsys, "--budget", "100000", "chi", triangle_file)[0] == 0
+    assert errors.BUDGET == 12345
+    assert run(capsys, "--budget", "1", "chi", triangle_file)[0] == 3
+    assert errors.BUDGET == 12345
+    seen = []
+
+    def crash(args):
+        seen.append(errors.BUDGET)
+        raise RuntimeError("handler crashed")
+    monkeypatch.setattr(cli, "cmd_chi", crash)
+    with pytest.raises(RuntimeError, match="handler crashed"):
+        main(["--budget", "7", "chi", triangle_file])
+    assert seen == [7] and errors.BUDGET == 12345
 
 
 # (stage, argv, refusal, steps): each input is refused first at its stage,
@@ -427,6 +448,9 @@ BUDGET_STAGES = [
     # the entries merged by the Horner clear of the 15 types' chain sums
     ("denominator clear", ["igusa", "k7"],
      "denominator clear needs at least", 16582),
+    # the trial divisions of the one reduction: sum (mu + 1) = 23 factor
+    # trials over the 624 terms, of t-degree 14, of the cleared total
+    ("zeta reduction", ["igusa", "k7"], "zeta reduction needs", 229632),
     ("localization lattices", ["igusa", "triangle", "--method", "recursion"],
      "localization lattices needs", 36),
     ("unimodular", ["hypertoric", "six"], "unimodular needs", 540),

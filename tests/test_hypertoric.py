@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from amzeta import errors
 from amzeta.arrangement import (
     Arrangement,
     build_lattice,
@@ -130,10 +131,11 @@ def test_fiber_count_triangle_matches_class():
         assert count == (p - 1) ** 2 * cls.value.evaluate(p)
 
 
-def test_fiber_count_methods_agree():
+def test_fiber_count_methods_agree(monkeypatch):
     arr = n_origins(2)
     lat = build_lattice(arr)
-    d = _count_direct(arr.normals, 5, 1, (1,), 10 ** 8)
+    monkeypatch.setattr(errors, "BUDGET", 10 ** 8)
+    d = _count_direct(arr.normals, 5, 1, (1,))
     c = count_moment_fiber(arr, lat, 5, (1,))
     assert d == c == 120
 
@@ -193,7 +195,7 @@ def test_coatoms_decide_genericity():
                     _generic_over_all_proper_flats(arr, lat, p, xi)
 
 
-def test_fiber_budget_charges_the_character_sum():
+def test_fiber_budget_charges_the_character_sum(monkeypatch):
     # K5 at p = 5 (m = 4) is charged ten inner products for each of the
     # (5^4 - 1) / 4 = 156 unit-scaling orbits of nonzero xi in F_5^4; the
     # prime guard's minor walk (2,860 steps) is run first, so that the
@@ -201,9 +203,27 @@ def test_fiber_budget_charges_the_character_sum():
     arr = graphic_arrangement(complete_quiver(5))
     cls, lat = class_of(arr)
     xi = find_generic_xi(arr, lat, 5)
-    max_abs_minor(arr, budget=2860)
-    count = count_moment_fiber(arr, lat, 5, xi, budget=1560)
+    monkeypatch.setattr(errors, "BUDGET", 2860)
+    max_abs_minor(arr)
+    monkeypatch.setattr(errors, "BUDGET", 1560)
+    count = count_moment_fiber(arr, lat, 5, xi)
     assert count == 151316000000 == cls.value.evaluate(5) * 4 ** 4
+    monkeypatch.setattr(errors, "BUDGET", 1559)
     with pytest.raises(BudgetExceededError,
                        match="character sum needs 1560 steps"):
-        count_moment_fiber(arr, lat, 5, xi, budget=1559)
+        count_moment_fiber(arr, lat, 5, xi)
+
+
+def test_generic_vector_search_is_charged(monkeypatch):
+    # K6 (m = 5, 203 flats) has no generic vector mod 3: the search tries
+    # all 3^5 = 243 candidates, each charged the 203 flats it may read
+    arr = graphic_arrangement(complete_quiver(6))
+    lat = build_lattice(arr)
+    monkeypatch.setattr(errors, "BUDGET", 243 * 203 - 1)
+    with pytest.raises(BudgetExceededError,
+                       match="generic vector search needs at least 49329 "
+                             "steps, budget allows 49328"):
+        find_generic_xi(arr, lat, 3)
+    monkeypatch.setattr(errors, "BUDGET", 243 * 203)
+    with pytest.raises(PreconditionError, match="no generic vector mod 3"):
+        find_generic_xi(arr, lat, 3)

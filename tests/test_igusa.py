@@ -11,7 +11,7 @@ from amzeta.arrangement import (
     max_abs_minor,
     structural_flags,
 )
-from amzeta import igusa
+from amzeta import errors, igusa
 from amzeta.checks import lattice_invariants
 from amzeta.errors import (
     BudgetExceededError,
@@ -143,17 +143,21 @@ def test_narrowed_slot_width_is_caught(monkeypatch):
     assert narrowed != oracle
 
 
-def test_chain_walk_charges_its_merged_entries():
+def test_chain_walk_charges_its_merged_entries(monkeypatch):
     # K5: the walk merges 1,041 W and S entries over its 52 flats, charged
     # as it goes, so one step short is refused at the last flat
     arr = graphic_arrangement(complete_quiver(5))
     lat = build_lattice(arr)
-    for route in (igusa._chain_sums, lambda lat, budget: igusa_chain(
-            arr, lat, budget)):
+    monkeypatch.setattr(errors, "BUDGET", 1040)
+    for route in (igusa._chain_sums, lambda lat: igusa_chain(arr, lat)):
         with pytest.raises(BudgetExceededError, match=(
                 "chain walk needs at least 1041 steps, budget allows 1040")):
-            route(lat, 1040)
-        route(lat, 1041)
+            route(lat)
+    monkeypatch.setattr(errors, "BUDGET", 1041)
+    igusa._chain_sums(lat)
+    # one step more and igusa_chain walks on: its reduction refuses now
+    with pytest.raises(BudgetExceededError, match="^zeta reduction needs"):
+        igusa_chain(arr, lat)
 
 
 def test_chain_equals_recursion_random_rank4():
@@ -353,7 +357,7 @@ def lattice_route(tmp_path_factory):
             argv = ("oracle", "--p", "3", "--alpha", "1")
             with pytest.MonkeyPatch.context() as patch, \
                     contextlib.redirect_stdout(io.StringIO()) as stdout:
-                patch.setattr(igusa, "chain_poset", lambda arr, budget: lat)
+                patch.setattr(igusa, "chain_poset", lambda arr: lat)
                 assert main([argv[0], str(path), *argv[1:]]) == 0
             printed[argv] = stdout.getvalue()
         levels = {eps: (lv.length, lv.criterion)
@@ -542,6 +546,43 @@ def test_signed_graph_series_equal_counts_at_p3(signed_graphs):
     assert len(admitted) >= 4
     for arr, lat, _, _ in admitted:
         poincare_check(arr, lat, 3, 2)
+
+
+def test_zeta_reduction_charge_bounds_its_updates(monkeypatch,
+                                                  signed_graphs):
+    # the updates of the reduction's trial divisions: each term read, and
+    # each carry term merged into a t-row; K4-K8 over their types and the
+    # B4/B5 draws over their lattices
+    from amzeta import exact_algebra
+    divide, charge = exact_algebra._b2_div_factor, igusa.charge
+    updates, charged = [], []
+
+    def counting(num, a):
+        rows = {}
+        for (e, f), c in num.items():
+            rows.setdefault(f, {})[e] = c
+        carry, work = {}, len(num)
+        for j in range(max(rows), -1, -1):
+            row = rows.get(j, {})
+            for e, c in carry.items():
+                row[e + a] = row.get(e + a, 0) + c
+            work += len(carry)
+            carry = {e: c for e, c in row.items() if c}
+        updates.append(work)
+        return divide(num, a)
+
+    def recording(what, steps):
+        if what == "zeta reduction":
+            charged.append(steps)
+        charge(what, steps)
+    monkeypatch.setattr(exact_algebra, "_b2_div_factor", counting)
+    monkeypatch.setattr(igusa, "charge", recording)
+    for arr, poset in ([(braid(k), igusa.chain_poset(braid(k)))
+                        for k in range(4, 9)]
+                       + [(arr, lat) for arr, lat, *_ in signed_graphs]):
+        updates.clear()
+        igusa_chain(arr, poset)
+        assert 0 < sum(updates) <= charged[-1]
 
 
 def test_signed_graph_with_minor_4_is_refused_at_p3(signed_graphs):

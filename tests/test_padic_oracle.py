@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from amzeta import arrangement
+from amzeta import arrangement, errors, igusa
 from amzeta.arrangement import build_lattice, graphic_arrangement
 from amzeta.errors import BudgetExceededError, PreconditionError
 from amzeta.padic_oracle import (
@@ -25,6 +25,22 @@ def with_lattice(arr):
     return arr, build_lattice(arr)
 
 
+def direct(normals, p, alpha, target, budget):
+    """``_count_direct`` under a budget of its own."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(errors, "BUDGET", budget)
+        return _count_direct(normals, p, alpha, target)
+
+
+def at_default(stage):
+    """``stage`` run at the default budget, whatever the budget is."""
+    def run(*args):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(errors, "BUDGET", errors.DEFAULT_BUDGET)
+            return stage(*args)
+    return run
+
+
 def closed_form_single_origin(p, alpha):
     return (alpha + 1) * p ** alpha - alpha * p ** (alpha - 1)
 
@@ -40,25 +56,27 @@ def test_single_origin_counts():
 
 def test_direct_equals_character_sum_depth_one():
     for arr in [n_origins(2), triangle()]:
-        direct = _count_direct(arr.normals, 5, 1, (0,) * arr.m, 10 ** 8)
-        assert depth_counts(arr, 5, 1)[-1].count == direct
+        count = direct(arr.normals, 5, 1, (0,) * arr.m, 10 ** 8)
+        assert depth_counts(arr, 5, 1)[-1].count == count
 
 
 def test_direct_equals_character_sum_depth_two():
     # at alpha > 1 the multiples of p enter through the depth-1 sum
     for arr, p in [(n_origins(2), 5), (triangle(), 3)]:
-        direct = _count_direct(arr.normals, p, 2, (0,) * arr.m, 10 ** 8)
-        assert depth_counts(arr, p, 2)[-1].count == direct
+        count = direct(arr.normals, p, 2, (0,) * arr.m, 10 ** 8)
+        assert depth_counts(arr, p, 2)[-1].count == count
 
 
-def test_character_sum_charges_every_depth():
+def test_character_sum_charges_every_depth(monkeypatch):
     # triangle at p = 5, alpha = 3 (m = 2): 6 + 30 + 150 unit-scaling orbit
     # representatives at depths 1, 2, 3, three inner products each
     arr = triangle()
-    assert depth_counts(arr, 5, 3, budget=558)[-1].count == 444765625
+    monkeypatch.setattr(errors, "BUDGET", 558)
+    assert depth_counts(arr, 5, 3)[-1].count == 444765625
+    monkeypatch.setattr(errors, "BUDGET", 557)
     with pytest.raises(BudgetExceededError,
                        match="character sum needs 558 steps"):
-        depth_counts(arr, 5, 3, budget=557)[-1]
+        depth_counts(arr, 5, 3)[-1]
 
 
 def test_character_sum_is_charged_before_its_walk(monkeypatch):
@@ -68,8 +86,9 @@ def test_character_sum_is_charged_before_its_walk(monkeypatch):
         raise AssertionError("orbit representatives walked past the budget")
     monkeypatch.setattr(arrangement, "_orbit_representatives", refuse)
     arr = graphic_arrangement(complete_quiver(5))
+    monkeypatch.setattr(errors, "BUDGET", 302799)
     with pytest.raises(BudgetExceededError, match="needs 302800 steps"):
-        depth_counts(arr, 3, 3, budget=302799)[-1]
+        depth_counts(arr, 3, 3)[-1]
 
 
 def test_every_refusal_says_what_it_needs(monkeypatch):
@@ -78,34 +97,45 @@ def test_every_refusal_says_what_it_needs(monkeypatch):
         max_abs_minor,
         unimodular,
     )
-    from amzeta.hypertoric import count_moment_fiber, hypertoric_class
+    from amzeta.hypertoric import (
+        count_moment_fiber,
+        find_generic_xi,
+        hypertoric_class,
+    )
     from amzeta.quiver_reps import _brute_force_raw, brute_force_indec
     from amzeta.reference import cycle_quiver
     from amzeta.exact_algebra import LaurentPoly, _charge_reduction
-    from amzeta import residues
     from amzeta.residues import b_mu, b_mu_via_residue
     # a cold cache, so that the minor scans are charged before they run
     monkeypatch.setattr(arrangement, "_FLAGS_CACHE", {})
     arr, lat = with_lattice(triangle())
     zeta = igusa_chain(arr, lat)
-    # the residue route charges its reduction to the default budget
-    monkeypatch.setattr(residues, "DEFAULT_BUDGET", 1)
+    monkeypatch.setattr(errors, "BUDGET", 1)
+    # the zeta reduction, once the walk and the clear before it have run at
+    # the default budget
+    with pytest.MonkeyPatch.context() as patch:
+        for stage in ("_chain_sums", "_clear"):
+            patch.setattr(igusa, stage, at_default(getattr(igusa, stage)))
+        with pytest.raises(BudgetExceededError, match=(
+                r"^zeta reduction needs \d+ steps, budget allows 1$")):
+            igusa_chain(arr, lat)
     for refused in [
-            lambda: unimodular(arr, budget=1),
-            lambda: max_abs_minor(arr, budget=1),
-            lambda: hypertoric_class(arr, lat, budget=1),
-            lambda: build_lattice(arr, budget=1),
-            lambda: count_complement_Fq(arr, 5, budget=1),
-            lambda: count_moment_fiber(arr, lat, 5, (1, 2), budget=1),
-            lambda: _count_direct(arr.normals, 5, 1, (1, 2), 1),
-            lambda: _count_direct(arr.normals, 5, 1, (0, 0), 1),
-            lambda: depth_counts(arr, 5, 1, budget=1)[-1],
-            lambda: igusa_chain(arr, lat, budget=1),
-            lambda: b_mu(arr, lat, budget=1),
+            lambda: unimodular(arr),
+            lambda: max_abs_minor(arr),
+            lambda: hypertoric_class(arr, lat),
+            lambda: build_lattice(arr),
+            lambda: count_complement_Fq(arr, 5),
+            lambda: count_moment_fiber(arr, lat, 5, (1, 2)),
+            lambda: find_generic_xi(arr, lat, 5),
+            lambda: _count_direct(arr.normals, 5, 1, (1, 2)),
+            lambda: _count_direct(arr.normals, 5, 1, (0, 0)),
+            lambda: depth_counts(arr, 5, 1)[-1],
+            lambda: igusa_chain(arr, lat),
+            lambda: b_mu(arr, lat),
             lambda: b_mu_via_residue(zeta, arr.m),
-            lambda: _charge_reduction(LaurentPoly.one("q"), [(1, 1)], 1),
-            lambda: brute_force_indec(cycle_quiver(3), 3, 1, budget=1),
-            lambda: _brute_force_raw(cycle_quiver(3), 3, 1, 1)]:
+            lambda: _charge_reduction(LaurentPoly.one("q"), [(1, 1)]),
+            lambda: brute_force_indec(cycle_quiver(3), 3, 1),
+            lambda: _brute_force_raw(cycle_quiver(3), 3, 1)]:
         with pytest.raises(BudgetExceededError,
                            match=r"needs (at least )?\d+ steps, "
                                  r"budget allows 1$"):
@@ -190,11 +220,11 @@ def test_character_sum_matches_direct_count_on_random_arrangements():
         lat = build_lattice(arr)
         xi = find_generic_xi(arr, lat, 5)
         assert (count_moment_fiber(arr, lat, 5, xi)
-                == _count_direct(arr.normals, 5, 1, xi, 10 ** 5))
+                == direct(arr.normals, 5, 1, xi, 10 ** 5))
         fibers += 1
         if max_abs_minor(arr) < 2:
             assert (depth_counts(arr, 2, 2)[-1].count
-                    == _count_direct(arr.normals, 2, 2, (0,) * m, 10 ** 5))
+                    == direct(arr.normals, 2, 2, (0,) * m, 10 ** 5))
             depth_two += 1
 
 

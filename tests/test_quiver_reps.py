@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from amzeta import exact_algebra
+from amzeta import errors, exact_algebra
 from amzeta.arrangement import build_lattice, graphic_arrangement
 from amzeta.errors import PreconditionError, UnsupportedDenominatorError
 from amzeta.exact_algebra import LaurentPoly, RationalUni
@@ -78,13 +78,13 @@ def test_brute_force_triangle_depth_one():
     assert brute_force_indec(tri, 5, 1) == 7
 
 
-def test_brute_force_raw_agrees_small():
+def test_brute_force_raw_agrees_small(monkeypatch):
+    monkeypatch.setattr(errors, "BUDGET", 10 ** 7)
     tri = cycle_quiver(3)
     for p in (3, 5):
-        assert (_brute_force_raw(tri, p, 1, 10 ** 7)
-                == brute_force_indec(tri, p, 1))
+        assert _brute_force_raw(tri, p, 1) == brute_force_indec(tri, p, 1)
     edge = single_edge_quiver()
-    assert _brute_force_raw(edge, 3, 2, 10 ** 7) == 2
+    assert _brute_force_raw(edge, 3, 2) == 2
     assert brute_force_indec(edge, 3, 2) == 2
 
 

@@ -11,7 +11,7 @@ from amzeta.arrangement import (
     graphic_arrangement,
     structural_flags,
 )
-from amzeta import quiver_reps, residues
+from amzeta import errors, quiver_reps, residues
 from amzeta.errors import (
     BudgetExceededError,
     InvariantError,
@@ -113,33 +113,32 @@ def test_bmu_reduces_once(monkeypatch):
 
 def test_reduction_is_charged_before_it_runs(monkeypatch):
     # K4's B_mu is charged 1,178 steps for its reduction, the residue
-    # route to it 1,739 (to the default budget) and the quiver limit of K4
+    # route to it 1,739 and the quiver limit of K4
     # 2,279, each more than its walk and clear; one step short is refused
     # before RationalUni is built
     arr, lat = with_lattice(graphic_arrangement(complete_quiver(4)))
     zeta = igusa_chain(arr, lat)
-    assert b_mu(arr, lat, 1178) == b_mu(arr, lat)
-    monkeypatch.setattr(residues, "DEFAULT_BUDGET", 1739)
-    assert b_mu_via_residue(zeta, arr.m) == b_mu(arr, lat)
-    assert a_gamma_limit(complete_quiver(4), 2279) == a_gamma_limit(
-        complete_quiver(4))
+    bmu = b_mu(arr, lat)
+    limit = a_gamma_limit(complete_quiver(4))
+
+    def budgeted(steps, call):
+        monkeypatch.setattr(errors, "BUDGET", steps)
+        return call()
+    assert budgeted(1178, lambda: b_mu(arr, lat)) == bmu
+    assert budgeted(1739, lambda: b_mu_via_residue(zeta, arr.m)) == bmu
+    assert budgeted(2279, lambda: a_gamma_limit(complete_quiver(4))) == limit
 
     def refuse(num, den):
         raise AssertionError("reduction ran past the budget")
-
-    def residue_route(budget):
-        monkeypatch.setattr(residues, "DEFAULT_BUDGET", budget)
-        return b_mu_via_residue(zeta, arr.m)
     for module in (residues, quiver_reps):
         monkeypatch.setattr(module, "RationalUni", refuse)
-    for call, steps in [(lambda budget: b_mu(arr, lat, budget), 1178),
-                        (residue_route, 1739),
-                        (lambda budget: a_gamma_limit(complete_quiver(4),
-                                                      budget), 2279)]:
+    for call, steps in [(lambda: b_mu(arr, lat), 1178),
+                        (lambda: b_mu_via_residue(zeta, arr.m), 1739),
+                        (lambda: a_gamma_limit(complete_quiver(4)), 2279)]:
         with pytest.raises(BudgetExceededError, match=(
                 f"rational function reduction needs {steps} steps, "
                 f"budget allows {steps - 1}$")):
-            call(steps - 1)
+            budgeted(steps - 1, call)
 
 
 def test_each_univariate_result_is_reduced_once(monkeypatch):
