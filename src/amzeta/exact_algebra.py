@@ -31,6 +31,10 @@ with the single binomial q^d - t, the counterpart of the exact division
 ``_b2_div_factor``.  Only ``_b2_expand`` expands prod (q^a - t)^mu, besides
 the lifts of ``BiRational.__add__``, and only ``_b2_at`` reads at t = q^k.
 
+Both constructors reduce by trial division and charge the work of each
+trial, as they make it, to the one budget of errors.py, so a refusal is a
+lower bound on the cost of the reduction and no caller charges one.
+
 Errors are errors.py types: misuse (the degree of zero, a negative power, a
 vanishing denominator, a pole at 0) is a PreconditionError, and a remainder
 in ``exact_div`` is an InvariantError naming the cancellation that failed.
@@ -48,7 +52,6 @@ from .errors import (
     PreconditionError,
     UnsupportedDenominatorError,
     _charge_running,
-    charge,
 )
 
 
@@ -176,11 +179,16 @@ class LaurentPoly:
     def __eq__(self, other):
         if isinstance(other, int):
             other = LaurentPoly.const(self.var, other)
-        return (isinstance(other, LaurentPoly)
-                and self.var == other.var and self._c == other._c)
+        if not isinstance(other, LaurentPoly):
+            return NotImplemented
+        return self.var == other.var and self._c == other._c
 
     def __hash__(self):
-        return hash((self.var, frozenset(self._c.items())))
+        # a value hashes like an equal value of a narrower type: a constant
+        # as its int, and without the tag, which BiRational ignores
+        if not self._c.keys() - {0}:
+            return hash(self._c.get(0, 0))
+        return hash(frozenset(self._c.items()))
 
     def shift(self, k: int) -> "LaurentPoly":
         """Multiply by var**k."""
@@ -337,6 +345,17 @@ class RationalUni:
         ln, ld = num.low_degree(), den.low_degree()
         pn = {e - ln: c for e, c in num._c.items()}
         pd = {e - ld: c for e, c in den._c.items()}
+        steps = 0
+
+        def divide(a, b):
+            # a trial division of a by b builds deg a + 1 remainder entries
+            # and updates |b| of them per quotient term
+            nonlocal steps
+            da, db = max(a), max(b)
+            steps += da + 1 + max(da - db + 1, 0) * len(b)
+            _charge_running("rational function reduction", steps)
+            return _poly_div_exact(a, b)
+
         # pd = c * prod Phi_d^k: strip the factors Phi_1, Phi_2, ... from a
         # copy of pd and cancel each one that also divides pn.  A factor
         # Phi_e of a degree-D rest has sqrt(e/2) <= phi(e) <= D, so a d with
@@ -355,16 +374,16 @@ class RationalUni:
             phi = _cyclotomic(d)
             cancel = True
             while True:
-                quot = _poly_div_exact(rest, phi)
+                quot = divide(rest, phi)
                 if quot is None:
                     break
                 rest = quot
                 if cancel:
-                    quot = _poly_div_exact(pn, phi)
+                    quot = divide(pn, phi)
                     cancel = quot is not None
                     if cancel:
                         pn = quot
-                        pd = _poly_div_exact(pd, phi)
+                        pd = divide(pd, phi)
         # rest is now the leading coefficient of pd and, by Gauss's lemma,
         # its content up to sign
         g = math.gcd(rest[0], *pn.values())
@@ -458,6 +477,8 @@ class RationalUni:
                 and self.num == other.num and self.den == other.den)
 
     def __hash__(self):
+        if self.den.is_one():
+            return hash(self.num)
         return hash((self.num, self.den))
 
     def evaluate(self, x) -> Fraction:
@@ -583,25 +604,6 @@ def _clear(sums: dict, ds):
     return terms.get((), {}), den
 
 
-def _charge_reduction(num: LaurentPoly, den):
-    """Charge, before it runs, the ``RationalUni`` reduction of num over
-    prod (q^a - 1)^mu, den = [(a, mu)] as ``_clear`` returns it.
-
-    It strips Phi_d, d = 1..A (A the largest a), from the denominator, of
-    degree D = sum a mu: with k_d the multiplicity of Phi_d, k_d + 1 trial
-    divisions of the stripped copy and at most k_d each of the numerator
-    (degree span N) and the denominator, each of a degree-e dividend making
-    at most (e + 1)(phi(d) + 1) updates.  As sum k_d phi(d) = D, sum k_d
-    <= D and sum_{d <= A} (phi(d) + 1) <= A (A + 3) / 2, the charge is
-    (2 D + A (A + 3) / 2) (2 D + N + 2): 9,762,402 steps for K10's B_mu,
-    which makes about 1.5M updates."""
-    top = max((a for a, _ in den), default=0)
-    degree = sum(a * mu for a, mu in den)
-    span = 0 if num.is_zero() else num.degree() - num.low_degree()
-    charge("rational function reduction",
-           (2 * degree + top * (top + 3) // 2) * (2 * degree + span + 2))
-
-
 def _b2_div_factor(num: dict, a: int):
     """Exact quotient num / (q^a - t), or None.
 
@@ -663,16 +665,26 @@ class BiRational:
         # absorb monomial content into the unit, then reduce; division by
         # q^a - t preserves minimal exponent 0 in both variables
         mq = min(e for (e, _) in num)
-        mt = min(f for (_, f) in num)
+        ts = {f for (_, f) in num}
+        mt = min(ts)
         if mq or mt:
             num = {(e - mq, f - mt): c for (e, f), c in num.items()}
             e1, e2 = e1 - mq, e2 - mt
+        # a trial division of a dividend of t-degree d reads its |num| terms
+        # and merges into each of its d + 1 t-rows a carry, the rows above
+        # it shifted, of at most |num| terms: (d + 2) |num| steps, charged
+        # before it runs.  An exact quotient has t-degree d - 1.
+        d = max(ts) - mt
+        steps = 0
         for a in sorted(den_acc):
             while den_acc[a]:
+                steps += (d + 2) * len(num)
+                _charge_running("zeta reduction", steps)
                 quot = _b2_div_factor(num, a)
                 if quot is None:
                     break
                 num = quot
+                d -= 1
                 den_acc[a] -= 1
         self.num = num
         self.unit = (e1, e2)
@@ -774,6 +786,8 @@ class BiRational:
                 and self.den == other.den)
 
     def __hash__(self):
+        if not (self.den or self.unit[1] or any(f for _, f in self.num)):
+            return hash(_b2_at(self.num, 0).shift(-self.unit[0]))
         return hash((frozenset(self.num.items()), self.unit, self.den))
 
     def cross_equal(self, other: "BiRational") -> bool:

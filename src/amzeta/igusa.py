@@ -276,24 +276,14 @@ def igusa_chain(arrangement: Arrangement, lat) -> IgusaZeta:
     flats or the ``chain_poset`` of the arrangement: the terms
     sums[x](q) t^|x| / prod (q^a - t)^x_a of ``_chain_sums`` are cleared
     by ``_clear`` to num / E, and the value is reduced once as
-    (t (q^m - 1) E + q^m (t - 1) num) / (t (q^m - t) E).
-
-    The reduction is charged first: at most mu + 1 trial divisions by each
-    factor (q^a - t)^mu, each reading the T terms of the numerator once and
-    merging a carry of at most T terms into each of its d + 1 t-rows, so
-    sum (mu + 1) (d + 2) T steps while no quotient outgrows the numerator,
-    as none does on the braid and signed-graph inputs tested: over the
-    types K7 costs 229,632 steps, K10 15,868,800."""
+    (t (q^m - 1) E + q^m (t - 1) num) / (t (q^m - t) E), a reduction that
+    charges its trial divisions as it makes them."""
     _require_essential(arrangement)
     m = arrangement.m
     deltas, sums = _chain_sums(lat)
     num, den = _clear(sums, deltas)
     total = _b2_mul(_b2_expand(den), {(m, 1): 1, (0, 1): -1})
     _b2_add_into(total, _b2_mul(num, {(m, 1): 1, (m, 0): -1}))
-    mus = dict(den)
-    mus[m] = mus.get(m, 0) + 1
-    charge("zeta reduction", sum(mu + 1 for mu in mus.values())
-           * (max(f for _, f in total) + 2) * len(total))
     value = BiRational(total, (0, 1), den + [(m, 1)])
     _check_pole_set(value, lat)
     return IgusaZeta(arrangement, lat, value)

@@ -38,7 +38,6 @@ from .exact_algebra import (
     RationalUni,
     _b2_at,
     _b2_expand,
-    _charge_reduction,
     _clear,
 )
 from .quiver_varieties import Quiver
@@ -160,7 +159,6 @@ def a_gamma_limit(quiver: Quiver) -> RationalUni:
                       range(1, b_top + 1))
     # t = 1, times the factor (1 - 1/q)^b = (q - 1)^b / q^b
     num = _b2_at(num, 0) * LaurentPoly("q", {1: 1, 0: -1}) ** b_top
-    _charge_reduction(num, den)
     return RationalUni(num, _b2_at(_b2_expand(den), 0).shift(b_top))
 
 

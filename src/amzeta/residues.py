@@ -28,7 +28,6 @@ from .exact_algebra import (
     RationalUni,
     _b2_at,
     _b2_expand,
-    _charge_reduction,
     _clear,
     exact_div,
     palindromic_check,
@@ -76,7 +75,6 @@ def b_mu(arrangement: Arrangement, lat) -> RationalUni:
     sums[(0,) * len(deltas)] = {0: 1}
     num, den = _clear(sums, [a - m for a in deltas])
     num = _b2_at(num, 0)
-    _charge_reduction(num, den)
     total = RationalUni(num, _b2_at(_b2_expand(den), 0))
     if total.degree() != 0:
         raise InvariantError("normalized limit is not of degree 0")
@@ -85,7 +83,7 @@ def b_mu(arrangement: Arrangement, lat) -> RationalUni:
 
 def b_mu_via_residue(zeta: IgusaZeta, m: int) -> RationalUni:
     """q^m (q^(s+m) - 1)/(q^m - 1) * I at s = -m; requires a simple pole.
-    The reduction is charged over q^m - 1 and q^|a-m| - 1."""
+    Its one reduction charges its trial divisions as it makes them."""
     orders = zeta.value.pole_orders()
     if orders.get(m, 0) != 1:
         raise PreconditionError(
@@ -94,7 +92,6 @@ def b_mu_via_residue(zeta: IgusaZeta, m: int) -> RationalUni:
     e1, e2 = zeta.value.unit
     rest = [(a, mu) for a, mu in zeta.value.den if a != m]
     num = _b2_at(zeta.value.num, m).shift(m)
-    _charge_reduction(num, [(abs(a - m), mu) for a, mu in rest] + [(m, 1)])
     return RationalUni(num,
                        _b2_at(_b2_expand(rest), m).shift(e1 + m * (e2 + 1))
                        * LaurentPoly("q", {m: 1, 0: -1}))

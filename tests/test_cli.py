@@ -268,8 +268,8 @@ def test_recursion_charges_its_localization_lattices(capsys, tmp_path,
     assert code == 3 and out == ""
     assert "localization lattices needs 5190 steps, budget allows 5189" in err
     # the chain route walks K5's 7 partition types; its largest charge is
-    # the zeta reduction, 8,096 steps
-    code, chain, _ = run(capsys, "--budget", "8096", "igusa", str(k5))
+    # the zeta reduction, 2,576 steps
+    code, chain, _ = run(capsys, "--budget", "2576", "igusa", str(k5))
     assert code == 0 and chain
     # the environment has no say: only --budget sets the budget
     monkeypatch.setenv("AMZ_BUDGET", "100")
@@ -433,9 +433,9 @@ def test_the_budget_is_one_value_that_main_restores(capsys, triangle_file,
 # coordinate arrangement of rank 6 cost 2,304, its one maximal minor 216
 # and the walk over its minors of every size sum_k C(6, k)^2 k = 2,772.
 # A stage that charges as it goes (the lattice, the chain walk, the
-# partition types) knows only a lower bound when it stops, and says "at
-# least"; a charge one step short stops it at its last step, so the bound
-# is its exact charge.  igusa and
+# partition types, the reductions) knows only a lower bound when it stops,
+# and says "at least"; a charge one step short stops it at its last step,
+# so the bound is its exact charge.  igusa and
 # bmu walk K7 (a braid arrangement) over its 15 partition types, 15^2
 # charged, and build no lattice
 BUDGET_STAGES = [
@@ -448,11 +448,21 @@ BUDGET_STAGES = [
     # the entries merged by the Horner clear of the 15 types' chain sums
     ("denominator clear", ["igusa", "k7"],
      "denominator clear needs at least", 16582),
-    # the trial divisions of the one reduction: sum (mu + 1) = 23 factor
-    # trials over the 624 terms, of t-degree 14, of the cleared total
-    ("zeta reduction", ["igusa", "k7"], "zeta reduction needs", 229632),
+    # the trial divisions of the one reduction, each charged (d + 2) |num|
+    # for its dividend of t-degree d as it runs
+    ("zeta reduction", ["igusa", "k7"], "zeta reduction needs at least",
+     74880),
+    # K8's B_mu: walk 4,591 and clear 106,880 steps before its reduction,
+    # whose trial divisions by Phi_d are charged as they run
+    ("rational function reduction", ["bmu", "k8"],
+     "rational function reduction needs at least", 239284),
     ("localization lattices", ["igusa", "triangle", "--method", "recursion"],
      "localization lattices needs", 36),
+    # the recursion's sums reduce each BiRational they build; the triangle's
+    # largest reduction outgrows its lattice (30) and localizations (36)
+    ("recursion zeta reduction",
+     ["igusa", "triangle", "--method", "recursion"],
+     "zeta reduction needs at least", 80),
     ("unimodular", ["hypertoric", "six"], "unimodular needs", 540),
     ("max_abs_minor", ["lattice", "coords6"], "max_abs_minor needs", 2772),
     ("prime guard", ["oracle", "six", "--p", "5", "--alpha", "1"],
@@ -492,6 +502,7 @@ def test_budget_reaches_every_stage(capsys, tmp_path, monkeypatch, stage,
               "c5": cycle_quiver(5).to_json(),
               "jordan": jordan_quiver().to_json(),
               "k7": k7.to_json(),
+              "k8": graphic_arrangement(complete_quiver(8)).to_json(),
               "k7e": Arrangement(k7.normals[:-1]).to_json(),
               "coords6": Arrangement([[int(i == j) for j in range(6)]
                                       for i in range(6)]).to_json()}

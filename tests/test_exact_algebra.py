@@ -6,7 +6,9 @@ from fractions import Fraction
 
 import pytest
 
+from amzeta import errors
 from amzeta.errors import (
+    BudgetExceededError,
     InvariantError,
     PreconditionError,
     UnsupportedDenominatorError,
@@ -572,3 +574,50 @@ def test_birational_reduction_free_products():
         assert_canonical(-x)
         assert -x == x * BiRational.const(-1)
 
+
+
+def test_hash_agrees_with_equality_across_the_exact_types():
+    # a value equal to one of a narrower type hashes like it, so a set or a
+    # dict holds the two as one key, whichever comes first
+    q2 = L({2: 1, 0: -1}, "q")
+    pairs = [
+        (L({0: 3}, "q"), 3),
+        (L({}, "q"), 0),
+        (BiRational.const(2), 2),
+        (BiRational.zero(), 0),
+        (BiRational.from_q_poly(q2), q2),
+        # BiRational reads any Laurent polynomial as one in q
+        (BiRational.from_q_poly(q2), q2.rename("L")),
+        (BiRational({(2, 0): 1, (0, 0): 1}, (1, 0)), L({1: 1, -1: 1}, "q")),
+        (RationalUni.from_laurent(q2), q2),
+        (RationalUni(L({1: 2}, "q"), L({0: 2}, "q")), L({1: 1}, "q")),
+        (RationalUni.const("q", 5), 5),
+        # (q^2 - 1) / (q - 1) reduces to denominator 1
+        (RationalUni(q2, L({1: 1, 0: -1}, "q")), L({1: 1, 0: 1}, "q")),
+    ]
+    for wide, narrow in pairs:
+        assert wide == narrow and narrow == wide
+        assert hash(wide) == hash(narrow)
+        assert len({wide, narrow}) == len({narrow, wide}) == 1
+
+
+@pytest.mark.parametrize("build, value, stage, steps", [
+    # (q^2 - t)(q - t) over the same factors: by q - t, t-degree 2 and 4
+    # terms, (2 + 2) 4 = 16 steps; the quotient q^2 - t by q^2 - t, (1 + 2) 2
+    (lambda: BiRational({(3, 0): 1, (2, 1): -1, (1, 1): -1, (0, 2): 1},
+                        den=[(1, 1), (2, 1)]), 1, "zeta reduction", 22),
+    # (q^2 - 1) / (q - 1): Phi_1 divides the copy of q - 1 (2 + 1 * 2), the
+    # numerator (3 + 2 * 2) and q - 1 (4), and its trial on the constant
+    # left over costs the one remainder entry
+    (lambda: RationalUni(L({2: 1, 0: -1}, "q"), L({1: 1, 0: -1}, "q")),
+     L({1: 1, 0: 1}, "q"), "rational function reduction", 16),
+])
+def test_reductions_charge_each_trial_division(monkeypatch, build, value,
+                                               stage, steps):
+    monkeypatch.setattr(errors, "BUDGET", steps)
+    assert build() == value
+    monkeypatch.setattr(errors, "BUDGET", steps - 1)
+    with pytest.raises(BudgetExceededError, match=(
+            f"^{stage} needs at least {steps} steps, "
+            f"budget allows {steps - 1}$")):
+        build()

@@ -10,6 +10,7 @@ from amzeta.arrangement import (
     graphic_arrangement,
     max_abs_minor,
     rank,
+    unimodular,
 )
 from amzeta.errors import BudgetExceededError, InvariantError, \
     PreconditionError
@@ -22,7 +23,17 @@ from amzeta.hypertoric import (
     xi_is_generic,
 )
 from amzeta.padic_oracle import _count_direct
-from amzeta.reference import complete_quiver, n_origins, triangle
+from amzeta.quiver_reps import a_gamma_alpha, betti, is_connected
+from amzeta.quiver_varieties import Quiver
+from amzeta.reference import (
+    complete_quiver,
+    cycle3_doubled_quiver,
+    cycle_quiver,
+    n_origins,
+    single_edge_quiver,
+    theta_quiver,
+    triangle,
+)
 
 
 def L(coeffs):
@@ -227,3 +238,96 @@ def test_generic_vector_search_is_charged(monkeypatch):
     monkeypatch.setattr(errors, "BUDGET", 243 * 203)
     with pytest.raises(PreconditionError, match="no generic vector mod 3"):
         find_generic_xi(arr, lat, 3)
+
+
+# ---------------------------------------------------------------------------
+# cross-layer identities: the class against the Tutte polynomial, the
+# quiver count and the fiber oracle
+# ---------------------------------------------------------------------------
+
+def _draws(seed, count, ranks, extra, accept=lambda arr: True):
+    """Seeded essential arrangements of rank in ranks with up to m + extra
+    nonzero normals of entries -2..2."""
+    rng = random.Random(seed)
+    draws = []
+    while len(draws) < count:
+        m = rng.randint(*ranks)
+        rows = [tuple(rng.randint(-2, 2) for _ in range(m))
+                for _ in range(rng.randint(m, m + extra))]
+        rows = [r for r in rows if any(r)]
+        if rows and rank(rows) == m and accept(Arrangement(rows)):
+            draws.append(Arrangement(rows))
+    return draws
+
+
+def _tutte_class(arr):
+    """L^(n-m) T_M(1, L) from the subset expansion of the Tutte polynomial:
+    the subsets A of full rank m contribute (L - 1)^(|A| - m)."""
+    out = L({})
+    for k in range(arr.m, arr.n + 1):
+        for sub in itertools.combinations(arr.normals, k):
+            if rank(sub) == arr.m:
+                out = out + L({1: 1, 0: -1}) ** (k - arr.m)
+    return L({arr.n - arr.m: 1}) * out
+
+
+def test_class_is_the_tutte_polynomial_at_one():
+    # at most 4 + 7 normals, so at most 2^11 subsets each
+    draws = _draws(5, 25, (2, 4), 7)
+    assert {arr.m for arr in draws} == {2, 3, 4}
+    for arr in draws:
+        assert class_of(arr)[0].value == _tutte_class(arr)
+
+
+def _multigraphs(seed, count):
+    """Seeded connected loopless multigraphs on 2-5 vertices, <= 8 edges."""
+    rng = random.Random(seed)
+    graphs = []
+    while len(graphs) < count:
+        k = rng.randint(2, 5)
+        quiver = Quiver(k, [tuple(rng.sample(range(1, k + 1), 2))
+                            for _ in range(rng.randint(k - 1, 8))])
+        if is_connected(quiver):
+            graphs.append(quiver)
+    return graphs
+
+
+def test_graphic_class_is_the_depth_one_quiver_count():
+    # the class of a graph's arrangement is L^b times A(1), the count of
+    # one-dimensional indecomposables at depth one
+    for quiver in [cycle_quiver(3), cycle_quiver(5), cycle3_doubled_quiver(),
+                   complete_quiver(4), theta_quiver(), single_edge_quiver(),
+                   *_multigraphs(7, 6)]:
+        b = betti(quiver, (1 << len(quiver.edges)) - 1)
+        count = a_gamma_alpha(quiver, 1).rename("L")
+        assert (class_of(graphic_arrangement(quiver))[0].value
+                == L({b: 1}) * count)
+
+
+def _root_system_b(m):
+    units = [tuple(int(i == c) for c in range(m)) for i in range(m)]
+    return Arrangement(units + [
+        tuple(a + s * b for a, b in zip(ei, ej))
+        for i, ei in enumerate(units) for ej in units[i + 1:] for s in (1, -1)])
+
+
+def test_fiber_certificate_at_good_primes():
+    # count = (p - 1)^m class(p) at the first prime above every |minor|
+    # that admits a generic vector, also where the arrangement is not
+    # unimodular and the class is only formal
+    draws = _draws(3, 6, (2, 3), 3,
+                   lambda arr: not unimodular(arr) and max_abs_minor(arr) < 11)
+    for arr in [_root_system_b(2), _root_system_b(3), *draws]:
+        cls, lat = class_of(arr)
+        for p in (3, 5, 7, 11, 13):
+            if p <= max_abs_minor(arr):
+                continue
+            try:
+                xi = find_generic_xi(arr, lat, p)
+            except PreconditionError:
+                continue
+            break
+        else:
+            pytest.fail(f"no good prime below 17 for {arr.normals}")
+        assert count_moment_fiber(arr, lat, p, xi) == \
+            (p - 1) ** arr.m * cls.value.evaluate(p)

@@ -156,7 +156,8 @@ def test_chain_walk_charges_its_merged_entries(monkeypatch):
     monkeypatch.setattr(errors, "BUDGET", 1041)
     igusa._chain_sums(lat)
     # one step more and igusa_chain walks on: its reduction refuses now
-    with pytest.raises(BudgetExceededError, match="^zeta reduction needs"):
+    with pytest.raises(BudgetExceededError,
+                       match="^zeta reduction needs at least"):
         igusa_chain(arr, lat)
 
 
@@ -548,16 +549,56 @@ def test_signed_graph_series_equal_counts_at_p3(signed_graphs):
         poincare_check(arr, lat, 3, 2)
 
 
+def _trials_within_charge(monkeypatch, cls, stage, divide_name, updates,
+                          calls):
+    """Run calls and pair each trial division of cls's reduction, the
+    function divide_name of exact_algebra, with the running charge it drew
+    just before; its updates, counted by a copy of the division, never
+    exceed that charge."""
+    from amzeta import exact_algebra
+    init, divide = cls.__init__, getattr(exact_algebra, divide_name)
+    running = exact_algebra._charge_running
+    state = {"steps": 0, "drawn": None}
+    trials = []
+
+    def reducing(self, *args, **kwargs):
+        state["steps"] = 0
+        init(self, *args, **kwargs)
+
+    def charging(what, steps):
+        if what == stage:
+            state["drawn"], state["steps"] = steps - state["steps"], steps
+        running(what, steps)
+
+    def counting(*args):
+        # a division right after a charge is a trial of the reduction; the
+        # ones building a cyclotomic polynomial are not charged
+        drawn, state["drawn"] = state["drawn"], None
+        if drawn is not None:
+            trials.append((updates(*args), drawn))
+        return divide(*args)
+    monkeypatch.setattr(cls, "__init__", reducing)
+    monkeypatch.setattr(exact_algebra, "_charge_running", charging)
+    monkeypatch.setattr(exact_algebra, divide_name, counting)
+    for call in calls:
+        trials.clear()
+        call()
+        assert trials and all(work <= drawn for work, drawn in trials)
+
+
+def _reduction_inputs(signed_graphs):
+    """K4-K8 over their types and the B4/B5 draws over their lattices."""
+    return ([(braid(k), igusa.chain_poset(braid(k))) for k in range(4, 9)]
+            + [(arr, lat) for arr, lat, *_ in signed_graphs])
+
+
 def test_zeta_reduction_charge_bounds_its_updates(monkeypatch,
                                                   signed_graphs):
-    # the updates of the reduction's trial divisions: each term read, and
-    # each carry term merged into a t-row; K4-K8 over their types and the
-    # B4/B5 draws over their lattices
-    from amzeta import exact_algebra
-    divide, charge = exact_algebra._b2_div_factor, igusa.charge
-    updates, charged = [], []
+    # the updates of a trial division by q^a - t: each term read, and each
+    # carry term merged into a t-row
+    from amzeta.exact_algebra import BiRational
 
-    def counting(num, a):
+    def updates(num, a):
         rows = {}
         for (e, f), c in num.items():
             rows.setdefault(f, {})[e] = c
@@ -568,21 +609,41 @@ def test_zeta_reduction_charge_bounds_its_updates(monkeypatch,
                 row[e + a] = row.get(e + a, 0) + c
             work += len(carry)
             carry = {e: c for e, c in row.items() if c}
-        updates.append(work)
-        return divide(num, a)
+        return work
+    _trials_within_charge(
+        monkeypatch, BiRational, "zeta reduction", "_b2_div_factor", updates,
+        [lambda arr=arr, lat=lat: igusa_chain(arr, lat)
+         for arr, lat in _reduction_inputs(signed_graphs)])
 
-    def recording(what, steps):
-        if what == "zeta reduction":
-            charged.append(steps)
-        charge(what, steps)
-    monkeypatch.setattr(exact_algebra, "_b2_div_factor", counting)
-    monkeypatch.setattr(igusa, "charge", recording)
-    for arr, poset in ([(braid(k), igusa.chain_poset(braid(k)))
-                        for k in range(4, 9)]
-                       + [(arr, lat) for arr, lat, *_ in signed_graphs]):
-        updates.clear()
-        igusa_chain(arr, poset)
-        assert 0 < sum(updates) <= charged[-1]
+
+def test_rational_reduction_charge_bounds_its_updates(monkeypatch,
+                                                      signed_graphs):
+    # the updates of a trial division by Phi_d: each remainder entry built,
+    # and |Phi_d| entries per quotient term
+    from amzeta.exact_algebra import RationalUni
+
+    def updates(a, b):
+        da, db = max(a), max(b)
+        if da < db:
+            return 0
+        rem = [a.get(e, 0) for e in range(da + 1)]
+        work = da + 1
+        for top in range(da, db - 1, -1):
+            if rem[top]:
+                q, r = divmod(rem[top], b[db])
+                if r:
+                    break
+                work += len(b)
+                for e, c in b.items():
+                    rem[top - db + e] -= q * c
+        return work
+    inputs = [(arr, lat) for arr, lat in _reduction_inputs(signed_graphs)
+              if structural_flags(arr)["coloop_free"]]
+    assert len(inputs) >= 10
+    _trials_within_charge(
+        monkeypatch, RationalUni, "rational function reduction",
+        "_poly_div_exact", updates,
+        [lambda arr=arr, lat=lat: b_mu(arr, lat) for arr, lat in inputs])
 
 
 def test_signed_graph_with_minor_4_is_refused_at_p3(signed_graphs):

@@ -11,7 +11,7 @@ from amzeta.arrangement import (
     graphic_arrangement,
     structural_flags,
 )
-from amzeta import errors, quiver_reps, residues
+from amzeta import errors, residues
 from amzeta.errors import (
     BudgetExceededError,
     InvariantError,
@@ -112,33 +112,37 @@ def test_bmu_reduces_once(monkeypatch):
 
 
 def test_reduction_is_charged_before_it_runs(monkeypatch):
-    # K4's B_mu is charged 1,178 steps for its reduction, the residue
-    # route to it 1,739 and the quiver limit of K4
-    # 2,279, each more than its walk and clear; one step short is refused
-    # before RationalUni is built
+    # K4's B_mu reduction charges its trial divisions 565 steps, the
+    # residue route to it 909 and the quiver limit of K4 1,156, each more
+    # than its walk and clear; one step short is refused before the last
+    # trial division is made
+    from amzeta import exact_algebra
     arr, lat = with_lattice(graphic_arrangement(complete_quiver(4)))
     zeta = igusa_chain(arr, lat)
     bmu = b_mu(arr, lat)
     limit = a_gamma_limit(complete_quiver(4))
+    divide, trials = exact_algebra._poly_div_exact, []
+
+    def counting(a, b):
+        trials.append(1)
+        return divide(a, b)
+    monkeypatch.setattr(exact_algebra, "_poly_div_exact", counting)
 
     def budgeted(steps, call):
         monkeypatch.setattr(errors, "BUDGET", steps)
+        trials.clear()
         return call()
-    assert budgeted(1178, lambda: b_mu(arr, lat)) == bmu
-    assert budgeted(1739, lambda: b_mu_via_residue(zeta, arr.m)) == bmu
-    assert budgeted(2279, lambda: a_gamma_limit(complete_quiver(4))) == limit
-
-    def refuse(num, den):
-        raise AssertionError("reduction ran past the budget")
-    for module in (residues, quiver_reps):
-        monkeypatch.setattr(module, "RationalUni", refuse)
-    for call, steps in [(lambda: b_mu(arr, lat), 1178),
-                        (lambda: b_mu_via_residue(zeta, arr.m), 1739),
-                        (lambda: a_gamma_limit(complete_quiver(4)), 2279)]:
+    for call, steps, value in [
+            (lambda: b_mu(arr, lat), 565, bmu),
+            (lambda: b_mu_via_residue(zeta, arr.m), 909, bmu),
+            (lambda: a_gamma_limit(complete_quiver(4)), 1156, limit)]:
+        assert budgeted(steps, call) == value
+        made = len(trials)
         with pytest.raises(BudgetExceededError, match=(
-                f"rational function reduction needs {steps} steps, "
+                f"rational function reduction needs at least {steps} steps, "
                 f"budget allows {steps - 1}$")):
             budgeted(steps - 1, call)
+        assert len(trials) == made - 1
 
 
 def test_each_univariate_result_is_reduced_once(monkeypatch):
