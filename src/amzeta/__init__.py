@@ -1,7 +1,7 @@
 """Exact invariants of central hyperplane arrangements and quivers.
 
 Submodules:
-  exact_algebra    Laurent polynomials, rational functions, truncated series
+  exact_algebra    Laurent polynomials and rational functions
   arrangement      lattices of flats, characteristic polynomials
   hypertoric       motivic classes of hypertoric varieties + fiber oracle
   quiver_varieties generating function for quiver-variety classes

@@ -522,12 +522,13 @@ def _character_count(normals, p, alpha, target):
     pass from depth 0's 1 sums every depth.  Unit scaling of a primitive xi
     fixes w, so each orbit is walked once, weighted by its Ramanujan sum
     sum_u e(u k / p^d) = p^d [p^d | k] - p^(d-1) [p^(d-1) | k], where
-    k = <target, xi>.  Charged before any work: n inner products per
-    representative.  The congruence oracle and the fiber count share it."""
+    k = <target, xi>.  Charged before any work: per representative, one
+    inner product with the target and n with the normals, m products each.
+    The congruence oracle and the fiber count share it."""
     n, m = len(normals), len(target)
     reps = sum((p ** (d * m) - p ** (d * m - m)) // (p ** d - p ** (d - 1))
                for d in range(1, alpha + 1))
-    charge("character sum", n * reps)
+    charge("character sum", (n + 1) * m * reps)
     total, counts = 1, []
     for d in range(1, alpha + 1):
         mod, unit = p ** d, p ** (d - 1)

@@ -21,6 +21,7 @@ from .arrangement import (
     count_complement_Fq,
     deletion,
     graphic_arrangement,
+    localization,
     max_abs_minor,
     restriction,
     structural_flags,
@@ -86,7 +87,9 @@ def next_prime_above(bound):
 def lattice_invariants(arr, lat):
     """chi monic of degree m and divisible by q - 1; Mobius sign and
     recursion == chain count on every comparable pair; deletion-restriction
-    for each hyperplane; chi(p) == the F_p complement count."""
+    for each hyperplane; chi(p) == the F_p complement count.  The
+    localization of each nonempty flat F has |F| normals and rank rk F
+    equal to its m, and its lattice, mapped back, is F's order ideal."""
     chi = lat.char_poly()
     require(chi.degree() == arr.m and chi.leading_coeff() == 1,
             "chi is not monic of degree m")
@@ -107,6 +110,16 @@ def lattice_invariants(arr, lat):
         require(chi == (char_poly_of(deleted, arr.m)
                         - char_poly_of(restricted, arr.m - lat.ranks[fi])),
                 f"deletion-restriction fails at hyperplane {i}")
+    for fi in range(1, len(lat)):
+        loc, idx = localization(arr, lat.flats[fi])
+        require(loc.n == len(lat.flats[fi])
+                and loc.rank() == loc.m == lat.ranks[fi],
+                f"localization shape mismatch at flat {fi}")
+        mapped = {frozenset(idx[k] for k in g)
+                  for g in build_lattice(loc).flats}
+        require(mapped == {lat.flats[j]
+                           for j in lat.indices(lat.down[fi])},
+                f"localization lattice of flat {fi} != its order ideal")
     p = next_prime_above(max_abs_minor(arr))
     require(count_complement_Fq(arr, p) == chi.evaluate(p),
             f"F_{p} complement count != chi({p})")

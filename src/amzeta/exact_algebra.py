@@ -414,9 +414,6 @@ class RationalUni:
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
-    def is_one(self) -> bool:
-        return self.num.is_one() and self.den.is_one()
-
     def as_laurent(self) -> LaurentPoly:
         if not self.den.is_one():
             raise InvariantError(
@@ -503,7 +500,7 @@ class RationalUni:
         try:
             return cls(LaurentPoly.from_json(obj["num"]),
                        LaurentPoly.from_json(obj["den"]))
-        except KeyError as exc:
+        except (KeyError, TypeError) as exc:
             raise ParseError(f"bad RationalUni JSON: {exc}") from exc
 
 
@@ -751,10 +748,6 @@ class BiRational:
                     num = _b2_times_factor(num, a)
             _b2_add_into(total, num)
         return BiRational(total, den=list(lcm.items()))
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        return self + (-other)
 
     def __neg__(self):
         return BiRational._from_reduced(

@@ -37,14 +37,8 @@ from .arrangement import (
     FlatLattice,
     _require_essential,
     build_lattice,
-    localization,
 )
-from .errors import (
-    InvariantError,
-    _charge_running,
-    charge,
-    partitions,
-)
+from .errors import InvariantError, _charge_running, partitions
 from .exact_algebra import (
     BiRational,
     _b2_add_into,
@@ -302,34 +296,20 @@ def igusa_recursion(arrangement: Arrangement, lat: FlatLattice) -> IgusaZeta:
 
       I = (q^m-1)/(q^m-t) + q^(2m) (t-1)/(t (q^m-t)) * J'(top).
 
-    The localization arrangements are materialized explicitly and their
-    lattices are checked against the corresponding order ideals.  Before
-    any is built they are charged to the budget as ``build_lattice``
-    charges each: |F| * rk F steps for each of the #[empty, F] flats.
+    The lattice of F's localization is the order ideal [empty, F] of
+    ``lat`` (``checks.lattice_invariants`` checks it), so the recursion
+    reads nothing else.  Before each addition to a sum it charges the
+    numerator terms of both summands to a running count.
     """
     _require_essential(arrangement)
-    charge("localization lattices", sum(
-        len(flat) * rk * down.bit_count()
-        for flat, rk, down in zip(lat.flats, lat.ranks, lat.down)))
     m = arrangement.m
     jprime = {}
+    steps = 0
     for i in range(len(lat)):       # flat indices extend the order
-        flat = lat.flats[i]
-        if not flat:
-            jprime[i] = BiRational.zero()
-            continue
-        loc, idx = localization(arrangement, flat)
-        if loc.rank() != lat.ranks[i] or loc.n != len(flat):
-            raise InvariantError("localization shape mismatch")
-        sub = build_lattice(loc)
-        mapped = {frozenset(idx[k] for k in g) for g in sub.flats}
-        ideal = lat.indices(lat.down[i])
-        if mapped != {lat.flats[j] for j in ideal}:
-            raise InvariantError(
-                "localization lattice differs from the order ideal")
-        rk_i = lat.ranks[i]
+        flat, rk_i = lat.flats[i], lat.ranks[i]
         acc = BiRational.zero()
-        for j in ideal[:-1]:        # the flats J < F; F is the largest index
+        # the flats J < F; F is the largest index of its ideal
+        for j in lat.indices(lat.down[i])[:-1]:
             rk_j = lat.ranks[j]
             d_j = len(flat) - len(lat.flats[j]) + rk_j
             chi = lat.char_poly_interval(j, i)
@@ -337,6 +317,8 @@ def igusa_recursion(arrangement: Arrangement, lat: FlatLattice) -> IgusaZeta:
             term = (BiRational.from_q_poly(chi)
                     * BiRational({(0, 1): 1}, den=[(d_j, 1)])
                     * inner).times_unit(rk_j - rk_i, 0)
+            steps += len(acc.num) + len(term.num)
+            _charge_running("localization recursion", steps)
             acc = acc + term
         jprime[i] = acc.times_unit(-rk_i, 0)
     value = (BiRational({(m, 0): 1, (0, 0): -1}, den=[(m, 1)])

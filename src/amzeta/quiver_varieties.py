@@ -197,9 +197,11 @@ def nakajima_gf(quiver: Quiver, w, bound: int) -> NakajimaGF:
     cleared Q~_v = D_v Q_v obey the integer recurrence
     Q~_v = N~_v - sum_{0<u<=v} prod_i [v_i, u_i] Den~_u Q~_(v-u),
     and Q_v = Q~_v / D_v must be exact.  Before any work, the budget is
-    charged one step per term of the two partition sums, the
-    multipartitions of every v of degree <= bound: 2 sum_v prod_i p(v_i),
-    38 steps for one loop at bound 5."""
+    charged each term of the two partition sums, a multipartition lam of
+    degree <= bound, 1 + (E + 1)^2 steps (5,200 for one loop at bound 5):
+    ``hua_term`` divides a dividend of degree E = sum_i C(|lam_i| + 1, 2)
+    by one of degree e and at most e + 1 terms, in at most
+    (E + 1) + (E - e + 1)(e + 1) <= 1 + (E + 1)^2 updates."""
     w = tuple(int(x) for x in w)
     if len(w) != quiver.vertices:
         raise PreconditionError("framing vector length != vertex count")
@@ -209,11 +211,19 @@ def nakajima_gf(quiver: Quiver, w, bound: int) -> NakajimaGF:
         raise PreconditionError("truncation bound must be >= 0")
     what = "Nakajima partition sums"
     counts = _partition_counts(bound, what)
-    terms = [1] + [0] * bound       # multipartition counts by degree
+    # (number, sum E, sum E^2) of the multipartitions of each degree; a
+    # vertex of count x has p(x) partitions and adds C(x + 1, 2) to E
+    def join(moments, x):
+        n, s, q = moments
+        c, d = counts[x], x * (x + 1) // 2
+        return n * c, (s + n * d) * c, (q + 2 * s * d + n * d * d) * c
+    moments = [(1, 0, 0)] + [(0, 0, 0)] * bound
     for _ in range(quiver.vertices):
-        terms = [sum(terms[a] * counts[d - a] for a in range(d + 1))
-                 for d in range(bound + 1)]
-    charge(what, 2 * sum(terms))
+        moments = [tuple(map(sum, zip(*(join(moments[a], k - a)
+                                        for a in range(k + 1)))))
+                   for k in range(bound + 1)]
+    n, s, q = map(sum, zip(*moments))
+    charge(what, 2 * (q + 2 * s + 2 * n))
     num = _partition_sum(quiver, w, bound)
     den = _partition_sum(quiver, (0,) * quiver.vertices, bound)
     cleared, series = {}, {}

@@ -27,7 +27,7 @@ from amzeta.checks import (
     next_prime_above,
     random_arrangement,
 )
-from amzeta.errors import PreconditionError
+from amzeta.errors import InvariantError, PreconditionError
 from amzeta.exact_algebra import LaurentPoly
 from amzeta.hypertoric import hypertoric_class
 from amzeta.igusa import (
@@ -512,6 +512,28 @@ def test_deletion_restriction_fixtures():
 def test_core_properties_fixtures():
     for arr in [n_origins(2), n_origins(3), triangle(), triangle_doubled(),
                 six_normals_rank3()]:
+        lattice_invariants(arr, build_lattice(arr))
+
+
+@pytest.mark.parametrize("broken, what", [
+    (lambda rows: rows[:-1], "localization shape mismatch"),
+    (lambda rows: rows[:-1] + [[a + b for a, b in zip(rows[0], rows[-1])]],
+     "localization lattice of flat"),
+], ids=["drops a normal", "moves a normal"])
+def test_lattice_invariants_check_each_localization(monkeypatch, broken,
+                                                    what):
+    # a localization that loses a normal fails the shape check; one that
+    # keeps |F| normals of rank rk F but moves one fails the lattice check
+    from amzeta import checks
+
+    def tampered(arr, flat):
+        loc, idx = localization(arr, flat)
+        if len(flat) < 3:
+            return loc, idx
+        return Arrangement(broken([list(r) for r in loc.normals])), idx
+    monkeypatch.setattr(checks, "localization", tampered)
+    arr = six_normals_rank3()
+    with pytest.raises(InvariantError, match=what):
         lattice_invariants(arr, build_lattice(arr))
 
 

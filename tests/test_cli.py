@@ -254,26 +254,26 @@ def test_quiver_walks_draw_on_the_budget(capsys, tmp_path):
         assert "budget allows 100" in err
 
 
-def test_recursion_charges_its_localization_lattices(capsys, tmp_path,
-                                                      monkeypatch):
+def test_recursion_charges_its_sums(capsys, tmp_path, monkeypatch):
     # K5 (n = 10, m = 4): 52 flats cost 40 steps each, 2,080 in all; the
-    # localization lattices cost |F| * rk F for each of the #[empty, F]
-    # flats, 5,190 summed over the flats F
+    # recursion charges the numerator terms of both summands of each of
+    # its additions, 4,652 in all, and builds no lattice of its own
     from amzeta.arrangement import graphic_arrangement
     k5 = tmp_path / "k5.json"
     k5.write_text(json.dumps(
         graphic_arrangement(complete_quiver(5)).to_json()))
     argv = ("igusa", "--method", "recursion", str(k5))
-    code, out, err = run(capsys, "--budget", "5189", *argv)
+    code, out, err = run(capsys, "--budget", "4651", *argv)
     assert code == 3 and out == ""
-    assert "localization lattices needs 5190 steps, budget allows 5189" in err
+    assert ("localization recursion needs at least 4652 steps, "
+            "budget allows 4651") in err
     # the chain route walks K5's 7 partition types; its largest charge is
     # the zeta reduction, 2,576 steps
     code, chain, _ = run(capsys, "--budget", "2576", "igusa", str(k5))
     assert code == 0 and chain
     # the environment has no say: only --budget sets the budget
     monkeypatch.setenv("AMZ_BUDGET", "100")
-    code, out, _ = run(capsys, "--budget", "5190", *argv)
+    code, out, _ = run(capsys, "--budget", "4652", *argv)
     assert code == 0 and out == chain
 
 
@@ -282,6 +282,51 @@ def test_exit_code_parse_error(capsys, tmp_path):
     bad.write_text("{not json")
     code, _, err = run(capsys, "igusa", str(bad))
     assert code == 1 and "error" in err
+
+
+@pytest.mark.parametrize("code, source, argv", [
+    (1, {"normals": [[1, 0], [1]]}, ["chi", "IN"]),
+    (1, {"normals": [[]]}, ["chi", "IN"]),
+    (1, {"normal": [[1, 0]]}, ["chi", "IN"]),
+    (1, None, ["chi", "IN"]),
+    (1, triangle().to_json(), ["mobius", "IN", "--lower", "x"]),
+    (1, triangle().to_json(), ["mobius", "IN", "--lower", "9"]),
+    (1, None, ["verify", "--suite", "nope"]),
+    (1, {"vertices": 0, "edges": []}, ["quiver-limit", "IN"]),
+    (2, jordan_quiver().to_json(), ["nakajima", "IN", "--w", "-1"]),
+    (2, jordan_quiver().to_json(),
+     ["nakajima", "IN", "--w", "1", "--depth", "-1"]),
+    (2, {"vertices": 1, "edges": []}, ["check-lastone", "IN"]),
+], ids=["unequal normals", "zero-length normal", "no normals key",
+        "unreadable path", "flat spec", "flat index", "suite",
+        "no vertex", "negative framing", "negative depth", "one vertex"])
+def test_outside_input_is_refused_with_one_error_line(capsys, tmp_path,
+                                                      code, source, argv):
+    # IN names the input file, which is not written when source is None
+    path = tmp_path / "input.json"
+    if source is not None:
+        path.write_text(json.dumps(source))
+    got, out, err = run(capsys, *[str(path) if a == "IN" else a
+                                  for a in argv])
+    assert got == code and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_verify_reports_a_failed_check(capsys, monkeypatch):
+    from amzeta import checks
+    from amzeta.errors import InvariantError
+
+    def broken(*args):
+        raise InvariantError("probe broken")
+    monkeypatch.setattr(checks, "limit_probe", broken)
+    code, out, err = run(capsys, "verify", "--suite", "oracle", "--alpha",
+                         "1")
+    assert code == 4
+    payload = json.loads(out)
+    assert payload["failed"] == 1
+    assert [c["status"] for c in payload["checks"]] == ["ok"] * 3 + ["FAIL"]
+    assert re.search(r"^FAIL .* ms  normalized limit probe, triangle, p=5: "
+                     r"probe broken$", err, re.M)
 
 
 @pytest.mark.parametrize("normals", [[[1, "a"]], [[1.5, 0]], ["12", "01"]])
@@ -433,9 +478,9 @@ def test_the_budget_is_one_value_that_main_restores(capsys, triangle_file,
 # coordinate arrangement of rank 6 cost 2,304, its one maximal minor 216
 # and the walk over its minors of every size sum_k C(6, k)^2 k = 2,772.
 # A stage that charges as it goes (the lattice, the chain walk, the
-# partition types, the reductions) knows only a lower bound when it stops,
-# and says "at least"; a charge one step short stops it at its last step,
-# so the bound is its exact charge.  igusa and
+# partition types, the reductions, the recursion's sums) knows only a
+# lower bound when it stops, and says "at least"; a charge one step short
+# stops it at its last step, so the bound is its exact charge.  igusa and
 # bmu walk K7 (a braid arrangement) over its 15 partition types, 15^2
 # charged, and build no lattice
 BUDGET_STAGES = [
@@ -456,10 +501,12 @@ BUDGET_STAGES = [
     # whose trial divisions by Phi_d are charged as they run
     ("rational function reduction", ["bmu", "k8"],
      "rational function reduction needs at least", 239284),
-    ("localization lattices", ["igusa", "triangle", "--method", "recursion"],
-     "localization lattices needs", 36),
+    # the numerator terms of both summands of each addition in the sums
+    ("localization recursion",
+     ["igusa", "triangle", "--method", "recursion"],
+     "localization recursion needs at least", 35),
     # the recursion's sums reduce each BiRational they build; the triangle's
-    # largest reduction outgrows its lattice (30) and localizations (36)
+    # largest reduction outgrows its lattice (30) and its sums (35)
     ("recursion zeta reduction",
      ["igusa", "triangle", "--method", "recursion"],
      "zeta reduction needs at least", 80),
@@ -468,7 +515,7 @@ BUDGET_STAGES = [
     ("prime guard", ["oracle", "six", "--p", "5", "--alpha", "1"],
      "max_abs_minor needs", 168),
     ("character sum", ["oracle", "triangle", "--p", "5", "--alpha", "3"],
-     "character sum needs", 558),
+     "character sum needs", 1488),
     ("quiver-limit walk", ["quiver-limit", "c5"], "normalized limit needs",
      243),
     ("quiver-indec walk", ["quiver-indec", "c5", "--alpha", "2"],
@@ -480,9 +527,10 @@ BUDGET_STAGES = [
      243),
     ("check-lastone lattice", ["check-lastone", "c5"],
      "lattice of flats needs at least", 540),
-    # one loop at depth 5: 2 (p(0) + ... + p(5)) multipartitions
+    # one loop at depth 5: 2 sum_x p(x) (1 + (C(x + 1, 2) + 1)^2) over
+    # x <= 5, each partition weighted by a bound on its division's updates
     ("nakajima terms", ["nakajima", "jordan", "--w", "1", "--depth", "5"],
-     "Nakajima partition sums needs", 38),
+     "Nakajima partition sums needs", 5200),
     # rank 2, three poles: p(2) terms of 2^2 * 2 + 1 coefficients
     ("odr terms", ["odr", "--n", "2", "--orders", "2,2,2"],
      "open de Rham sum needs", 18),

@@ -10,6 +10,7 @@ from amzeta import errors
 from amzeta.errors import (
     BudgetExceededError,
     InvariantError,
+    ParseError,
     PreconditionError,
     UnsupportedDenominatorError,
 )
@@ -460,6 +461,27 @@ def test_expand_in_t_matches_geometric_convolutions():
 def test_birational_json_roundtrip():
     x = BiRational({(2, 1): 3, (0, 0): -1}, (1, -2), [(2, 1), (3, 2)])
     assert BiRational.from_json(x.to_json()) == x
+
+
+ONE_Q = {"var": "q", "coeffs": {"0": "1"}}
+
+
+@pytest.mark.parametrize("cls, obj", [
+    (LaurentPoly, {"var": "q"}),
+    (LaurentPoly, {"var": "q", "coeffs": {"x": "1"}}),
+    (LaurentPoly, []),
+    (RationalUni, {"num": ONE_Q}),
+    (RationalUni, {"num": 1, "den": ONE_Q}),
+    (RationalUni, []),
+    (BiRational, {"num": [[0, 0]], "unit": [0, 0], "den": []}),
+    (BiRational, {"num": [[0, 0, "x"]], "unit": [0, 0], "den": []}),
+    (BiRational, {"num": [], "unit": [0, 0]}),
+    (BiRational, None),
+])
+def test_malformed_json_is_a_parse_error(cls, obj):
+    # a malformed numerator of a RationalUni is named as a LaurentPoly
+    with pytest.raises(ParseError, match=r"^bad \w+ JSON: "):
+        cls.from_json(obj)
 
 
 def poly2_mul(a, b):

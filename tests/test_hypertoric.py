@@ -207,21 +207,20 @@ def test_coatoms_decide_genericity():
 
 
 def test_fiber_budget_charges_the_character_sum(monkeypatch):
-    # K5 at p = 5 (m = 4) is charged ten inner products for each of the
-    # (5^4 - 1) / 4 = 156 unit-scaling orbits of nonzero xi in F_5^4; the
-    # prime guard's minor walk (2,860 steps) is run first, so that the
-    # character sum is the stage these budgets refuse
+    # K5 at p = 5 (m = 4) is charged eleven inner products (the target's
+    # and ten normals') of four products for each of the (5^4 - 1) / 4 =
+    # 156 unit-scaling orbits of nonzero xi in F_5^4; the prime guard's
+    # minor walk (2,860 steps) costs less, so the character sum is the
+    # stage these budgets refuse
     arr = graphic_arrangement(complete_quiver(5))
     cls, lat = class_of(arr)
     xi = find_generic_xi(arr, lat, 5)
-    monkeypatch.setattr(errors, "BUDGET", 2860)
-    max_abs_minor(arr)
-    monkeypatch.setattr(errors, "BUDGET", 1560)
+    monkeypatch.setattr(errors, "BUDGET", 6864)
     count = count_moment_fiber(arr, lat, 5, xi)
     assert count == 151316000000 == cls.value.evaluate(5) * 4 ** 4
-    monkeypatch.setattr(errors, "BUDGET", 1559)
+    monkeypatch.setattr(errors, "BUDGET", 6863)
     with pytest.raises(BudgetExceededError,
-                       match="character sum needs 1560 steps"):
+                       match="character sum needs 6864 steps"):
         count_moment_fiber(arr, lat, 5, xi)
 
 

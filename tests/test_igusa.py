@@ -114,6 +114,23 @@ def test_chain_equals_recursion_graphic_k5():
     assert igusa_chain(arr, lat).value == igusa_recursion(arr, lat).value
 
 
+def test_recursion_reads_only_the_lattice_it_is_given(monkeypatch):
+    # each flat's localization lattice is its order ideal in ``lat``, so
+    # the recursion on K5 builds no lattice and no localization
+    from amzeta import arrangement
+    arr = graphic_arrangement(complete_quiver(5))
+    lat = build_lattice(arr)
+    chain = igusa_chain(arr, lat).value
+
+    def refuse(*args):
+        raise AssertionError("the recursion built a sub-arrangement")
+    for module, name in [(igusa, "build_lattice"),
+                         (arrangement, "build_lattice"),
+                         (arrangement, "localization")]:
+        monkeypatch.setattr(module, name, refuse)
+    assert igusa_recursion(arr, lat).value == chain
+
+
 def test_chain_equals_recursion_graphic_k6():
     arr = graphic_arrangement(complete_quiver(6))
     lat = build_lattice(arr)

@@ -69,25 +69,26 @@ def test_direct_equals_character_sum_depth_two():
 
 def test_character_sum_charges_every_depth(monkeypatch):
     # triangle at p = 5, alpha = 3 (m = 2): 6 + 30 + 150 unit-scaling orbit
-    # representatives at depths 1, 2, 3, three inner products each
+    # representatives at depths 1, 2, 3, each charged four inner products
+    # (the target's and three normals') of two products
     arr = triangle()
-    monkeypatch.setattr(errors, "BUDGET", 558)
+    monkeypatch.setattr(errors, "BUDGET", 1488)
     assert depth_counts(arr, 5, 3)[-1].count == 444765625
-    monkeypatch.setattr(errors, "BUDGET", 557)
+    monkeypatch.setattr(errors, "BUDGET", 1487)
     with pytest.raises(BudgetExceededError,
-                       match="character sum needs 558 steps"):
+                       match="character sum needs 1488 steps"):
         depth_counts(arr, 5, 3)[-1]
 
 
 def test_character_sum_is_charged_before_its_walk(monkeypatch):
-    # K5 at p = 3, alpha = 3 is charged 10 * (40 + 1080 + 29160) steps;
+    # K5 at p = 3, alpha = 3 is charged 11 * 4 * (40 + 1080 + 29160) steps;
     # one step short is refused before any representative is walked
     def refuse(p, depth, m):
         raise AssertionError("orbit representatives walked past the budget")
     monkeypatch.setattr(arrangement, "_orbit_representatives", refuse)
     arr = graphic_arrangement(complete_quiver(5))
-    monkeypatch.setattr(errors, "BUDGET", 302799)
-    with pytest.raises(BudgetExceededError, match="needs 302800 steps"):
+    monkeypatch.setattr(errors, "BUDGET", 1332319)
+    with pytest.raises(BudgetExceededError, match="needs 1332320 steps"):
         depth_counts(arr, 3, 3)[-1]
 
 

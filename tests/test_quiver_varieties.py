@@ -1,8 +1,14 @@
 import random
+import re
 
 import pytest
 
-from amzeta.errors import InvariantError, ParseError, PreconditionError
+from amzeta.errors import (
+    BudgetExceededError,
+    InvariantError,
+    ParseError,
+    PreconditionError,
+)
 from amzeta.exact_algebra import LaurentPoly
 from amzeta.quiver_varieties import (
     Quiver,
@@ -31,6 +37,62 @@ def test_nakajima_refuses_a_coefficient_that_does_not_clear(monkeypatch):
     with pytest.raises(InvariantError, match=r"^coefficient at \(1,\) is "
                        "not a Laurent polynomial$"):
         nakajima_gf(jordan_quiver(), (1,), 2)
+
+
+@pytest.mark.parametrize("quiver, w, bound", [
+    (jordan_quiver(), (1,), 8),
+    (Quiver(3, [(1, 2), (2, 3)]), (1, 0, 0), 4),
+    (Quiver(2, [(1, 1), (1, 2), (2, 1)]), (2, 1), 3)])
+def test_nakajima_charge_bounds_the_division_updates(monkeypatch, quiver, w,
+                                                     bound):
+    # hua_term's division writes the D + 1 coefficients of its dividend and
+    # then |divisor| of them per quotient term; each multipartition's
+    # updates stay within 1 + (E + 1)^2, E = sum_i C(|lam_i| + 1, 2), and
+    # both partition sums' within the charge nakajima_gf refuses
+    from amzeta import errors, exact_algebra, quiver_varieties
+    monkeypatch.setattr(errors, "BUDGET", 100)
+    with pytest.raises(BudgetExceededError) as refusal:
+        nakajima_gf(quiver, w, bound)
+    charged = int(re.search(r"needs (\d+) steps", str(refusal.value))[1])
+    monkeypatch.setattr(errors, "BUDGET", errors.DEFAULT_BUDGET)
+    divide, term = exact_algebra._poly_div_exact, quiver_varieties.hua_term
+    updates, total = [], []
+
+    def counted_division(a, b):
+        quot = divide(a, b)
+        updates.append(max(a) + 1 + len(quot) * len(b))
+        return quot
+
+    def bounded_term(quiver, w, blam):
+        updates.clear()
+        value = term(quiver, w, blam)
+        degree = sum(sum(lam) * (sum(lam) + 1) // 2 for lam in blam)
+        assert len(updates) == 1 and updates[0] <= 1 + (degree + 1) ** 2
+        total.append(updates[0])
+        return value
+    monkeypatch.setattr(exact_algebra, "_poly_div_exact", counted_division)
+    monkeypatch.setattr(quiver_varieties, "hua_term", bounded_term)
+    for framing in (w, (0,) * quiver.vertices):
+        quiver_varieties._partition_sum(quiver, framing, bound)
+    assert 0 < sum(total) <= charged
+
+
+@pytest.mark.parametrize("vertices, bound, steps, classes",
+                         [(15, 0, 4, 1), (12, 2, 2260, 4)])
+def test_nakajima_admits_a_many_vertex_cycle_at_low_depth(
+        monkeypatch, vertices, bound, steps, classes):
+    # the charge grows with the dividends' degrees E, summed over the
+    # vertices, not with the vertex count: both cycles are charged far
+    # inside the default budget
+    from amzeta import errors
+    cycle = Quiver(vertices, [(i, i % vertices + 1)
+                              for i in range(1, vertices + 1)])
+    w = (1,) + (0,) * (vertices - 1)
+    monkeypatch.setattr(errors, "BUDGET", steps - 1)
+    with pytest.raises(BudgetExceededError, match=f"needs {steps} steps"):
+        nakajima_gf(cycle, w, bound)
+    monkeypatch.setattr(errors, "BUDGET", errors.DEFAULT_BUDGET)
+    assert len(nakajima_gf(cycle, w, bound).classes) == classes
 
 
 def test_partitions_enumeration():
